@@ -2,7 +2,7 @@
 finite elements, plus a POD reduced-order model built from time snapshots."""
 
 from .continuation import (ContinuationConfig, SnapshotMatrix, SolveTrace,
-                           fom_step, run_fom)
+                           fom_step, run_fom, step_solver)
 from .fem import (DiscreteField, DofMap, assemble, assemble_full,
                   build_dofmap, eigen_residual, rayleigh_quotient)
 from .harness import (ExperimentConfig, ExperimentError, ResultRow,
@@ -30,6 +30,6 @@ __all__ = [
     "fom_step", "generate_lshape", "generate_square", "mark", "mesh_stats",
     "projection_error_sq", "rayleigh_quotient", "read_mesh", "reduce",
     "run_experiment", "run_fom", "run_rom", "select_dim", "singular_values",
-    "spd_solve", "spmv", "sym_eig_desc", "uniform_refine", "validate_mesh",
-    "write_mesh",
+    "spd_solve", "spmv", "step_solver", "sym_eig_desc", "uniform_refine",
+    "validate_mesh", "write_mesh",
 ]

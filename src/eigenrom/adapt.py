@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import ContinuationConfig, run_fom
-from .fem import (DiscreteField, DofMap, assemble, build_dofmap, p2_dlambda,
-                  p2_values, QUAD_POINTS, QUAD_WEIGHTS)
-from .linalg import csr_quadratic_form
+from .fem import (DiscreteField, DofMap, assemble, build_dofmap,
+                  eigen_residual, p2_dlambda, p2_values, QUAD_POINTS,
+                  QUAD_WEIGHTS)
+from .linalg import NonconvergenceError, csr_quadratic_form
 from .mesh import Mesh, bisect_refine, edge_table, triangle_areas
 from .pod import build_pod, select_dim, singular_values
 from .rom import reduce, run_rom
@@ -186,7 +187,8 @@ def adaptive_solve(initial_mesh: Mesh, fe_degree: int, theta: float,
     Per level: run the full-order continuation, build the basis from its
     snapshots, run the reduced iteration (timed separately as the online
     stage), estimate with the full-order eigenpair, mark, bisect.  Returns
-    one record per level and the final (unrefined) mesh.
+    one record per level and the final (unrefined) mesh.  Raises
+    NonconvergenceError when a level's full-order run does not converge.
     """
     mesh = initial_mesh
     records = []
@@ -194,6 +196,13 @@ def adaptive_solve(initial_mesh: Mesh, fe_degree: int, theta: float,
         dofmap = build_dofmap(mesh, fe_degree)
         A, M = assemble(mesh, dofmap)
         trace, snaps = run_fom(A, M, continuation_config)
+        for warning in trace.warnings:
+            log.warning("level %d: %s", level, warning)
+        if not trace.converged:
+            raise NonconvergenceError(
+                f"continuation did not converge on adaptive level {level}",
+                residual=eigen_residual(A, M, trace.final_vector,
+                                        trace.eigenvalue))
 
         t0 = time.perf_counter()
         n_pod = select_dim(singular_values(snaps), pod_eps)

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma separated strides, e.g. 2,4,8 (overrides --stride)")
     run.add_argument("--pod-eps", type=_pod_eps, default=None,
                      help="energy tolerance, or 'exact' on the square "
-                          "(default: exact on the square, 1e-7 otherwise)")
+                          "(default: 1e-7)")
     run.add_argument("--init", default="random", choices=["ones", "random"],
                      help="initial iterate of the continuation runs")
     run.add_argument("--adaptive", action="store_true",

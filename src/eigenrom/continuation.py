@@ -3,7 +3,9 @@ steady state is the first eigenpair of the generalized problem A U = lam M U.
 
 Each step solves (A + M/dt) U' = (lam + 1/dt) M U with lam the Rayleigh
 quotient of the current state, and records every ``snapshot_stride``-th state
-as a column of the snapshot matrix.
+as a column of the snapshot matrix.  The step operator A + M/dt is constant
+for the whole run, so it is factored once with SuperLU (through scipy) and
+every step is a pair of triangular solves.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import rayleigh_quotient
-from .linalg import CsrMatrix, combine, csr_quadratic_form, spd_solve, spmv
+from .linalg import CsrMatrix, NonconvergenceError, csr_quadratic_form, spmv
 
 # renormalize only if the iterate norm leaves this range (overflow guard)
 _NORM_FLOOR = 1e-150
 _NORM_CEIL = 1e150
+# accuracy contract of every step solve: ||K x - b|| <= _SOLVE_RTOL ||b||
+_SOLVE_RTOL = 1e-12
 
 
 @dataclass
@@ -88,17 +92,52 @@ def initial_state(n: int, config: ContinuationConfig) -> np.ndarray:
     return np.random.default_rng(config.seed).standard_normal(n)
 
 
+def step_solver(A: CsrMatrix, M: CsrMatrix, dt: float):
+    """Factor K = A + M/dt once and return ``solve(b)`` for K x = b.
+
+    The factorization is SuperLU with the minimum-degree ordering of
+    K^T + K and diagonal pivots (K is SPD).  Every solve checks the true
+    residual ||K x - b|| <= 1e-12 ||b||; if the check fails it makes one step
+    of iterative refinement, and if it still fails it raises
+    NonconvergenceError carrying the achieved relative residual.
+    """
+    # imported here: scipy.sparse.linalg is slow to import, and the CLI
+    # should not pay for it before a solve runs
+    from scipy.sparse.linalg import splu
+
+    K = (A.to_scipy() + (1.0 / dt) * M.to_scipy()).tocsc()
+    lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+
+    def solve(b) -> np.ndarray:
+        b = np.asarray(b, dtype=np.float64)
+        target = _SOLVE_RTOL * np.linalg.norm(b)
+        x = lu.solve(b)
+        r = b - K @ x
+        if not np.linalg.norm(r) <= target:
+            x += lu.solve(r)
+            res = np.linalg.norm(b - K @ x)
+            if not res <= target:
+                raise NonconvergenceError(
+                    f"factored step solve missed rel_tol={_SOLVE_RTOL:g} "
+                    "after one refinement step",
+                    residual=res / np.linalg.norm(b))
+        return x
+
+    return solve
+
+
 def fom_step(A: CsrMatrix, M: CsrMatrix, U, lam: float, dt: float,
-             system: CsrMatrix | None = None, x0=None) -> np.ndarray:
+             solve=None) -> np.ndarray:
     """One implicit-Euler step: solve (A + M/dt) U' = (lam + 1/dt) M U.
 
-    ``system`` may pass a precomputed A + M/dt so that callers stepping in a
-    loop assemble it only once.
+    ``solve`` is a ``step_solver(A, M, dt)`` that callers stepping in a loop
+    build once; without it the step factors the system itself.
     """
-    if system is None:
-        system = combine(1.0, A, 1.0 / dt, M)
+    if solve is None:
+        solve = step_solver(A, M, dt)
     rhs = (lam + 1.0 / dt) * spmv(M, U)
-    return spd_solve(system, rhs, x0=x0)
+    return solve(rhs)
 
 
 def run_fom(A: CsrMatrix, M: CsrMatrix, config: ContinuationConfig,
@@ -107,7 +146,8 @@ def run_fom(A: CsrMatrix, M: CsrMatrix, config: ContinuationConfig,
 
     Stops when ||U_new - U|| / ||U_new|| <= stop_tol (Euclidean coefficient
     norm).  ``u0`` overrides the configured initial guess.  Raises no error
-    on hitting max_steps; the returned trace has ``converged=False``.
+    on hitting max_steps; the returned trace has ``converged=False``.  A step
+    solve that misses its residual check raises NonconvergenceError.
     """
     n = A.n_rows
     if n < 1:
@@ -119,7 +159,7 @@ def run_fom(A: CsrMatrix, M: CsrMatrix, config: ContinuationConfig,
         raise ValueError("initial state is the zero vector")
     U0 = U.copy()
 
-    system = combine(1.0, A, 1.0 / config.dt, M)
+    solve = step_solver(A, M, config.dt)
     lam_history = []
     snapshots = []
     converged = False
@@ -127,7 +167,7 @@ def run_fom(A: CsrMatrix, M: CsrMatrix, config: ContinuationConfig,
     for k in range(config.max_steps):
         lam = rayleigh_quotient(A, M, U)
         lam_history.append(lam)
-        U_new = fom_step(A, M, U, lam, config.dt, system=system, x0=U)
+        U_new = fom_step(A, M, U, lam, config.dt, solve=solve)
         steps = k + 1
         if steps % config.snapshot_stride == 0:
             snapshots.append(U_new.copy())

@@ -167,6 +167,8 @@ def _run_level(cfg: ExperimentConfig, n: int, mesh: Mesh):
     cont = replace(cfg.continuation, seed=cfg.seed,
                    snapshot_stride=min(cfg.strides))
     trace, snaps = run_fom(A, M, cont)
+    for warning in trace.warnings:
+        log.warning("level n=%d: %s", n, warning)
     if not trace.converged:
         raise NonconvergenceError(
             f"continuation did not converge on level n={n}",
@@ -243,9 +245,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             mesh0 = generate_lshape(cfg.mesh, cfg.n_start)
         eps = cfg.resolved_pod_eps()
         cont = replace(cfg.continuation, seed=cfg.seed)
-        records, final_mesh = adaptive_solve(
-            mesh0, cfg.fe_degree, cfg.theta, cfg.levels, cont,
-            pod_eps=float(eps) if eps != "exact" else 1e-7)
+        try:
+            records, final_mesh = adaptive_solve(
+                mesh0, cfg.fe_degree, cfg.theta, cfg.levels, cont,
+                pod_eps=float(eps) if eps != "exact" else 1e-7)
+        except NonconvergenceError as exc:
+            raise ExperimentError(f"schedule aborted: {exc}", [],
+                                  nonconvergence=True) from exc
         errors = [r.lambda_fom - lam_ref for r in records]
         dofs = [r.n_dof for r in records]
         rf = compute_rate(errors, dofs, "adaptive")
@@ -358,7 +364,3 @@ def read_csv(path) -> list[ResultRow]:
                                   opt_float(rec[5]), opt_float(rec[6]),
                                   int(rec[7]), float(rec[8]), float(rec[9])))
     return rows
-
-
-def emit_singvals(basis_or_svals, path) -> None:
-    write_singular_values(basis_or_svals, path)

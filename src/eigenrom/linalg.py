@@ -3,7 +3,10 @@ Jacobi eigensolver for small symmetric matrices.
 
 Dense matrices are plain 2-D float64 numpy arrays (row-major); CsrMatrix
 stores the compressed-row triplet explicitly and delegates products to
-scipy.sparse.
+scipy.sparse.  The full-order step operator A + M/dt is not solved here: the
+continuation factors it once per run with SuperLU through scipy
+(``continuation.step_solver``).  ``spd_solve`` is kept as public API and as
+the independent reference the tests check that factorization against.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import eigenrom.continuation as continuation
 from eigenrom.continuation import (ContinuationConfig, SnapshotMatrix,
-                                   fom_step, run_fom, write_snapshots)
+                                   fom_step, run_fom, step_solver,
+                                   write_snapshots)
 from eigenrom.fem import assemble, build_dofmap, eigen_residual, rayleigh_quotient
-from eigenrom.linalg import CsrMatrix, combine
-from eigenrom.mesh import generate_square
+from eigenrom.linalg import CsrMatrix, NonconvergenceError, combine, spd_solve
+from eigenrom.mesh import generate_lshape, generate_square
 from oracles import smallest_pencil_eigenpair
 
 PI = math.pi
@@ -65,10 +67,34 @@ class TestFomStep:
     def test_precomputed_system_agrees(self, rng):
         A = diag_csr([2.0, 5.0])
         M = diag_csr([1.0, 3.0])
-        system = combine(1.0, A, 10.0, M)
+        solve = step_solver(A, M, 0.1)
         u = rng.standard_normal(2)
         assert np.array_equal(fom_step(A, M, u, 2.0, 0.1),
-                              fom_step(A, M, u, 2.0, 0.1, system=system))
+                              fom_step(A, M, u, 2.0, 0.1, solve=solve))
+
+    @pytest.mark.parametrize("domain,degree", [("square", 1), ("lshape", 2)])
+    def test_factored_step_matches_cg_oracle(self, rng, domain, degree):
+        if domain == "square":
+            mesh = generate_square("crisscross", 16, PI)
+        else:
+            mesh = generate_lshape("crisscross", 8)
+        A, M = assemble(mesh, build_dofmap(mesh, degree))
+        dt, lam = 0.1, 3.0
+        u = rng.standard_normal(A.n_rows)
+        got = fom_step(A, M, u, lam, dt, solve=step_solver(A, M, dt))
+        rhs = (lam + 1.0 / dt) * (M.to_scipy() @ u)
+        want = spd_solve(combine(1.0, A, 1.0 / dt, M), rhs, rel_tol=1e-12)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_failed_residual_check_raises(self, monkeypatch, rng):
+        mesh = generate_square("crisscross", 4, PI)
+        A, M = assemble(mesh, build_dofmap(mesh, 1))
+        solve = step_solver(A, M, 0.1)
+        # no factorization reaches this in double precision, refined or not
+        monkeypatch.setattr(continuation, "_SOLVE_RTOL", 1e-30)
+        with pytest.raises(NonconvergenceError) as info:
+            solve(rng.standard_normal(A.n_rows))
+        assert 0 < info.value.residual < 1e-12
 
 
 class TestRunFom:
@@ -103,12 +129,12 @@ class TestRunFom:
                                  snapshot_stride=4)
         trace, snaps = run_fom(A, M, cfg)
         # replay the iteration by hand and compare at the snapshot steps
-        system = combine(1.0, A, 1.0 / cfg.dt, M)
+        solve = step_solver(A, M, cfg.dt)
         U = np.random.default_rng(3).standard_normal(A.n_rows)
         col = 0
         for k in range(trace.n_steps):
             lam = rayleigh_quotient(A, M, U)
-            U = fom_step(A, M, U, lam, cfg.dt, system=system, x0=U)
+            U = fom_step(A, M, U, lam, cfg.dt, solve=solve)
             if (k + 1) % cfg.snapshot_stride == 0:
                 assert np.array_equal(U, snaps.matrix[:, col])
                 col += 1

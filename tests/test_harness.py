@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import subprocess
@@ -5,9 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import eigenrom.adapt as adapt
+import eigenrom.harness as harness
 from eigenrom.cli import main as cli_main
-from eigenrom.continuation import ContinuationConfig
+from eigenrom.continuation import ContinuationConfig, run_fom
 from eigenrom.harness import (CSV_HEADER, ExperimentConfig, ExperimentError,
                               ResultRow, compute_rate, emit_csv, read_csv,
                               run_experiment)
@@ -158,6 +162,25 @@ class TestRunExperiment:
         assert info.value.nonconvergence
         assert info.value.rows == []
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_fom_warnings_are_logged(self, monkeypatch, caplog, adaptive):
+        # the M-orthogonal start of the continuation tests, built from each
+        # level's own pencil: two higher modes plus a 1e-15 trace of the
+        # lowest, which the slow transient lets take over
+        def orthogonal_start_fom(A, M, cfg):
+            _, V = scipy.linalg.eigh(A.toarray(), M.toarray())
+            return run_fom(A, M, cfg, u0=V[:, 1] + V[:, 2] + 1e-15 * V[:, 0])
+
+        monkeypatch.setattr(harness, "run_fom", orthogonal_start_fom)
+        monkeypatch.setattr(adapt, "run_fom", orthogonal_start_fom)
+        cfg = ExperimentConfig(domain="lshape", mesh="crisscross", n_start=2,
+                               levels=1, fe_degree=1, adaptive=adaptive)
+        with caplog.at_level(logging.WARNING, logger="eigenrom"):
+            run_experiment(cfg)
+        warned = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.WARNING]
+        assert any("M-orthogonal" in m for m in warned), warned
+
     def test_adaptive_lshape_rows(self):
         cfg = ExperimentConfig(domain="lshape", mesh="crisscross", n_start=2,
                                levels=3, fe_degree=2, adaptive=True)
@@ -226,6 +249,19 @@ class TestCli:
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
                          "--n-start", "8", "--levels", "1",
                          "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+
+    def test_adaptive_nonconvergence_exit_code(self, tmp_path, monkeypatch):
+        import eigenrom.cli as cli_mod
+
+        def tiny_steps(**kwargs):
+            kwargs["max_steps"] = 3
+            return ContinuationConfig(**kwargs)
+
+        monkeypatch.setattr(cli_mod, "ContinuationConfig", tiny_steps)
+        code = cli_main(["run", "--domain", "lshape", "--mesh", "crisscross",
+                         "--fe", "2", "--n-start", "2", "--levels", "2",
+                         "--adaptive", "--out", str(tmp_path / "t.csv")])
         assert code == 2
 
     def test_console_script_entry(self, tmp_path):

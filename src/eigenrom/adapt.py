@@ -14,19 +14,17 @@ across refinement levels.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import ContinuationConfig, run_fom
-from .fem import (DiscreteField, DofMap, assemble, build_dofmap,
-                  eigen_residual, p2_dlambda, p2_values, QUAD_POINTS,
-                  QUAD_WEIGHTS)
+from .continuation import ContinuationConfig
+from .fem import (DiscreteField, DofMap, QUAD_POINTS, QUAD_WEIGHTS,
+                  _barycentric_gradients, assemble, build_dofmap, p2_dlambda,
+                  p2_values)
 from .linalg import NonconvergenceError, csr_quadratic_form
-from .mesh import Mesh, bisect_refine, edge_table, triangle_areas
-from .pod import build_pod, select_dim, singular_values
-from .rom import reduce, run_rom
+from .mesh import Mesh, bisect_refine, edge_lengths, edge_table
+from .rom import solve_level
 
 log = logging.getLogger(__name__)
 
@@ -51,21 +49,6 @@ class AdaptiveRecord:
     n_pod: int
     fom_time: float
     rom_time: float
-
-
-def _tri_geometry(mesh: Mesh):
-    p = mesh.nodes[mesh.triangles]
-    area = triangle_areas(mesh)
-    grads = np.empty((mesh.n_triangles, 3, 2))
-    lengths = np.empty((mesh.n_triangles, 3))
-    for i in range(3):
-        a, b = (i + 1) % 3, (i + 2) % 3
-        d = p[:, b] - p[:, a]
-        grads[:, i, 0] = -d[:, 1]
-        grads[:, i, 1] = d[:, 0]
-        lengths[:, i] = np.hypot(d[:, 0], d[:, 1])
-    grads /= (2.0 * area)[:, None, None]
-    return area, grads, lengths
 
 
 def _barycentric_at(mesh: Mesh, tris, points):
@@ -109,8 +92,8 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h: DiscreteField, lambda_h: float
 
 
 def _estimate_full(mesh: Mesh, dofmap: DofMap, u_full, lambda_h: float) -> EtaField:
-    area, grads, lengths = _tri_geometry(mesh)
-    h_k = lengths.max(axis=1)
+    grads, area = _barycentric_gradients(mesh)
+    h_k = edge_lengths(mesh).max(axis=1)
     u_loc = np.asarray(u_full)[dofmap.cell_dofs]          # (T, n_loc)
 
     if dofmap.degree == 1:
@@ -184,35 +167,25 @@ def adaptive_solve(initial_mesh: Mesh, fe_degree: int, theta: float,
                    ) -> tuple[list[AdaptiveRecord], Mesh]:
     """Solve-estimate-mark-refine loop with a reduced solve per level.
 
-    Per level: run the full-order continuation, build the basis from its
-    snapshots, run the reduced iteration (timed separately as the online
+    Per level: run ``solve_level`` (full-order continuation, basis from its
+    snapshots at the configured stride, reduced run timed as the online
     stage), estimate with the full-order eigenpair, mark, bisect.  Returns
-    one record per level and the final (unrefined) mesh.  Raises
-    NonconvergenceError when a level's full-order run does not converge.
+    one record per level and the final (unrefined) mesh.  A level that does
+    not converge raises NonconvergenceError carrying the records of the
+    levels finished before it.
     """
     mesh = initial_mesh
     records = []
     for level in range(n_refinements):
         dofmap = build_dofmap(mesh, fe_degree)
         A, M = assemble(mesh, dofmap)
-        trace, snaps = run_fom(A, M, continuation_config)
-        for warning in trace.warnings:
-            log.warning("level %d: %s", level, warning)
-        if not trace.converged:
-            raise NonconvergenceError(
-                f"continuation did not converge on adaptive level {level}",
-                residual=eigen_residual(A, M, trace.final_vector,
-                                        trace.eigenvalue))
-
-        t0 = time.perf_counter()
-        n_pod = select_dim(singular_values(snaps), pod_eps)
-        basis = build_pod(snaps, n_pod)
-        t_offline = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        ops = reduce(A, M, basis.V)
-        rom_trace, _ = run_rom(ops, np.ones(A.n_rows), continuation_config)
-        rom_time = time.perf_counter() - t0
+        try:
+            trace, [(_, basis, rom_trace, rom_time)] = solve_level(
+                A, M, continuation_config,
+                (continuation_config.snapshot_stride,), pod_eps)
+        except NonconvergenceError as exc:
+            raise NonconvergenceError(f"adaptive level {level}: {exc}",
+                                      exc.residual, records) from exc
 
         u = trace.final_vector
         u = u / np.sqrt(csr_quadratic_form(M, u))
@@ -223,13 +196,13 @@ def adaptive_solve(initial_mesh: Mesh, fe_degree: int, theta: float,
             lambda_fom=trace.eigenvalue,
             lambda_rom=rom_trace.eigenvalue,
             eta_total=etas.total,
-            n_pod=n_pod,
+            n_pod=basis.N,
             fom_time=trace.wall_time,
             rom_time=rom_time,
         ))
-        log.info("level %d: dof=%d lambda=%.12f eta=%.3e pod=%d offline=%.3fs",
+        log.info("level %d: dof=%d lambda=%.12f eta=%.3e pod=%d",
                  level, dofmap.n_dof_total, trace.eigenvalue, etas.total,
-                 n_pod, t_offline)
+                 basis.N)
         if etas.total <= 1e-14:
             break
         if level + 1 < n_refinements:

@@ -67,17 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strides", default=None,
                      help="comma separated strides, e.g. 2,4,8 (overrides --stride)")
     run.add_argument("--pod-eps", type=_pod_eps, default=None,
-                     help="energy tolerance, or 'exact' on the square "
-                          "(default: 1e-7)")
+                     help="energy tolerance, or 'exact' for uniform levels on "
+                          "the square (default: 1e-7)")
     run.add_argument("--init", default="random", choices=["ones", "random"],
-                     help="initial iterate of the continuation runs")
+                     help="initial iterate of the full-order run (the reduced "
+                          "run always starts from the all-ones vector)")
     run.add_argument("--adaptive", action="store_true",
                      help="adaptive bisection refinement instead of uniform levels")
     run.add_argument("--theta", type=float, default=0.5,
                      help="bulk marking fraction for adaptive runs")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for independent schedule rows")
     run.add_argument("--out", required=True, help="output CSV path")
     run.add_argument("--dump-singvals", default=None,
                      help="write the finest level's singular values here")
@@ -106,7 +105,7 @@ def _config_from_args(args) -> ExperimentConfig:
         domain=args.domain, mesh=mesh, mesh_file=mesh_file,
         n_start=args.n_start, levels=args.levels, fe_degree=args.fe,
         adaptive=args.adaptive, theta=args.theta, continuation=cont,
-        strides=strides, pod_eps=args.pod_eps, seed=args.seed, jobs=args.jobs,
+        strides=strides, pod_eps=args.pod_eps, seed=args.seed,
         out_csv=args.out, singvals_path=args.dump_singvals,
         mesh_dump_path=args.dump_mesh)
 

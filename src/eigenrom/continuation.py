@@ -182,8 +182,8 @@ def run_fom(A: CsrMatrix, M: CsrMatrix, config: ContinuationConfig,
     lam_history.append(rayleigh_quotient(A, M, U))
 
     warnings = []
-    overlap = abs(csr_quadratic_form_pair(M, U0, U))
-    scale = _m_norm(M, U0) * _m_norm(M, U)
+    overlap = abs(float(U0 @ spmv(M, U)))
+    scale = np.sqrt(csr_quadratic_form(M, U0)) * np.sqrt(csr_quadratic_form(M, U))
     # the computed eigenvector carries ~10*stop_tol of transient leftovers,
     # so orthogonality of the start is only observable down to that floor
     if overlap <= max(1e-14, 100.0 * config.stop_tol) * scale:
@@ -200,15 +200,6 @@ def run_fom(A: CsrMatrix, M: CsrMatrix, config: ContinuationConfig,
     else:
         matrix = np.empty((n, 0))
     return trace, SnapshotMatrix(matrix, config.snapshot_stride)
-
-
-def csr_quadratic_form_pair(K: CsrMatrix, x, y) -> float:
-    """x^T K y."""
-    return float(np.dot(np.asarray(x, dtype=np.float64), spmv(K, y)))
-
-
-def _m_norm(M: CsrMatrix, x) -> float:
-    return float(np.sqrt(max(csr_quadratic_form(M, x), 0.0)))
 
 
 def write_snapshots(snap: SnapshotMatrix, path) -> None:

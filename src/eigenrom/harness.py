@@ -10,21 +10,19 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .adapt import adaptive_solve
-from .continuation import ContinuationConfig, initial_state, run_fom
-from .fem import assemble, build_dofmap, eigen_residual, interpolate_free
+from .continuation import ContinuationConfig
+from .fem import assemble, build_dofmap, interpolate_free
 from .linalg import NonconvergenceError
 from .mesh import (Mesh, generate_lshape, generate_square, mesh_stats,
                    read_mesh, uniform_refine, write_mesh)
-from .pod import (build_pod, exact_reference_eps, select_dim, singular_values,
-                  write_singular_values)
-from .rom import reduce, run_rom
+from .pod import exact_reference_eps, write_singular_values
+from .rom import solve_level
 
 log = logging.getLogger(__name__)
 
@@ -44,11 +42,12 @@ DEFAULT_POD_EPS = 1e-7
 def default_continuation() -> ContinuationConfig:
     """Experiment-level iteration defaults.
 
-    The initial guess is seeded-random: a nonsymmetric start excites the
-    odd-even modes too, which lengthens the transient to the step counts the
-    snapshot-stride comparison needs (the all-ones vector is symmetric and
-    converges in a third of the steps, leaving too few snapshots at the
-    coarsest stride).
+    The full-order initial guess is seeded-random: a nonsymmetric start
+    excites the odd-even modes too, which lengthens the transient to the step
+    counts the snapshot-stride comparison needs (the all-ones vector is
+    symmetric and converges in a third of the steps, leaving too few
+    snapshots at the coarsest stride).  The reduced run always starts from
+    the all-ones vector (``rom.solve_level``).
     """
     return ContinuationConfig(initial_guess="random")
 
@@ -69,7 +68,6 @@ class ExperimentConfig:
     pod_eps: object = None            # float, "exact", or None for the default
     mesh_file: str | None = None
     seed: int = 0
-    jobs: int = 1
     out_csv: str | None = None
     singvals_path: str | None = None
     mesh_dump_path: str | None = None
@@ -118,11 +116,19 @@ def _validate(cfg: ExperimentConfig):
         raise ValueError("levels must be >= 0 and n_start >= 1")
     if not cfg.strides or any(s < 1 for s in cfg.strides):
         raise ValueError("strides must be positive")
+    base = min(cfg.strides)
+    for s in cfg.strides:
+        if s % base:
+            raise ValueError(f"stride {s} is not a multiple of the smallest "
+                             f"stride {base}")
+    if cfg.adaptive and len(cfg.strides) > 1:
+        raise ValueError("adaptive runs take a single snapshot stride")
     eps = cfg.resolved_pod_eps()
     if eps == "exact":
-        if cfg.domain != "square":
-            raise ValueError("the exact-reference tolerance needs the square "
-                             "domain, where the first eigenfunction is known")
+        if cfg.domain != "square" or cfg.adaptive:
+            raise ValueError("the exact-reference tolerance needs uniform "
+                             "levels on the square domain, where the first "
+                             "eigenfunction is known")
     elif not 0 < float(eps) < 1:
         raise ValueError("pod eps must lie in (0, 1)")
     if cfg.adaptive and not 0 < cfg.theta <= 1:
@@ -153,51 +159,17 @@ def _level_meshes(cfg: ExperimentConfig) -> list[tuple[int, Mesh]]:
     return out
 
 
-def _exact_first_eigenfunction(dofmap):
-    return interpolate_free(dofmap, lambda x, y: np.sin(x) * np.sin(y))
-
-
-def _run_level(cfg: ExperimentConfig, n: int, mesh: Mesh):
-    """FOM once, then one basis + reduced run per requested stride."""
+def _run_level(cfg: ExperimentConfig, cont: ContinuationConfig, mesh: Mesh):
+    """Assemble one uniform level and run its solve_level pipeline."""
     dofmap = build_dofmap(mesh, cfg.fe_degree)
     if dofmap.n_free == 0:
         raise ValueError("mesh has no free degrees of freedom")
     A, M = assemble(mesh, dofmap)
-
-    cont = replace(cfg.continuation, seed=cfg.seed,
-                   snapshot_stride=min(cfg.strides))
-    trace, snaps = run_fom(A, M, cont)
-    for warning in trace.warnings:
-        log.warning("level n=%d: %s", n, warning)
-    if not trace.converged:
-        raise NonconvergenceError(
-            f"continuation did not converge on level n={n}",
-            residual=eigen_residual(A, M, trace.final_vector,
-                                    trace.eigenvalue))
-
-    eps_mode = cfg.resolved_pod_eps()
-    if eps_mode == "exact":
-        eps = exact_reference_eps(M, _exact_first_eigenfunction(dofmap),
-                                  trace.final_vector)
-    else:
-        eps = float(eps_mode)
-
-    per_stride = []
-    u0 = initial_state(A.n_rows, cont)
-    for stride in cfg.strides:
-        sub = snaps.with_stride(stride)
-        t0 = time.perf_counter()
-        n_pod = select_dim(singular_values(sub), eps)
-        basis = build_pod(sub, n_pod)
-        t_offline = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        ops = reduce(A, M, basis.V)
-        rom_trace, _ = run_rom(ops, u0, cont)
-        rom_time = time.perf_counter() - t0
-        log.debug("n=%d stride=%d: eps=%.3e N=%d offline=%.3fs online=%.3fs",
-                  n, stride, eps, n_pod, t_offline, rom_time)
-        per_stride.append((stride, n_pod, basis, rom_trace.eigenvalue, rom_time))
-    return dofmap, trace, per_stride
+    eps = cfg.resolved_pod_eps()
+    if eps == "exact":
+        eps = partial(exact_reference_eps, M, interpolate_free(
+            dofmap, lambda x, y: np.sin(x) * np.sin(y)))
+    return (dofmap, *solve_level(A, M, cont, cfg.strides, eps))
 
 
 def compute_rate(errors, sizes, mode: str) -> list:
@@ -235,6 +207,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """
     _validate(cfg)
     lam_ref = reference_eigenvalue(cfg.domain)
+    cont = replace(cfg.continuation, seed=cfg.seed,
+                   snapshot_stride=min(cfg.strides))
 
     if cfg.adaptive:
         if cfg.mesh == "file":
@@ -243,59 +217,39 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             mesh0 = generate_square(cfg.mesh, cfg.n_start, SQUARE_SIDE)
         else:
             mesh0 = generate_lshape(cfg.mesh, cfg.n_start)
-        eps = cfg.resolved_pod_eps()
-        cont = replace(cfg.continuation, seed=cfg.seed)
         try:
             records, final_mesh = adaptive_solve(
                 mesh0, cfg.fe_degree, cfg.theta, cfg.levels, cont,
-                pod_eps=float(eps) if eps != "exact" else 1e-7)
+                pod_eps=float(cfg.resolved_pod_eps()))
         except NonconvergenceError as exc:
-            raise ExperimentError(f"schedule aborted: {exc}", [],
-                                  nonconvergence=True) from exc
-        errors = [r.lambda_fom - lam_ref for r in records]
-        dofs = [r.n_dof for r in records]
-        rf = compute_rate(errors, dofs, "adaptive")
-        rr = compute_rate([r.lambda_rom - lam_ref for r in records], dofs,
-                          "adaptive")
-        rows = [ResultRow(cfg.mesh, level + 1, rec.n_dof, rec.lambda_fom,
-                          rec.lambda_rom, rf[level], rr[level], rec.n_pod,
-                          rec.fom_time, rec.rom_time)
-                for level, rec in enumerate(records)]
+            raise ExperimentError(
+                f"schedule aborted: {exc}",
+                _adaptive_rows(cfg, exc.records, lam_ref),
+                nonconvergence=True) from exc
         if cfg.mesh_dump_path:
             write_mesh(final_mesh, cfg.mesh_dump_path)
-        return rows
+        return _adaptive_rows(cfg, records, lam_ref)
 
     schedule = _level_meshes(cfg)
     results = []
     failure: Exception | None = None
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_run_level, cfg, n, mesh)
-                       for n, mesh in schedule]
-            for f in futures:
-                try:
-                    results.append(f.result())
-                except Exception as exc:
-                    failure = exc
-                    break
-    else:
-        for n, mesh in schedule:
-            try:
-                results.append(_run_level(cfg, n, mesh))
-            except Exception as exc:
-                failure = exc
-                break
+    for n, mesh in schedule:
+        try:
+            results.append(_run_level(cfg, cont, mesh))
+        except Exception as exc:
+            failure = exc
+            break
 
     rows = _format_rows(cfg, schedule[:len(results)], results, lam_ref)
     if failure is not None:
         raise ExperimentError(
-            f"schedule aborted: {failure}", rows,
-            nonconvergence=isinstance(failure, NonconvergenceError)
+            f"schedule aborted at n={schedule[len(results)][0]}: {failure}",
+            rows, nonconvergence=isinstance(failure, NonconvergenceError)
         ) from failure
 
     if cfg.singvals_path and results:
         multi = len(cfg.strides) > 1
-        for stride, _, basis, _, _ in results[-1][2]:
+        for stride, basis, _, _ in results[-1][2]:
             path = cfg.singvals_path
             if multi:
                 stem, dot_, ext = path.rpartition(".")
@@ -304,15 +258,25 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+def _adaptive_rows(cfg, records, lam_ref) -> list[ResultRow]:
+    dofs = [r.n_dof for r in records]
+    rf = compute_rate([r.lambda_fom - lam_ref for r in records], dofs, "adaptive")
+    rr = compute_rate([r.lambda_rom - lam_ref for r in records], dofs, "adaptive")
+    return [ResultRow(cfg.mesh, level + 1, rec.n_dof, rec.lambda_fom,
+                      rec.lambda_rom, rf[level], rr[level], rec.n_pod,
+                      rec.fom_time, rec.rom_time)
+            for level, rec in enumerate(records)]
+
+
 def _format_rows(cfg, schedule, results, lam_ref) -> list[ResultRow]:
     h_values = [mesh_stats(mesh).h_max for _, mesh in schedule]
     labels: dict = {}
     for (n, _), (dofmap, trace, per_stride) in zip(schedule, results):
-        for stride, n_pod, _, lam_rom, rom_time in per_stride:
+        for stride, basis, rom_trace, rom_time in per_stride:
             label = cfg.mesh if len(cfg.strides) == 1 else f"{cfg.mesh}-s{stride}"
             labels.setdefault(label, []).append(
-                (n, dofmap.n_dof_total, trace.eigenvalue, lam_rom, n_pod,
-                 trace.wall_time, rom_time))
+                (n, dofmap.n_dof_total, trace.eigenvalue, rom_trace.eigenvalue,
+                 basis.N, trace.wall_time, rom_time))
 
     rows: list[ResultRow] = []
     for label, entries in labels.items():

@@ -24,11 +24,13 @@ class NotSpdError(ValueError):
 
 
 class NonconvergenceError(RuntimeError):
-    """Iteration cap reached; carries the achieved relative residual."""
+    """Iteration cap reached; carries the achieved relative residual and the
+    records of any levels a multi-level run finished before it."""
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, records=()):
         super().__init__(message)
         self.residual = residual
+        self.records = list(records)
 
 
 @dataclass(eq=False)

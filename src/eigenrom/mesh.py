@@ -134,15 +134,6 @@ def _boundary_flags(n_nodes, edges, edge_tris):
     return flags
 
 
-def _longest_edge_init(nodes, triangles):
-    p = nodes[triangles]
-    lengths = np.empty((len(triangles), 3))
-    for i in range(3):
-        a, b = (i + 1) % 3, (i + 2) % 3
-        lengths[:, i] = np.hypot(*(p[:, a] - p[:, b]).T)
-    return np.argmax(lengths, axis=1).astype(np.int64)
-
-
 def _finish(nodes, triangles):
     """Assemble a Mesh from raw arrays: sort nodes by (y, x), compute flags."""
     nodes = np.asarray(nodes, dtype=np.float64)
@@ -163,7 +154,7 @@ def _from_arrays(nodes, triangles):
                  np.zeros(len(triangles), dtype=np.int64))
     edges, _, edge_tris = edge_table(probe)
     flags = _boundary_flags(len(nodes), edges, edge_tris)
-    ref = _longest_edge_init(probe.nodes, probe.triangles)
+    ref = np.argmax(edge_lengths(probe), axis=1)
     return Mesh(probe.nodes, probe.triangles, flags, ref)
 
 

@@ -1,10 +1,12 @@
 """Orthonormal basis extraction from snapshot matrices.
 
-The basis is built from the correlation matrix C = S^T S: its eigenpairs
-(mu_i, psi_i) give singular values sigma_i = sqrt(mu_i) and basis columns
-S psi_i / sigma_i.  The basis dimension is chosen by the energy criterion:
-the smallest N whose leading modes carry at least 1 - eps^2 of the total
-squared singular values.
+The basis is built by the method of snapshots (Sirovich, 1987) from the
+correlation matrix C = S^T S: its eigenpairs (mu_i, psi_i) give singular
+values sigma_i = sqrt(mu_i) and basis columns S psi_i / sigma_i.  The basis
+dimension is chosen by the energy criterion: the smallest N whose leading
+modes carry at least 1 - eps^2 of the total squared singular values.
+``build_pod(S, eps=...)`` takes the singular values, N and the basis from
+one eigendecomposition of C.
 """
 
 from __future__ import annotations
@@ -38,38 +40,43 @@ def _as_matrix(S) -> np.ndarray:
     return matrix
 
 
-def singular_values(S) -> np.ndarray:
-    """Positive singular values of the snapshot matrix, descending."""
+def _spectrum(S):
+    """Snapshot matrix, its positive singular values (descending) and the
+    correlation eigenvectors, from one eigendecomposition of S^T S."""
     X = _as_matrix(S)
     if X.shape[1] == 0:
         raise ValueError("empty snapshot matrix")
-    mu, _ = sym_eig_desc(X.T @ X)
+    mu, psi = sym_eig_desc(X.T @ X)
     if mu.size == 0 or mu[0] <= 0:
         raise ValueError("snapshot matrix is zero")
-    keep = mu > (RANK_RTOL ** 2) * mu[0]
-    return np.sqrt(mu[keep])
+    rank = int(np.count_nonzero(mu > (RANK_RTOL ** 2) * mu[0]))
+    return X, np.sqrt(mu[:rank]), psi
 
 
-def build_pod(S, N: int) -> PodBasis:
+def singular_values(S) -> np.ndarray:
+    """Positive singular values of the snapshot matrix, descending."""
+    return _spectrum(S)[1]
+
+
+def build_pod(S, N: int | None = None, *, eps: float | None = None) -> PodBasis:
     """First ``N`` basis vectors of the snapshot matrix.
 
+    Give either ``N`` or the energy tolerance ``eps``, which chooses N by
+    ``select_dim`` on the singular values of the same eigendecomposition.
     Each column S psi_j / sigma_j is re-orthonormalized by one modified
     Gram-Schmidt pass to guard against roundoff for clustered singular
     values, then sign-fixed so its largest-magnitude entry is positive.
     """
-    X = _as_matrix(S)
-    if X.shape[1] == 0:
-        raise ValueError("empty snapshot matrix")
-    if N < 1:
+    if (N is None) == (eps is None):
+        raise ValueError("give exactly one of N and eps")
+    if N is not None and N < 1:
         raise ValueError("basis dimension must be >= 1")
-    mu, psi = sym_eig_desc(X.T @ X)
-    if mu.size == 0 or mu[0] <= 0:
-        raise ValueError("snapshot matrix is zero")
-    keep = mu > (RANK_RTOL ** 2) * mu[0]
-    rank = int(np.count_nonzero(keep))
+    X, sigma, psi = _spectrum(S)
+    rank = len(sigma)
+    if N is None:
+        N = select_dim(sigma, eps)
     if N > rank:
         raise ValueError(f"requested {N} modes but the numerical rank is {rank}")
-    sigma = np.sqrt(mu[:rank])
 
     V = X @ (psi[:, :N] / sigma[:N])
     for j in range(N):                      # modified Gram-Schmidt, one pass

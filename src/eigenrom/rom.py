@@ -1,20 +1,28 @@
-"""Galerkin reduction of the time-continuation iteration onto a basis V.
+"""Galerkin reduction of the time-continuation iteration onto a basis V,
+and the level pipeline that feeds it.
 
 The reduced operators are the dense congruences V^T A V and V^T M V; the
 reduced iteration mirrors the full-order one with a dense Cholesky solve
 factored once per run, and the final state is lifted back as V U_N.
+``solve_level`` is the one per-mesh pipeline of uniform and adaptive runs:
+full-order run, then one POD basis and one reduced run per snapshot stride.
 """
 
 from __future__ import annotations
 
+import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .continuation import ContinuationConfig, SolveTrace
-from .linalg import CsrMatrix, NotSpdError
+from .continuation import ContinuationConfig, SolveTrace, run_fom
+from .fem import eigen_residual
+from .linalg import CsrMatrix, NonconvergenceError, NotSpdError
+from .pod import build_pod
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(eq=False)
@@ -84,3 +92,48 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     trace = SolveTrace(np.array(lam_history), y, steps,
                        time.perf_counter() - t_start, converged)
     return trace, ops.basis @ y
+
+
+def solve_level(A: CsrMatrix, M: CsrMatrix, cont: ContinuationConfig,
+                strides, eps) -> tuple[SolveTrace, list]:
+    """Full-order run once, then one basis and reduced run per stride.
+
+    The full-order run samples every ``min(strides)``-th step from the
+    configured initial guess; each stride's basis takes a subsample of those
+    snapshots, with N chosen by the energy tolerance ``eps`` (a float, or a
+    function of the converged full-order vector that returns one).  Every
+    reduced run starts from the all-ones vector, which is positive and so
+    never M-orthogonal to the positive first eigenfunction.
+
+    Returns the full-order trace and one ``(stride, basis, rom_trace,
+    rom_time)`` per stride, where ``rom_time`` covers projection plus reduced
+    iteration.  Raises NonconvergenceError if the full-order run or a reduced
+    run stops at its step cap.
+    """
+    trace, snaps = run_fom(A, M, replace(cont, snapshot_stride=min(strides)))
+    for warning in trace.warnings:
+        log.warning("full-order run on %d dofs: %s", A.n_rows, warning)
+    if not trace.converged:
+        raise NonconvergenceError(
+            f"continuation did not converge on {A.n_rows} dofs",
+            residual=eigen_residual(A, M, trace.final_vector, trace.eigenvalue))
+    if callable(eps):
+        eps = eps(trace.final_vector)
+
+    per_stride = []
+    for stride in strides:
+        t0 = time.perf_counter()
+        basis = build_pod(snaps.with_stride(stride), eps=eps)
+        t_offline = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        rom_trace, lifted = run_rom(reduce(A, M, basis.V), np.ones(A.n_rows), cont)
+        rom_time = time.perf_counter() - t0
+        if not rom_trace.converged:
+            raise NonconvergenceError(
+                f"reduced run (stride {stride}, N={basis.N}) did not converge "
+                f"on {A.n_rows} dofs",
+                residual=eigen_residual(A, M, lifted, rom_trace.eigenvalue))
+        log.debug("%d dofs, stride %d: eps=%.3e N=%d offline=%.3fs online=%.3fs",
+                  A.n_rows, stride, eps, basis.N, t_offline, rom_time)
+        per_stride.append((stride, basis, rom_trace, rom_time))
+    return trace, per_stride

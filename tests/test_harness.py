@@ -3,19 +3,20 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-import eigenrom.adapt as adapt
-import eigenrom.harness as harness
+import eigenrom.rom as rom
 from eigenrom.cli import main as cli_main
 from eigenrom.continuation import ContinuationConfig, run_fom
 from eigenrom.harness import (CSV_HEADER, ExperimentConfig, ExperimentError,
                               ResultRow, compute_rate, emit_csv, read_csv,
                               run_experiment)
 from eigenrom.mesh import generate_square, write_mesh
+from eigenrom.rom import run_rom
 
 PI = math.pi
 
@@ -139,12 +140,13 @@ class TestRunExperiment:
             assert ra.lambda_rom == rb.lambda_rom
             assert ra.rate_fom == rb.rate_fom
 
-    def test_jobs_parallel_matches_serial(self):
-        serial = run_experiment(small_config(levels=2))
-        parallel = run_experiment(small_config(levels=2, jobs=2))
-        for rs, rp in zip(serial, parallel):
-            assert rs.lambda_fom == rp.lambda_fom
-            assert rs.lambda_rom == rp.lambda_rom
+    def test_uniform_and_adaptive_levels_agree(self):
+        # both paths run one square level through the same solve_level
+        uniform = run_experiment(small_config(seed=3))
+        adaptive = run_experiment(small_config(seed=3, adaptive=True))
+        assert len(uniform) == len(adaptive) == 1
+        for field_ in ("lambda_fom", "lambda_rom", "n_pod"):
+            assert getattr(uniform[0], field_) == getattr(adaptive[0], field_)
 
     def test_file_mesh_schedule(self, tmp_path):
         path = tmp_path / "imported.mesh"
@@ -171,8 +173,7 @@ class TestRunExperiment:
             _, V = scipy.linalg.eigh(A.toarray(), M.toarray())
             return run_fom(A, M, cfg, u0=V[:, 1] + V[:, 2] + 1e-15 * V[:, 0])
 
-        monkeypatch.setattr(harness, "run_fom", orthogonal_start_fom)
-        monkeypatch.setattr(adapt, "run_fom", orthogonal_start_fom)
+        monkeypatch.setattr(rom, "run_fom", orthogonal_start_fom)
         cfg = ExperimentConfig(domain="lshape", mesh="crisscross", n_start=2,
                                levels=1, fe_degree=1, adaptive=adaptive)
         with caplog.at_level(logging.WARNING, logger="eigenrom"):
@@ -263,6 +264,61 @@ class TestCli:
                          "--fe", "2", "--n-start", "2", "--levels", "2",
                          "--adaptive", "--out", str(tmp_path / "t.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("bad", [
+        ["--strides", "2,3"],
+        ["--adaptive", "--strides", "2,4"],
+        ["--adaptive", "--pod-eps", "exact"],
+    ])
+    def test_bad_config_rejected_before_any_solve(self, tmp_path, monkeypatch,
+                                                  capsys, bad):
+        calls = []
+        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
+        out = tmp_path / "t.csv"
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", "--levels", "1", *bad,
+                         "--out", str(out)])
+        assert code == 1
+        assert calls == []
+        assert not out.exists()
+        assert "error" in capsys.readouterr().err
+
+    def test_adaptive_nonconvergence_keeps_finished_levels(self, tmp_path,
+                                                           monkeypatch):
+        calls = []
+
+        def failing_from_third_level(A, M, cfg):
+            calls.append(A.n_rows)
+            if len(calls) >= 3:
+                cfg = replace(cfg, max_steps=3)
+            return run_fom(A, M, cfg)
+
+        monkeypatch.setattr(rom, "run_fom", failing_from_third_level)
+        out = tmp_path / "t.csv"
+        code = cli_main(["run", "--domain", "lshape", "--mesh", "crisscross",
+                         "--fe", "2", "--n-start", "2", "--levels", "4",
+                         "--adaptive", "--out", str(out)])
+        assert code == 2
+        rows = read_csv(out)
+        assert [r.n for r in rows] == [1, 2]
+        assert rows[0].rate_fom is None and rows[1].rate_fom is not None
+        assert all(r.lambda_fom >= 9.6397238440219 for r in rows)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_rom_nonconvergence_exit_code(self, tmp_path, monkeypatch, capsys,
+                                          adaptive):
+        def unconverged_rom(ops, u0, cfg):
+            trace, lifted = run_rom(ops, u0, cfg)
+            trace.converged = False
+            return trace, lifted
+
+        monkeypatch.setattr(rom, "run_rom", unconverged_rom)
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", "--levels", "2",
+                         *(["--adaptive"] if adaptive else []),
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "reduced run" in capsys.readouterr().err
 
     def test_console_script_entry(self, tmp_path):
         out = tmp_path / "cli.csv"

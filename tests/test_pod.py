@@ -66,6 +66,22 @@ class TestBuildPod:
         with pytest.raises(ValueError):
             build_pod(np.zeros((4, 2)), 1)
 
+    def test_energy_tolerance_matches_two_step_selection(self, rng):
+        S = rng.standard_normal((30, 4)) @ np.diag([1.0, 1e-2, 1e-5, 1e-9]) \
+            @ rng.standard_normal((4, 12))
+        basis = build_pod(S, eps=1e-6)
+        n_pod = select_dim(singular_values(S), 1e-6)
+        assert basis.N == n_pod == 3
+        assert np.array_equal(basis.V, build_pod(S, n_pod).V)
+        assert np.array_equal(basis.singular_values, singular_values(S))
+
+    def test_exactly_one_of_n_and_eps(self, rng):
+        S = rng.standard_normal((10, 3))
+        with pytest.raises(ValueError, match="exactly one"):
+            build_pod(S)
+        with pytest.raises(ValueError, match="exactly one"):
+            build_pod(S, 2, eps=1e-3)
+
     def test_singular_values_descending_positive(self, rng):
         sv = singular_values(rng.standard_normal((25, 9)))
         assert np.all(sv > 0)

@@ -7,8 +7,7 @@ from .fem import (DiscreteField, DofMap, assemble, assemble_full,
                   build_dofmap, eigen_residual, rayleigh_quotient)
 from .harness import (ExperimentConfig, ExperimentError, ResultRow,
                       compute_rate, emit_csv, run_experiment)
-from .linalg import (CsrMatrix, NonconvergenceError, NotSpdError,
-                     csr_quadratic_form, dot, spd_solve, spmv, sym_eig_desc)
+from .linalg import NonconvergenceError, NotSpdError, spd_solve, sym_eig_desc
 from .mesh import (Mesh, MeshError, MeshStats, bisect_refine, generate_lshape,
                    generate_square, mesh_stats, read_mesh, uniform_refine,
                    validate_mesh, write_mesh)
@@ -20,16 +19,15 @@ from .adapt import AdaptiveRecord, EtaField, adaptive_solve, estimate, mark
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveRecord", "ContinuationConfig", "CsrMatrix", "DiscreteField",
-    "DofMap", "EtaField", "ExperimentConfig", "ExperimentError", "Mesh",
-    "MeshError", "MeshStats", "NonconvergenceError", "NotSpdError",
-    "PodBasis", "ReducedOperators", "ResultRow", "SnapshotMatrix",
-    "SolveTrace", "adaptive_solve", "assemble", "assemble_full",
-    "bisect_refine", "build_dofmap", "build_pod", "compute_rate",
-    "csr_quadratic_form", "dot", "eigen_residual", "emit_csv", "estimate",
-    "fom_step", "generate_lshape", "generate_square", "mark", "mesh_stats",
-    "projection_error_sq", "rayleigh_quotient", "read_mesh", "reduce",
-    "run_experiment", "run_fom", "run_rom", "select_dim", "singular_values",
-    "spd_solve", "spmv", "step_solver", "sym_eig_desc", "uniform_refine",
-    "validate_mesh", "write_mesh",
+    "AdaptiveRecord", "ContinuationConfig", "DiscreteField", "DofMap",
+    "EtaField", "ExperimentConfig", "ExperimentError", "Mesh", "MeshError",
+    "MeshStats", "NonconvergenceError", "NotSpdError", "PodBasis",
+    "ReducedOperators", "ResultRow", "SnapshotMatrix", "SolveTrace",
+    "adaptive_solve", "assemble", "assemble_full", "bisect_refine",
+    "build_dofmap", "build_pod", "compute_rate", "eigen_residual", "emit_csv",
+    "estimate", "fom_step", "generate_lshape", "generate_square", "mark",
+    "mesh_stats", "projection_error_sq", "rayleigh_quotient", "read_mesh",
+    "reduce", "run_experiment", "run_fom", "run_rom", "select_dim",
+    "singular_values", "spd_solve", "step_solver", "sym_eig_desc",
+    "uniform_refine", "validate_mesh", "write_mesh",
 ]

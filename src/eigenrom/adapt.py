@@ -22,7 +22,7 @@ from .continuation import ContinuationConfig
 from .fem import (DiscreteField, DofMap, QUAD_POINTS, QUAD_WEIGHTS,
                   _barycentric_gradients, assemble, build_dofmap, p2_dlambda,
                   p2_values)
-from .linalg import NonconvergenceError, csr_quadratic_form
+from .linalg import NonconvergenceError
 from .mesh import Mesh, bisect_refine, edge_lengths, edge_table
 from .rom import solve_level
 
@@ -188,7 +188,7 @@ def adaptive_solve(initial_mesh: Mesh, fe_degree: int, theta: float,
                                       exc.residual, records) from exc
 
         u = trace.final_vector
-        u = u / np.sqrt(csr_quadratic_form(M, u))
+        u = u / np.sqrt(u @ (M @ u))
         etas = estimate(mesh, dofmap, DiscreteField(dofmap, u), trace.eigenvalue)
 
         records.append(AdaptiveRecord(

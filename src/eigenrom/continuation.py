@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import rayleigh_quotient
-from .linalg import CsrMatrix, NonconvergenceError, csr_quadratic_form, spmv
+from .linalg import NonconvergenceError
 
 # renormalize only if the iterate norm leaves this range (overflow guard)
 _NORM_FLOOR = 1e-150
@@ -92,7 +92,7 @@ def initial_state(n: int, config: ContinuationConfig) -> np.ndarray:
     return np.random.default_rng(config.seed).standard_normal(n)
 
 
-def step_solver(A: CsrMatrix, M: CsrMatrix, dt: float):
+def step_solver(A, M, dt: float):
     """Factor K = A + M/dt once and return ``solve(b)`` for K x = b.
 
     The factorization is SuperLU with the minimum-degree ordering of
@@ -105,7 +105,7 @@ def step_solver(A: CsrMatrix, M: CsrMatrix, dt: float):
     # should not pay for it before a solve runs
     from scipy.sparse.linalg import splu
 
-    K = (A.to_scipy() + (1.0 / dt) * M.to_scipy()).tocsc()
+    K = (A + (1.0 / dt) * M).tocsc()
     lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
 
@@ -127,8 +127,7 @@ def step_solver(A: CsrMatrix, M: CsrMatrix, dt: float):
     return solve
 
 
-def fom_step(A: CsrMatrix, M: CsrMatrix, U, lam: float, dt: float,
-             solve=None) -> np.ndarray:
+def fom_step(A, M, U, lam: float, dt: float, solve=None) -> np.ndarray:
     """One implicit-Euler step: solve (A + M/dt) U' = (lam + 1/dt) M U.
 
     ``solve`` is a ``step_solver(A, M, dt)`` that callers stepping in a loop
@@ -136,12 +135,12 @@ def fom_step(A: CsrMatrix, M: CsrMatrix, U, lam: float, dt: float,
     """
     if solve is None:
         solve = step_solver(A, M, dt)
-    rhs = (lam + 1.0 / dt) * spmv(M, U)
+    rhs = (lam + 1.0 / dt) * (M @ U)
     return solve(rhs)
 
 
-def run_fom(A: CsrMatrix, M: CsrMatrix, config: ContinuationConfig,
-            u0=None) -> tuple[SolveTrace, SnapshotMatrix]:
+def run_fom(A, M, config: ContinuationConfig, u0=None
+            ) -> tuple[SolveTrace, SnapshotMatrix]:
     """Iterate to the steady state and collect snapshots.
 
     Stops when ||U_new - U|| / ||U_new|| <= stop_tol (Euclidean coefficient
@@ -149,12 +148,14 @@ def run_fom(A: CsrMatrix, M: CsrMatrix, config: ContinuationConfig,
     on hitting max_steps; the returned trace has ``converged=False``.  A step
     solve that misses its residual check raises NonconvergenceError.
     """
-    n = A.n_rows
+    n = A.shape[0]
     if n < 1:
         raise ValueError("the system has no free degrees of freedom")
     t_start = time.perf_counter()
 
     U = np.array(u0, dtype=np.float64) if u0 is not None else initial_state(n, config)
+    if U.shape != (n,):
+        raise ValueError(f"u0 has shape {U.shape}, the system has {n} unknowns")
     if not np.any(U):
         raise ValueError("initial state is the zero vector")
     U0 = U.copy()
@@ -182,8 +183,8 @@ def run_fom(A: CsrMatrix, M: CsrMatrix, config: ContinuationConfig,
     lam_history.append(rayleigh_quotient(A, M, U))
 
     warnings = []
-    overlap = abs(float(U0 @ spmv(M, U)))
-    scale = np.sqrt(csr_quadratic_form(M, U0)) * np.sqrt(csr_quadratic_form(M, U))
+    overlap = abs(U0 @ (M @ U))
+    scale = np.sqrt(U0 @ (M @ U0)) * np.sqrt(U @ (M @ U))
     # the computed eigenvector carries ~10*stop_tol of transient leftovers,
     # so orthogonality of the start is only observable down to that floor
     if overlap <= max(1e-14, 100.0 * config.stop_tol) * scale:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import CsrMatrix, csr_quadratic_form, spmv
 from .mesh import Mesh, edge_table, triangle_areas
 
 # six-point symmetric triangle rule, exact for polynomials of degree 4;
@@ -138,7 +137,8 @@ def p2_dlambda(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_full(mesh: Mesh, dofmap: DofMap) -> tuple[CsrMatrix, CsrMatrix]:
+def assemble_full(mesh: Mesh, dofmap: DofMap
+                  ) -> tuple[sp.csr_array, sp.csr_array]:
     """Stiffness and mass matrices over all dofs (no Dirichlet elimination)."""
     area = triangle_areas(mesh)
     if np.any(area <= 0):
@@ -161,38 +161,40 @@ def assemble_full(mesh: Mesh, dofmap: DofMap) -> tuple[CsrMatrix, CsrMatrix]:
         m_ref = np.einsum("q,qi,qj->ij", QUAD_WEIGHTS, phi, phi)
         me = area[:, None, None] * m_ref
 
-    rows = np.repeat(dofmap.cell_dofs, n_loc, axis=1).reshape(-1)
-    cols = np.tile(dofmap.cell_dofs, (1, n_loc)).reshape(-1)
+    # int32 indices where they fit, as scipy's sparse matrices choose them:
+    # half the index memory, and SuperLU takes them without a copy
+    idx = dofmap.cell_dofs.astype(sp.get_index_dtype(maxval=dofmap.n_dof_total))
+    rows = np.repeat(idx, n_loc, axis=1).reshape(-1)
+    cols = np.tile(idx, (1, n_loc)).reshape(-1)
     shape = (dofmap.n_dof_total, dofmap.n_dof_total)
-    A = sp.coo_matrix((ke.reshape(-1), (rows, cols)), shape=shape).tocsr()
-    M = sp.coo_matrix((me.reshape(-1), (rows, cols)), shape=shape).tocsr()
-    return CsrMatrix.from_scipy(A), CsrMatrix.from_scipy(M)
+    A = sp.coo_array((ke.reshape(-1), (rows, cols)), shape=shape).tocsr()
+    M = sp.coo_array((me.reshape(-1), (rows, cols)), shape=shape).tocsr()
+    return A, M
 
 
-def assemble(mesh: Mesh, dofmap: DofMap) -> tuple[CsrMatrix, CsrMatrix]:
+def assemble(mesh: Mesh, dofmap: DofMap
+             ) -> tuple[sp.csr_array, sp.csr_array]:
     """Stiffness and mass matrices restricted to the free dofs."""
     A, M = assemble_full(mesh, dofmap)
     free = dofmap.free_dofs
-    a = A.to_scipy()[free][:, free]
-    m = M.to_scipy()[free][:, free]
-    return CsrMatrix.from_scipy(a), CsrMatrix.from_scipy(m)
+    return A[free][:, free], M[free][:, free]
 
 
-def rayleigh_quotient(A: CsrMatrix, M: CsrMatrix, U) -> float:
+def rayleigh_quotient(A, M, U) -> float:
     """(U^T A U) / (U^T M U)."""
-    denom = csr_quadratic_form(M, U)
+    denom = float(U @ (M @ U))
     if denom <= 0:
         raise ValueError("U^T M U <= 0: zero vector or mass matrix not SPD")
-    return csr_quadratic_form(A, U) / denom
+    return float(U @ (A @ U)) / denom
 
 
-def eigen_residual(A: CsrMatrix, M: CsrMatrix, U, lam: float) -> float:
+def eigen_residual(A, M, U, lam: float) -> float:
     """||A U - lam M U|| / ||M U||, a mesh-independent eigenpair diagnostic."""
     U = np.asarray(U, dtype=np.float64)
     if not np.any(U):
         raise ValueError("residual of the zero vector is undefined")
-    mu = spmv(M, U)
-    return float(np.linalg.norm(spmv(A, U) - lam * mu) / np.linalg.norm(mu))
+    mu = M @ U
+    return float(np.linalg.norm(A @ U - lam * mu) / np.linalg.norm(mu))
 
 
 def interpolate(dofmap: DofMap, f) -> np.ndarray:

@@ -19,7 +19,7 @@ from .adapt import adaptive_solve
 from .continuation import ContinuationConfig
 from .fem import assemble, build_dofmap, interpolate_free
 from .linalg import NonconvergenceError
-from .mesh import (Mesh, generate_lshape, generate_square, mesh_stats,
+from .mesh import (Mesh, edge_lengths, generate_lshape, generate_square,
                    read_mesh, uniform_refine, write_mesh)
 from .pod import exact_reference_eps, write_singular_values
 from .rom import solve_level
@@ -269,7 +269,7 @@ def _adaptive_rows(cfg, records, lam_ref) -> list[ResultRow]:
 
 
 def _format_rows(cfg, schedule, results, lam_ref) -> list[ResultRow]:
-    h_values = [mesh_stats(mesh).h_max for _, mesh in schedule]
+    h_values = [float(edge_lengths(mesh).max()) for _, mesh in schedule]
     labels: dict = {}
     for (n, _), (dofmap, trace, per_stride) in zip(schedule, results):
         for stride, basis, rom_trace, rom_time in per_stride:

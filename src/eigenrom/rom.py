@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .continuation import ContinuationConfig, SolveTrace, run_fom
 from .fem import eigen_residual
-from .linalg import CsrMatrix, NonconvergenceError, NotSpdError
+from .linalg import NonconvergenceError, NotSpdError
 from .pod import build_pod
 
 log = logging.getLogger(__name__)
@@ -38,13 +38,13 @@ class ReducedOperators:
         return self.a_red.shape[0]
 
 
-def reduce(A: CsrMatrix, M: CsrMatrix, V) -> ReducedOperators:
+def reduce(A, M, V) -> ReducedOperators:
     """Form V^T A V and V^T M V (symmetrized to kill roundoff skew)."""
     V = np.asarray(getattr(V, "V", V), dtype=np.float64)
-    if V.ndim != 2 or V.shape[0] != A.n_rows or A.n_rows != M.n_rows:
+    if V.ndim != 2 or not A.shape == M.shape == (V.shape[0],) * 2:
         raise ValueError("basis shape does not match the operators")
-    a_red = V.T @ (A.to_scipy() @ V)
-    m_red = V.T @ (M.to_scipy() @ V)
+    a_red = V.T @ (A @ V)
+    m_red = V.T @ (M @ V)
     a_red = 0.5 * (a_red + a_red.T)
     m_red = 0.5 * (m_red + m_red.T)
     return ReducedOperators(a_red, m_red, V)
@@ -94,8 +94,8 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     return trace, ops.basis @ y
 
 
-def solve_level(A: CsrMatrix, M: CsrMatrix, cont: ContinuationConfig,
-                strides, eps) -> tuple[SolveTrace, list]:
+def solve_level(A, M, cont: ContinuationConfig, strides, eps
+                ) -> tuple[SolveTrace, list]:
     """Full-order run once, then one basis and reduced run per stride.
 
     The full-order run samples every ``min(strides)``-th step from the
@@ -110,12 +110,13 @@ def solve_level(A: CsrMatrix, M: CsrMatrix, cont: ContinuationConfig,
     iteration.  Raises NonconvergenceError if the full-order run or a reduced
     run stops at its step cap.
     """
+    n = A.shape[0]
     trace, snaps = run_fom(A, M, replace(cont, snapshot_stride=min(strides)))
     for warning in trace.warnings:
-        log.warning("full-order run on %d dofs: %s", A.n_rows, warning)
+        log.warning("full-order run on %d dofs: %s", n, warning)
     if not trace.converged:
         raise NonconvergenceError(
-            f"continuation did not converge on {A.n_rows} dofs",
+            f"continuation did not converge on {n} dofs",
             residual=eigen_residual(A, M, trace.final_vector, trace.eigenvalue))
     if callable(eps):
         eps = eps(trace.final_vector)
@@ -126,14 +127,14 @@ def solve_level(A: CsrMatrix, M: CsrMatrix, cont: ContinuationConfig,
         basis = build_pod(snaps.with_stride(stride), eps=eps)
         t_offline = time.perf_counter() - t0
         t0 = time.perf_counter()
-        rom_trace, lifted = run_rom(reduce(A, M, basis.V), np.ones(A.n_rows), cont)
+        rom_trace, lifted = run_rom(reduce(A, M, basis.V), np.ones(n), cont)
         rom_time = time.perf_counter() - t0
         if not rom_trace.converged:
             raise NonconvergenceError(
                 f"reduced run (stride {stride}, N={basis.N}) did not converge "
-                f"on {A.n_rows} dofs",
+                f"on {n} dofs",
                 residual=eigen_residual(A, M, lifted, rom_trace.eigenvalue))
         log.debug("%d dofs, stride %d: eps=%.3e N=%d offline=%.3fs online=%.3fs",
-                  A.n_rows, stride, eps, basis.N, t_offline, rom_time)
+                  n, stride, eps, basis.N, t_offline, rom_time)
         per_stride.append((stride, basis, rom_trace, rom_time))
     return trace, per_stride

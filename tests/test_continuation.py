@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import eigenrom.continuation as continuation
 from eigenrom.continuation import (ContinuationConfig, SnapshotMatrix,
                                    fom_step, run_fom, step_solver,
                                    write_snapshots)
 from eigenrom.fem import assemble, build_dofmap, eigen_residual, rayleigh_quotient
-from eigenrom.linalg import CsrMatrix, NonconvergenceError, combine, spd_solve
+from eigenrom.linalg import NonconvergenceError, spd_solve
 from eigenrom.mesh import generate_lshape, generate_square
 from oracles import smallest_pencil_eigenpair
 
@@ -16,7 +17,7 @@ PI = math.pi
 
 
 def diag_csr(values):
-    return CsrMatrix.from_dense(np.diag(np.asarray(values, dtype=float)))
+    return sp.csr_array(np.diag(np.asarray(values, dtype=float)))
 
 
 class TestConfig:
@@ -80,10 +81,10 @@ class TestFomStep:
             mesh = generate_lshape("crisscross", 8)
         A, M = assemble(mesh, build_dofmap(mesh, degree))
         dt, lam = 0.1, 3.0
-        u = rng.standard_normal(A.n_rows)
+        u = rng.standard_normal(A.shape[0])
         got = fom_step(A, M, u, lam, dt, solve=step_solver(A, M, dt))
-        rhs = (lam + 1.0 / dt) * (M.to_scipy() @ u)
-        want = spd_solve(combine(1.0, A, 1.0 / dt, M), rhs, rel_tol=1e-12)
+        rhs = (lam + 1.0 / dt) * (M @ u)
+        want = spd_solve(A + (1.0 / dt) * M, rhs, rel_tol=1e-12)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_failed_residual_check_raises(self, monkeypatch, rng):
@@ -93,7 +94,7 @@ class TestFomStep:
         # no factorization reaches this in double precision, refined or not
         monkeypatch.setattr(continuation, "_SOLVE_RTOL", 1e-30)
         with pytest.raises(NonconvergenceError) as info:
-            solve(rng.standard_normal(A.n_rows))
+            solve(rng.standard_normal(A.shape[0]))
         assert 0 < info.value.residual < 1e-12
 
 
@@ -130,7 +131,7 @@ class TestRunFom:
         trace, snaps = run_fom(A, M, cfg)
         # replay the iteration by hand and compare at the snapshot steps
         solve = step_solver(A, M, cfg.dt)
-        U = np.random.default_rng(3).standard_normal(A.n_rows)
+        U = np.random.default_rng(3).standard_normal(A.shape[0])
         col = 0
         for k in range(trace.n_steps):
             lam = rayleigh_quotient(A, M, U)
@@ -154,6 +155,11 @@ class TestRunFom:
         with pytest.raises(ValueError):
             run_fom(A, M, ContinuationConfig())
 
+    def test_u0_length_mismatch_rejected(self):
+        A = diag_csr([2.0, 4.0, 4.5])
+        with pytest.raises(ValueError, match="u0"):
+            run_fom(A, A, ContinuationConfig(), u0=np.ones(2))
+
     def test_orthogonal_start_warning(self):
         # start dominated by a middle mode, with a 1e-15 trace of the lowest:
         # the slow transient forces the iteration onto the lowest mode, which
@@ -166,7 +172,7 @@ class TestRunFom:
         assert any("orthogonal" in w for w in trace.warnings)
 
     def test_higher_mode_sign_warning(self):
-        A = CsrMatrix.from_dense([[3.0, -1.0], [-1.0, 3.0]])
+        A = sp.csr_array([[3.0, -1.0], [-1.0, 3.0]])
         M = diag_csr([1.0, 1.0])
         trace, _ = run_fom(A, M, ContinuationConfig(), u0=np.array([1.0, -1.0]))
         assert trace.eigenvalue == pytest.approx(4.0, abs=1e-9)

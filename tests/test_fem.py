@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eigenrom.fem import (DiscreteField, assemble, assemble_full,
                           build_dofmap, eigen_residual, interpolate,
                           interpolate_free, rayleigh_quotient)
-from eigenrom.linalg import CsrMatrix, check_symmetric, csr_quadratic_form
+from eigenrom.linalg import SYMMETRY_RTOL
 from eigenrom.mesh import generate_lshape, generate_square
 from oracles import smallest_pencil_eigenpair
 
@@ -60,26 +61,38 @@ class TestAssembly:
         # sum of all P1 mass entries = integral of 1 (partition of unity)
         mesh = generate_square("crisscross", 8, PI)
         _, M = assemble_full(mesh, build_dofmap(mesh, 1))
-        assert M.to_scipy().sum() == pytest.approx(PI ** 2, rel=1e-13)
+        assert M.sum() == pytest.approx(PI ** 2, rel=1e-13)
 
     def test_p2_mass_sum_is_domain_area(self):
         mesh = generate_lshape("mixed", 3)
         _, M = assemble_full(mesh, build_dofmap(mesh, 2))
-        assert M.to_scipy().sum() == pytest.approx(3.0, rel=1e-12)
+        assert M.sum() == pytest.approx(3.0, rel=1e-12)
 
     def test_stiffness_annihilates_constants(self):
         mesh = generate_square("crisscross", 6, PI)
         A, _ = assemble_full(mesh, build_dofmap(mesh, 1))
-        ones = np.ones(A.n_rows)
-        assert np.abs(A.to_scipy() @ ones).max() <= 1e-13
+        ones = np.ones(A.shape[0])
+        assert np.abs(A @ ones).max() <= 1e-13
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_symmetric(self, degree):
         mesh = generate_lshape("crisscross", 2)
         dm = build_dofmap(mesh, degree)
         A, M = assemble(mesh, dm)
-        check_symmetric(A)
-        check_symmetric(M)
+        for X in (A, M):
+            assert abs(X - X.T).max() <= SYMMETRY_RTOL * abs(X).max()
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_assemble_returns_canonical_csr_array(self, degree):
+        mesh = generate_lshape("crisscross", 2)
+        dm = build_dofmap(mesh, degree)
+        for X in assemble(mesh, dm):
+            assert isinstance(X, sp.csr_array)
+            assert X.shape == (dm.n_free, dm.n_free)
+            assert X.has_canonical_format
+            for r in range(X.shape[0]):
+                cols = X.indices[X.indptr[r]:X.indptr[r + 1]]
+                assert np.all(np.diff(cols) > 0)
 
     def test_patch_p1_linear_energy(self):
         # the P1 interpolant of f = x is exact: int |grad f|^2 = area
@@ -87,7 +100,7 @@ class TestAssembly:
         dm = build_dofmap(mesh, 1)
         A, _ = assemble_full(mesh, dm)
         f = interpolate(dm, lambda x, y: x)
-        assert csr_quadratic_form(A, f) == pytest.approx(PI ** 2, rel=1e-12)
+        assert f @ (A @ f) == pytest.approx(PI ** 2, rel=1e-12)
 
     def test_patch_p2_quadratic_energy(self):
         # the P2 interpolant of f = x^2 is exact: int |grad f|^2 = 4 pi^4 / 3
@@ -95,7 +108,7 @@ class TestAssembly:
         dm = build_dofmap(mesh, 2)
         A, _ = assemble_full(mesh, dm)
         f = interpolate(dm, lambda x, y: x ** 2)
-        assert csr_quadratic_form(A, f) == pytest.approx(4 * PI ** 4 / 3, rel=1e-12)
+        assert f @ (A @ f) == pytest.approx(4 * PI ** 4 / 3, rel=1e-12)
 
     def test_p2_mass_exact_quartic(self):
         # int x^2 y^2 over (0, pi)^2 = pi^6 / 9, quartic, exact for the rule
@@ -103,13 +116,12 @@ class TestAssembly:
         dm = build_dofmap(mesh, 2)
         _, M = assemble_full(mesh, dm)
         fx = interpolate(dm, lambda x, y: x * y)
-        assert csr_quadratic_form(M, fx) == pytest.approx(PI ** 6 / 9, rel=1e-12)
+        assert fx @ (M @ fx) == pytest.approx(PI ** 6 / 9, rel=1e-12)
 
     def test_mass_gershgorin_positive_definite(self):
         mesh = generate_lshape("crisscross", 3)
         for degree in (1, 2):
-            _, M = assemble(mesh, build_dofmap(mesh, degree))
-            m = M.to_scipy()
+            _, m = assemble(mesh, build_dofmap(mesh, degree))
             diag = m.diagonal()
             offsum = np.asarray(abs(m).sum(axis=1)).ravel() - np.abs(diag)
             # P2 mass is not strictly diagonally dominant; smallest eigenvalue
@@ -129,8 +141,8 @@ class TestAssembly:
         A1, M1 = assemble_full(mesh, build_dofmap(mesh, 1))
         A2, M2 = assemble_full(shuffled, build_dofmap(shuffled, 1))
         for X1, X2 in ((A1, A2), (M1, M2)):
-            diff = abs(X1.to_scipy() - X2.to_scipy()).max()
-            assert diff <= 1e-15 * abs(X1.to_scipy()).max()
+            diff = abs(X1 - X2).max()
+            assert diff <= 1e-15 * abs(X1).max()
 
     def test_smallest_eigenvalue_matches_reference(self):
         # independent shift-invert Lanczos check of the assembled pencil
@@ -142,15 +154,15 @@ class TestAssembly:
 
 class TestRayleighQuotient:
     def test_diagonal(self):
-        A = CsrMatrix.from_dense(np.diag([2.0, 6.0]))
-        M = CsrMatrix.from_dense(np.eye(2))
+        A = sp.csr_array(np.diag([2.0, 6.0]))
+        M = sp.csr_array(np.eye(2))
         assert rayleigh_quotient(A, M, np.array([1.0, 0.0])) == 2.0
 
     def test_lower_bound_on_square(self, rng):
         mesh = generate_square("right", 4, PI)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         for _ in range(20):
-            u = rng.standard_normal(A.n_rows)
+            u = rng.standard_normal(A.shape[0])
             assert rayleigh_quotient(A, M, u) >= 2.0
 
     def test_eigenpair_consistency(self):
@@ -161,7 +173,7 @@ class TestRayleighQuotient:
         assert eigen_residual(A, M, u, lam) <= 1e-8
 
     def test_zero_vector_rejected(self):
-        A = CsrMatrix.from_dense(np.eye(2))
+        A = sp.csr_array(np.eye(2))
         with pytest.raises(ValueError):
             rayleigh_quotient(A, A, np.zeros(2))
 
@@ -179,12 +191,12 @@ class TestEigenResidual:
     def test_positive_for_non_eigenvector(self, rng):
         mesh = generate_square("right", 4, PI)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
-        u = rng.standard_normal(A.n_rows)
+        u = rng.standard_normal(A.shape[0])
         lam = rayleigh_quotient(A, M, u)
         assert eigen_residual(A, M, u, lam) > 1e-6
 
     def test_zero_vector_rejected(self):
-        A = CsrMatrix.from_dense(np.eye(3))
+        A = sp.csr_array(np.eye(3))
         with pytest.raises(ValueError):
             eigen_residual(A, A, np.zeros(3), 1.0)
 

@@ -288,7 +288,7 @@ class TestCli:
         calls = []
 
         def failing_from_third_level(A, M, cfg):
-            calls.append(A.n_rows)
+            calls.append(A.shape[0])
             if len(calls) >= 3:
                 cfg = replace(cfg, max_steps=3)
             return run_fom(A, M, cfg)
@@ -322,7 +322,11 @@ class TestCli:
 
     def test_console_script_entry(self, tmp_path):
         out = tmp_path / "cli.csv"
-        env = dict(os.environ, EIGENROM_LOG="error")
+        # the child imports the same package as this suite, however the
+        # suite found it (installed, PYTHONPATH, or pytest's pythonpath)
+        src = os.path.dirname(os.path.dirname(rom.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, EIGENROM_LOG="error", PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "eigenrom.cli", "run", "--domain", "square",
              "--mesh", "right", "--n-start", "4", "--levels", "1",

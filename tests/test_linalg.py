@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from eigenrom.linalg import (CsrMatrix, NonconvergenceError, NotSpdError,
-                             check_symmetric, combine, csr_quadratic_form,
-                             dot, spd_solve, spmv, sym_eig_desc)
-from oracles import fsum_dot, power_svd
+from eigenrom.linalg import (NonconvergenceError, NotSpdError, spd_solve,
+                             sym_eig_desc)
+from oracles import power_svd
 
 
 def csr_identity(n):
-    return CsrMatrix.from_dense(np.eye(n))
+    return sp.csr_array(np.eye(n))
 
 
 def random_spd(rng, n):
     # B B^T + n I: comfortably SPD, condition number O(1)
     B = rng.standard_normal((n, n))
-    return CsrMatrix.from_dense(B @ B.T + n * np.eye(n))
+    return sp.csr_array(B @ B.T + n * np.eye(n))
 
 
 class TestSpdSolve:
@@ -23,16 +23,16 @@ class TestSpdSolve:
         assert np.allclose(spd_solve(csr_identity(17), b), b, rtol=0, atol=1e-14)
 
     def test_two_by_two_hand_inverse(self):
-        K = CsrMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])
+        K = sp.csr_array([[2.0, 1.0], [1.0, 2.0]])
         x = spd_solve(K, np.array([1.0, 0.0]))
         assert np.allclose(x, [2.0 / 3.0, -1.0 / 3.0], rtol=0, atol=1e-14)
 
     def test_scalar_system(self):
-        K = CsrMatrix.from_dense([[4.0]])
+        K = sp.csr_array([[4.0]])
         assert spd_solve(K, np.array([2.0]))[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_rhs(self):
-        K = CsrMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])
+        K = sp.csr_array([[2.0, 1.0], [1.0, 2.0]])
         assert np.array_equal(spd_solve(K, np.zeros(2)), np.zeros(2))
 
     def test_residual_contract_on_random_spd(self):
@@ -43,7 +43,7 @@ class TestSpdSolve:
             K = random_spd(rng, int(n))
             b = rng.standard_normal(int(n))
             x = spd_solve(K, b, rel_tol=1e-12)
-            res = np.linalg.norm(spmv(K, x) - b)
+            res = np.linalg.norm(K @ x - b)
             assert res <= 1e-12 * np.linalg.norm(b)
 
     def test_warm_start_converges(self, rng):
@@ -51,15 +51,15 @@ class TestSpdSolve:
         b = rng.standard_normal(40)
         x1 = spd_solve(K, b)
         x2 = spd_solve(K, b, x0=x1 + 1e-6 * rng.standard_normal(40))
-        assert np.linalg.norm(spmv(K, x2) - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.linalg.norm(K @ x2 - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_nonpositive_diagonal_rejected(self):
-        K = CsrMatrix.from_dense([[1.0, 0.0], [0.0, -2.0]])
+        K = sp.csr_array([[1.0, 0.0], [0.0, -2.0]])
         with pytest.raises(NotSpdError):
             spd_solve(K, np.ones(2))
 
     def test_indefinite_detected(self):
-        K = CsrMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])   # eigenvalues 3, -1
+        K = sp.csr_array([[1.0, 2.0], [2.0, 1.0]])   # eigenvalues 3, -1
         with pytest.raises((NotSpdError, NonconvergenceError)):
             spd_solve(K, np.array([1.0, -1.0]))
 
@@ -133,66 +133,18 @@ class TestSymEigDesc:
         with pytest.raises(ValueError):
             sym_eig_desc(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_repeated_and_clustered_eigenvalues(self, rng):
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        C = (Q * [3.0, 3.0, 3.0, 1.0, 1e-12]) @ Q.T
+        C = 0.5 * (C + C.T)
+        w, V = sym_eig_desc(C)
+        assert np.all(np.diff(w) <= 0)
+        assert np.allclose(w, [3.0, 3.0, 3.0, 1.0, 1e-12], rtol=0, atol=1e-12)
+        assert np.abs(V.T @ V - np.eye(5)).max() <= 1e-12
+        assert np.abs(C @ V - V * w).max() <= 1e-12 * np.linalg.norm(C, 2)
+
     def test_empty_and_single(self):
         w, V = sym_eig_desc(np.empty((0, 0)))
         assert w.size == 0
         w, V = sym_eig_desc(np.array([[5.0]]))
         assert w[0] == 5.0 and V[0, 0] == 1.0
-
-
-class TestBilinearOps:
-    def test_spmv_identity(self, rng):
-        x = rng.standard_normal(9)
-        assert np.array_equal(spmv(csr_identity(9), x), x)
-
-    def test_quadratic_form_diagonal(self):
-        K = CsrMatrix.from_dense(np.diag([2.0, 3.0]))
-        assert csr_quadratic_form(K, np.ones(2)) == pytest.approx(5.0, abs=0)
-
-    def test_quadratic_form_consistent_with_spmv(self, rng):
-        K = random_spd(rng, 23)
-        x = rng.standard_normal(23)
-        assert csr_quadratic_form(K, x) == pytest.approx(
-            dot(x, spmv(K, x)), rel=1e-15)
-
-    def test_dot_vs_compensated_summation(self):
-        rng = np.random.default_rng(99)
-        x = rng.standard_normal(100_000)
-        y = rng.standard_normal(100_000)
-        exact = fsum_dot(x, y)
-        assert dot(x, y) == pytest.approx(exact, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            spmv(csr_identity(3), np.ones(2))
-        with pytest.raises(ValueError):
-            dot(np.ones(3), np.ones(4))
-
-    def test_combine(self):
-        A = CsrMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]])
-        B = CsrMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-        C = combine(2.0, A, 3.0, B)
-        assert np.array_equal(C.toarray(), [[2.0, 3.0], [3.0, 2.0]])
-
-
-class TestCsrMatrix:
-    def test_round_trip_fields(self):
-        dense = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
-        K = CsrMatrix.from_dense(dense)
-        assert K.n_rows == 3
-        assert np.array_equal(K.row_ptr, [0, 2, 4, 5])
-        assert np.array_equal(K.toarray(), dense)
-        assert np.all(np.diff(K.row_ptr) >= 0)
-        for r in range(3):
-            cols = K.col_idx[K.row_ptr[r]:K.row_ptr[r + 1]]
-            assert np.all(np.diff(cols) > 0)
-
-    def test_symmetry_checker(self):
-        check_symmetric(CsrMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]]))
-        with pytest.raises(NotSpdError):
-            check_symmetric(CsrMatrix.from_dense([[2.0, 1.0], [0.5, 2.0]]))
-
-    def test_rectangular_rejected(self):
-        import scipy.sparse as sp
-        with pytest.raises(ValueError):
-            CsrMatrix.from_scipy(sp.csr_matrix(np.ones((2, 3))))

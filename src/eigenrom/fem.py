@@ -13,11 +13,14 @@ exact up to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import Mesh, edge_table, triangle_areas
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # six-point symmetric triangle rule, exact for polynomials of degree 4;
 # barycentric points and weights (weights sum to one)
@@ -140,6 +143,10 @@ def p2_dlambda(lam: np.ndarray) -> np.ndarray:
 def assemble_full(mesh: Mesh, dofmap: DofMap
                   ) -> tuple[sp.csr_array, sp.csr_array]:
     """Stiffness and mass matrices over all dofs (no Dirichlet elimination)."""
+    # imported here, like splu in continuation.step_solver: scipy.sparse is
+    # slow to import, and `import eigenrom.cli` should not pay for it
+    import scipy.sparse as sp
+
     area = triangle_areas(mesh)
     if np.any(area <= 0):
         raise ValueError("degenerate triangle encountered during assembly")

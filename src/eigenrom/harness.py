@@ -139,23 +139,25 @@ def reference_eigenvalue(domain: str) -> float:
     return LAMBDA_SQUARE if domain == "square" else LAMBDA_LSHAPE
 
 
-def _level_meshes(cfg: ExperimentConfig) -> list[tuple[int, Mesh]]:
-    """The (n, mesh) schedule; imported meshes refine uniformly per level."""
-    out = []
+def _mesh(cfg: ExperimentConfig, n: int) -> Mesh:
+    """The configured mesh with n subintervals per side (a file ignores n)."""
     if cfg.mesh == "file":
-        mesh = read_mesh(cfg.mesh_file)
-        for level in range(cfg.levels):
-            out.append((level, mesh))
-            if level + 1 < cfg.levels:
-                mesh = uniform_refine(mesh)
-        return out
+        return read_mesh(cfg.mesh_file)
+    if cfg.domain == "square":
+        return generate_square(cfg.mesh, n, SQUARE_SIDE)
+    return generate_lshape(cfg.mesh, n)
+
+
+def _level_meshes(cfg: ExperimentConfig) -> list[tuple[int, Mesh]]:
+    """The (n, mesh) schedule; imported meshes refine uniformly per level
+    and are labelled by the level number."""
+    out = []
     for level in range(cfg.levels):
-        n = cfg.n_start * 2 ** level
-        if cfg.domain == "square":
-            mesh = generate_square(cfg.mesh, n, SQUARE_SIDE)
+        if cfg.mesh == "file":
+            out.append((level, uniform_refine(out[-1][1]) if level else _mesh(cfg, 0)))
         else:
-            mesh = generate_lshape(cfg.mesh, n)
-        out.append((n, mesh))
+            n = cfg.n_start * 2 ** level
+            out.append((n, _mesh(cfg, n)))
     return out
 
 
@@ -211,15 +213,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                    snapshot_stride=min(cfg.strides))
 
     if cfg.adaptive:
-        if cfg.mesh == "file":
-            mesh0 = read_mesh(cfg.mesh_file)
-        elif cfg.domain == "square":
-            mesh0 = generate_square(cfg.mesh, cfg.n_start, SQUARE_SIDE)
-        else:
-            mesh0 = generate_lshape(cfg.mesh, cfg.n_start)
         try:
             records, final_mesh = adaptive_solve(
-                mesh0, cfg.fe_degree, cfg.theta, cfg.levels, cont,
+                _mesh(cfg, cfg.n_start), cfg.fe_degree, cfg.theta, cfg.levels, cont,
                 pod_eps=float(cfg.resolved_pod_eps()))
         except NonconvergenceError as exc:
             raise ExperimentError(

@@ -12,13 +12,16 @@ Conventions
   bisected; generators initialise it to the longest edge (ties broken by the
   lowest local index).
 * Nodes of generated meshes are ordered lexicographically by ``(y, x)``.
-* Boundary flags are determined topologically: a boundary edge belongs to
-  exactly one triangle, and a boundary node lies on a boundary edge.
+* A ``Mesh`` stores only ``nodes``, ``triangles`` and ``refinement_edge``,
+  all read-only.  The edge table and the boundary flags are derived from
+  them once per mesh, on first use: a boundary edge belongs to exactly one
+  triangle, and a boundary node lies on a boundary edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,23 +40,19 @@ class Mesh:
         Vertex coordinates.
     triangles : ndarray, shape (n_triangles, 3)
         Vertex indices, counterclockwise.
-    boundary_node : ndarray of bool, shape (n_nodes,)
-        True for nodes on the domain boundary.
     refinement_edge : ndarray, shape (n_triangles,)
         Local edge index (0-2) used by newest-vertex bisection.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_node: np.ndarray
     refinement_edge: np.ndarray
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        self.boundary_node = np.ascontiguousarray(self.boundary_node, dtype=bool)
         self.refinement_edge = np.ascontiguousarray(self.refinement_edge, dtype=np.int64)
-        for arr in (self.nodes, self.triangles, self.boundary_node, self.refinement_edge):
+        for arr in (self.nodes, self.triangles, self.refinement_edge):
             arr.setflags(write=False)
 
     @property
@@ -63,6 +62,19 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
+
+    @cached_property
+    def _edge_table(self):
+        return _build_edge_table(self)
+
+    @cached_property
+    def boundary_node(self) -> np.ndarray:
+        """True for nodes on the domain boundary, shape (n_nodes,)."""
+        edges, _, edge_tris = edge_table(self)
+        flags = np.zeros(self.n_nodes, dtype=bool)
+        flags[edges[edge_tris[:, 1] < 0]] = True
+        flags.setflags(write=False)
+        return flags
 
 
 @dataclass
@@ -85,16 +97,17 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
 
 def edge_lengths(mesh: Mesh) -> np.ndarray:
     """Lengths of the three local edges of every triangle, shape (T, 3)."""
-    p = mesh.nodes[mesh.triangles]
-    out = np.empty((mesh.n_triangles, 3))
-    for i in range(3):
-        a, b = (i + 1) % 3, (i + 2) % 3
-        out[:, i] = np.hypot(*(p[:, a] - p[:, b]).T)
-    return out
+    return _edge_lengths(mesh.nodes, mesh.triangles)
+
+
+def _edge_lengths(nodes, triangles):
+    p = nodes[triangles]
+    d = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]        # local edge i opposite vertex i
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def edge_table(mesh: Mesh):
-    """Unique-edge connectivity.
+    """Unique-edge connectivity, built once per mesh (read-only arrays).
 
     Returns
     -------
@@ -107,55 +120,74 @@ def edge_table(mesh: Mesh):
         The one or two triangles containing each edge; -1 marks absence.
         When two are present they are in increasing triangle order.
     """
-    t = mesh.triangles
-    raw = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1).reshape(-1, 2)
-    raw_sorted = np.sort(raw, axis=1)
-    edges, inverse = np.unique(raw_sorted, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    tri_edges = inverse.reshape(-1, 3)
+    return mesh._edge_table
 
-    counts = np.bincount(inverse, minlength=len(edges))
+
+def _build_edge_table(mesh: Mesh):
+    n = mesh.n_nodes
+    raw = mesh.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+    # one int64 key per edge, lo * n + hi, sorts lexicographically by (lo, hi)
+    keys, first, inverse, counts = np.unique(
+        raw.min(axis=1) * n + raw.max(axis=1),
+        return_index=True, return_inverse=True, return_counts=True)
     if counts.max(initial=0) > 2:
         raise MeshError("edge shared by more than two triangles")
-    order = np.argsort(inverse, kind="stable")
-    tri_of = order // 3
-    starts = np.concatenate([[0], np.cumsum(counts)])
+    edges = np.column_stack([keys // n, keys % n])
+    tri_edges = inverse.reshape(-1, 3)
+
+    # the first occurrence of an edge has the lower triangle; the other
+    # occurrence, if any, is the edge's second triangle
     edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-    edge_tris[:, 0] = tri_of[starts[:-1]]
-    two = counts == 2
-    edge_tris[two, 1] = tri_of[starts[:-1][two] + 1]
+    edge_tris[:, 0] = first // 3
+    second = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
+    edge_tris[inverse[second], 1] = second // 3
+    for arr in (edges, tri_edges, edge_tris):
+        arr.setflags(write=False)
     return edges, tri_edges, edge_tris
 
 
-def _boundary_flags(n_nodes, edges, edge_tris):
-    flags = np.zeros(n_nodes, dtype=bool)
-    boundary_edges = edges[edge_tris[:, 1] < 0]
-    flags[boundary_edges.reshape(-1)] = True
-    return flags
-
-
-def _finish(nodes, triangles):
-    """Assemble a Mesh from raw arrays: sort nodes by (y, x), compute flags."""
+def _from_arrays(nodes, triangles) -> Mesh:
+    """A validated Mesh with longest-edge refinement markers."""
     nodes = np.asarray(nodes, dtype=np.float64)
     triangles = np.asarray(triangles, dtype=np.int64)
-    order = np.lexsort((nodes[:, 0], nodes[:, 1]))
-    rank = np.empty(len(nodes), dtype=np.int64)
-    rank[order] = np.arange(len(nodes))
-    nodes = nodes[order]
-    triangles = rank[triangles]
-    mesh = _from_arrays(nodes, triangles)
+    ref = np.argmax(_edge_lengths(nodes, triangles), axis=1)
+    mesh = Mesh(nodes, triangles, ref)
     validate_mesh(mesh)
     return mesh
 
 
-def _from_arrays(nodes, triangles):
-    """Build a Mesh with topological boundary flags and longest-edge markers."""
-    probe = Mesh(nodes, triangles, np.zeros(len(nodes), dtype=bool),
-                 np.zeros(len(triangles), dtype=np.int64))
-    edges, _, edge_tris = edge_table(probe)
-    flags = _boundary_flags(len(nodes), edges, edge_tris)
-    ref = np.argmax(edge_lengths(probe), axis=1)
-    return Mesh(probe.nodes, probe.triangles, flags, ref)
+def _grid_mesh(m: int, coord, keep, right_diagonal) -> Mesh:
+    """Triangulate the kept cells of an m x m grid of squares.
+
+    Grid point ``(i, j)`` lies at ``(coord(i), coord(j))`` and is the
+    bottom-left corner of cell ``(i, j)``; ``keep[j, i]`` selects the cells.
+    ``right_diagonal[j, i]`` splits a cell by its bottom-left/top-right
+    diagonal (False: the bottom-right/top-left one); None splits every cell
+    into four triangles through its centre ``(coord(i + 0.5), coord(j +
+    0.5))``.  Triangles follow the cells row by row; grid points of no kept
+    cell are dropped and the nodes are sorted by (y, x).
+    """
+    j, i = np.nonzero(keep)
+    ticks = coord(np.arange(m + 1))
+    xg, yg = np.meshgrid(ticks, ticks)
+    nodes = np.column_stack([xg.ravel(), yg.ravel()])
+    bl = j * (m + 1) + i
+    br, tl = bl + 1, bl + m + 1
+    tr = tl + 1
+    if right_diagonal is None:
+        c = len(nodes) + np.arange(len(bl))
+        nodes = np.vstack([nodes, np.column_stack([coord(i + 0.5), coord(j + 0.5)])])
+        tris = np.column_stack([bl, br, c, br, tr, c, tr, tl, c, tl, bl, c])
+    else:
+        tris = np.where(right_diagonal[j, i, None],
+                        np.column_stack([bl, br, tr, bl, tr, tl]),
+                        np.column_stack([bl, br, tl, br, tr, tl]))
+    used = np.unique(tris)
+    nodes, tris = nodes[used], np.searchsorted(used, tris.reshape(-1, 3))
+    order = np.lexsort((nodes[:, 0], nodes[:, 1]))
+    rank = np.empty(len(nodes), dtype=np.int64)
+    rank[order] = np.arange(len(nodes))
+    return _from_arrays(nodes[order], rank[tris])
 
 
 def generate_square(pattern: str, n: int, side: float) -> Mesh:
@@ -178,35 +210,8 @@ def generate_square(pattern: str, n: int, side: float) -> Mesh:
     if not side > 0:
         raise ValueError("side must be positive")
 
-    ticks = (np.arange(n + 1) / n) * side
-    xg, yg = np.meshgrid(ticks, ticks)          # index [j, i] = (x_i, y_j)
-    grid = np.column_stack([xg.ravel(), yg.ravel()])
-
-    def gid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    if pattern == "crisscross":
-        centers = (np.arange(n) + 0.5) / n * side
-        cx, cy = np.meshgrid(centers, centers)
-        nodes = np.vstack([grid, np.column_stack([cx.ravel(), cy.ravel()])])
-        for j in range(n):
-            for i in range(n):
-                c = (n + 1) ** 2 + j * n + i
-                bl, br = gid(i, j), gid(i + 1, j)
-                tr, tl = gid(i + 1, j + 1), gid(i, j + 1)
-                tris += [(bl, br, c), (br, tr, c), (tr, tl, c), (tl, bl, c)]
-    else:
-        nodes = grid
-        for j in range(n):
-            for i in range(n):
-                bl, br = gid(i, j), gid(i + 1, j)
-                tr, tl = gid(i + 1, j + 1), gid(i, j + 1)
-                if pattern == "right":
-                    tris += [(bl, br, tr), (bl, tr, tl)]
-                else:
-                    tris += [(bl, br, tl), (br, tr, tl)]
-    return _finish(nodes, tris)
+    diagonal = None if pattern == "crisscross" else np.full((n, n), pattern == "right")
+    return _grid_mesh(n, lambda k: k / n * side, np.ones((n, n), dtype=bool), diagonal)
 
 
 def generate_lshape(pattern: str, n: int) -> Mesh:
@@ -223,45 +228,11 @@ def generate_lshape(pattern: str, n: int) -> Mesh:
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    m = 2 * n
-    ticks = np.arange(m + 1) / n - 1.0
-
-    def keep_node(i, j):
-        # exclude nodes strictly inside the removed quadrant x>0, y<0
-        return not (ticks[i] > 0 and ticks[j] < 0)
-
-    gid = -np.ones((m + 1, m + 1), dtype=np.int64)
-    nodes = []
-    for j in range(m + 1):
-        for i in range(m + 1):
-            if keep_node(i, j):
-                gid[i, j] = len(nodes)
-                nodes.append((ticks[i], ticks[j]))
-    nodes = np.array(nodes)
-
-    tris = []
-    centers = []
-    for j in range(m):
-        for i in range(m):
-            cx = (i + 0.5) / n - 1.0
-            cy = (j + 0.5) / n - 1.0
-            if cx > 0 and cy < 0:
-                continue
-            bl, br = gid[i, j], gid[i + 1, j]
-            tr, tl = gid[i + 1, j + 1], gid[i, j + 1]
-            if pattern == "crisscross":
-                c = len(nodes) + len(centers)
-                centers.append((cx, cy))
-                tris += [(bl, br, c), (br, tr, c), (tr, tl, c), (tl, bl, c)]
-            else:
-                right_diag = not (cx < 0 and cy > 0)
-                if right_diag:
-                    tris += [(bl, br, tr), (bl, tr, tl)]
-                else:
-                    tris += [(bl, br, tl), (br, tr, tl)]
-    if centers:
-        nodes = np.vstack([nodes, np.array(centers)])
-    return _finish(nodes, tris)
+    j, i = np.indices((2 * n, 2 * n))
+    keep = ~((i >= n) & (j < n))                  # no cell in the removed quadrant
+    right = ~((i < n) & (j >= n))                 # the top-left square flips
+    return _grid_mesh(2 * n, lambda k: k / n - 1.0, keep,
+                      None if pattern == "crisscross" else right)
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:
@@ -276,9 +247,7 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     children[:, 1] = np.column_stack([t[:, 1], mid[:, 0], mid[:, 2]])
     children[:, 2] = np.column_stack([t[:, 2], mid[:, 1], mid[:, 0]])
     children[:, 3] = mid
-    refined = _from_arrays(nodes, children.reshape(-1, 3))
-    validate_mesh(refined)
-    return refined
+    return _from_arrays(nodes, children.reshape(-1, 3))
 
 
 def bisect_refine(mesh: Mesh, marked) -> Mesh:
@@ -289,7 +258,7 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     newest-vertex rule: their refinement edge is the edge opposite the newly
     created midpoint.
     """
-    marked = np.asarray(sorted(set(int(i) for i in marked)), dtype=np.int64)
+    marked = np.unique(np.fromiter(marked, dtype=np.int64))
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:
@@ -298,17 +267,20 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     edges, tri_edges, _ = edge_table(mesh)
     n_tri = mesh.n_triangles
     ref = mesh.refinement_edge
+    # vertices and edge ids in the local order r, r+1, r+2 (r: refinement edge)
+    rot = (ref[:, None] + np.arange(3)) % 3
+    v_r, v_a, v_b = np.take_along_axis(mesh.triangles, rot, axis=1).T
+    e_r, e_a, e_b = np.take_along_axis(tri_edges, rot, axis=1).T
     split = np.zeros(len(edges), dtype=bool)
-    split[tri_edges[marked, ref[marked]]] = True
+    split[e_r[marked]] = True
 
     # closure: a triangle with any split edge must split its refinement edge
-    ref_edge_ids = tri_edges[np.arange(n_tri), ref]
     sweeps = 0
     while True:
-        need = split[tri_edges].any(axis=1) & ~split[ref_edge_ids]
+        need = split[tri_edges].any(axis=1) & ~split[e_r]
         if not need.any():
             break
-        split[ref_edge_ids[need]] = True
+        split[e_r[need]] = True
         sweeps += 1
         if sweeps > 64 * n_tri:
             raise RuntimeError("bisection closure failed to terminate; "
@@ -318,39 +290,32 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     new_id = np.full(len(edges), -1, dtype=np.int64)
     new_id[split_ids] = mesh.n_nodes + np.arange(len(split_ids))
     midpoints = 0.5 * (mesh.nodes[edges[split_ids, 0]] + mesh.nodes[edges[split_ids, 1]])
-    nodes = np.vstack([mesh.nodes, midpoints]) if len(split_ids) else mesh.nodes.copy()
+    nodes = np.vstack([mesh.nodes, midpoints])
 
-    out_tris = []
-    out_ref = []
+    # Triangle (v_r, v_a, v_b) with midpoint m on its refinement edge splits
+    # into (v_b, v_r, m) and (v_r, v_a, m), whose refinement edges (local 2,
+    # opposite m) are the parent's edges a and b; if those are split too,
+    # each child splits once more at m_a / m_b.  The grandchildren's
+    # refinement edges are new, so a triangle yields at most four leaves,
+    # kept in depth-first order: slots 0-1 hold the first child's, 2-3 the
+    # second's.
+    s = split[e_r]
+    s_a, s_b = s & split[e_a], s & split[e_b]
+    m, m_a, m_b = new_id[e_r], new_id[e_a], new_id[e_b]
+    slots = np.stack([
+        np.where(s_a[:, None], np.column_stack([v_r, m, m_a]),
+                 np.column_stack([v_b, v_r, m])),
+        np.column_stack([m, v_b, m_a]),
+        np.where(s_b[:, None], np.column_stack([v_a, m, m_b]),
+                 np.column_stack([v_r, v_a, m])),
+        np.column_stack([m, v_r, m_b]),
+    ], axis=1)
+    slots[~s, 0] = mesh.triangles[~s]
+    slot_ref = np.full((n_tri, 4), 2, dtype=np.int64)
+    slot_ref[~s, 0] = ref[~s]
+    leaf = np.column_stack([np.ones(n_tri, dtype=bool), s_a, s, s_b])
 
-    def bisect(tri, loc_edges, r):
-        """Split (tri, refinement edge r) recursively; loc_edges maps local
-        edge -> parent edge id (or -1 for edges created by bisection)."""
-        e = loc_edges[r]
-        if e < 0 or not split[e]:
-            out_tris.append(tri)
-            out_ref.append(r)
-            return
-        mark_mid = new_id[e]
-        a, b, c = (r + 1) % 3, (r + 2) % 3, r
-        # children (v_{r+2}, v_r, m) and (v_r, v_{r+1}, m); refinement edge is
-        # local edge 2 (opposite the new vertex)
-        child1 = (tri[b], tri[c], mark_mid)
-        child2 = (tri[c], tri[a], mark_mid)
-        bisect(child1, (-1, -1, loc_edges[a]), 2)
-        bisect(child2, (-1, -1, loc_edges[b]), 2)
-
-    for t in range(n_tri):
-        tri = tuple(int(v) for v in mesh.triangles[t])
-        loc = tuple(int(e) for e in tri_edges[t])
-        bisect(tri, loc, int(ref[t]))
-
-    refined = Mesh(nodes, np.array(out_tris, dtype=np.int64),
-                   np.zeros(len(nodes), dtype=bool),
-                   np.array(out_ref, dtype=np.int64))
-    e2, _, et2 = edge_table(refined)
-    refined = Mesh(nodes, refined.triangles,
-                   _boundary_flags(len(nodes), e2, et2), refined.refinement_edge)
+    refined = Mesh(nodes, slots[leaf], slot_ref[leaf])
     validate_mesh(refined)
     return refined
 
@@ -360,6 +325,8 @@ def validate_mesh(mesh: Mesh) -> None:
     if mesh.triangles.size and (mesh.triangles.min() < 0
                                 or mesh.triangles.max() >= mesh.n_nodes):
         raise MeshError("triangle references an invalid node index")
+    if not np.isfinite(mesh.nodes).all():
+        raise MeshError("node coordinates must be finite")
     areas = triangle_areas(mesh)
     if np.any(areas <= 0):
         bad = int(np.argmin(areas))
@@ -367,10 +334,7 @@ def validate_mesh(mesh: Mesh) -> None:
     if mesh.refinement_edge.size and (mesh.refinement_edge.min() < 0
                                       or mesh.refinement_edge.max() > 2):
         raise MeshError("refinement edge index out of range")
-    edges, _, edge_tris = edge_table(mesh)       # raises if an edge has > 2 triangles
-    flags = _boundary_flags(mesh.n_nodes, edges, edge_tris)
-    if not np.array_equal(flags, mesh.boundary_node):
-        raise MeshError("stored boundary flags disagree with mesh topology")
+    edge_table(mesh)       # raises if an edge has more than two triangles
 
 
 def mesh_stats(mesh: Mesh) -> MeshStats:
@@ -435,6 +399,8 @@ def read_mesh(path) -> Mesh:
         if n_tris < 0:
             raise MeshError(f"{path}: negative triangle count")
         tris = np.array([int(v) for v in take(3 * n_tris)], dtype=np.int64).reshape(n_tris, 3)
+        if tris.size and (tris.min() < 0 or tris.max() >= n_nodes):
+            raise MeshError(f"{path}: triangle references an invalid node index")
         stored_boundary = None
         if pos < len(tokens):
             expect("boundary")
@@ -446,7 +412,6 @@ def read_mesh(path) -> Mesh:
         raise MeshError(f"{path}: malformed value ({exc})") from exc
 
     mesh = _from_arrays(coords, tris)
-    validate_mesh(mesh)
     if stored_boundary is not None:
         recomputed = np.flatnonzero(mesh.boundary_node)
         if not np.array_equal(np.sort(stored_boundary), recomputed):

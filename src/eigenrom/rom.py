@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .continuation import ContinuationConfig, SolveTrace, run_fom
 from .fem import eigen_residual
@@ -59,6 +58,8 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     applied to the reduced coefficients (the basis is orthonormal, so the
     lifted norms agree).
     """
+    import scipy.linalg        # imported here to keep `import eigenrom.cli` light
+
     if ops.dim < 1:
         raise ValueError("reduced dimension must be >= 1")
     u0 = np.asarray(u0, dtype=np.float64)

@@ -1,8 +1,9 @@
 """Independent reference computations used to cross-check the library.
 
 These deliberately take different routes than the code under test: the SVD
-oracle runs power iteration with deflation on the Gram matrix, and eigenvalue
-references come from scipy's shift-invert Lanczos.
+oracle runs power iteration with deflation on the Gram matrix, eigenvalue
+references come from scipy's shift-invert Lanczos, and newest-vertex
+bisection is replayed one triangle at a time on vertex-pair edges.
 """
 
 import math
@@ -64,3 +65,47 @@ def pencil_eigenvalues(A, M, k):
     vals = spla.eigsh(A, k=k, M=M, sigma=0, which="LM",
                       return_eigenvectors=False)
     return np.sort(vals)
+
+
+def bisect_recursive(mesh, marked):
+    """Newest-vertex bisection with closure, one triangle at a time.
+
+    The loop reference for ``mesh.bisect_refine``: edges are vertex pairs,
+    the closure rescans every triangle until nothing changes, and each
+    triangle is split recursively (edges through a new midpoint are never
+    split in the same call).  Returns ``(nodes, triangles, refinement_edge)``.
+    """
+    tris = [tuple(int(v) for v in t) for t in mesh.triangles]
+    ref = [int(r) for r in mesh.refinement_edge]
+
+    def ref_pair(tri, r):
+        return tuple(sorted((tri[(r + 1) % 3], tri[(r + 2) % 3])))
+
+    split = {ref_pair(tris[t], ref[t]) for t in set(int(i) for i in marked)}
+    changed = True
+    while changed:
+        changed = False
+        for tri, r in zip(tris, ref):
+            pairs = [ref_pair(tri, i) for i in range(3)]
+            if pairs[r] not in split and any(p in split for p in pairs):
+                split.add(pairs[r])
+                changed = True
+    pairs = sorted(split)
+    mid = {p: mesh.n_nodes + k for k, p in enumerate(pairs)}
+    nodes = np.vstack([mesh.nodes] + [0.5 * (mesh.nodes[a] + mesh.nodes[b])
+                                      for a, b in pairs])
+    out_tris, out_ref = [], []
+
+    def bisect(tri, r):
+        p = ref_pair(tri, r)
+        if p not in split:
+            out_tris.append(tri)
+            out_ref.append(r)
+            return
+        a, b = (r + 1) % 3, (r + 2) % 3
+        bisect((tri[b], tri[r], mid[p]), 2)
+        bisect((tri[r], tri[a], mid[p]), 2)
+
+    for tri, r in zip(tris, ref):
+        bisect(tri, r)
+    return nodes, np.array(out_tris, dtype=np.int64), np.array(out_ref, dtype=np.int64)

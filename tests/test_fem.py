@@ -137,7 +137,7 @@ class TestAssembly:
         mesh = generate_square("crisscross", 4, PI)
         perm = rng.permutation(mesh.n_triangles)
         shuffled = Mesh(mesh.nodes.copy(), mesh.triangles[perm],
-                        mesh.boundary_node.copy(), mesh.refinement_edge[perm])
+                        mesh.refinement_edge[perm])
         A1, M1 = assemble_full(mesh, build_dofmap(mesh, 1))
         A2, M2 = assemble_full(shuffled, build_dofmap(shuffled, 1))
         for X1, X2 in ((A1, A2), (M1, M2)):

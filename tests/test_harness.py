@@ -335,6 +335,18 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
+    def test_import_cli_loads_no_scipy(self):
+        # scipy is imported inside the functions that use it, so --help and
+        # rejected configs do not pay for it
+        src = os.path.dirname(os.path.dirname(rom.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, eigenrom.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_bad_log_level_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EIGENROM_LOG", "chatty")
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",

@@ -1,7 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import bisect_recursive
 
 from eigenrom.mesh import (Mesh, MeshError, bisect_refine, edge_lengths,
                            edge_table, generate_lshape, generate_square,
@@ -221,6 +225,22 @@ class TestMeshIO:
         with pytest.raises(MeshError):
             read_mesh(path)
 
+    def test_out_of_range_node_index_rejected(self, tmp_path):
+        # rejected as a MeshError, not an IndexError from the coordinate lookup
+        path = tmp_path / "index.mesh"
+        path.write_text("nodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                        "triangles 1\n0 1 3\n")
+        with pytest.raises(MeshError, match="invalid node index"):
+            read_mesh(path)
+
+    def test_non_finite_coordinate_rejected(self, tmp_path):
+        # a NaN area compares false with <= 0, so only this check stops it
+        path = tmp_path / "nan.mesh"
+        path.write_text("nodes 4\n0.0 0.0\n1.0 0.0\nnan 1.0\n0.0 1.0\n"
+                        "triangles 2\n0 1 3\n1 2 3\n")
+        with pytest.raises(MeshError, match="finite"):
+            read_mesh(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "short.mesh"
         path.write_text("nodes 2\n0.0 0.0\n")
@@ -248,11 +268,68 @@ class TestEdgeTable:
         assert len(edges) == m.n_nodes + m.n_triangles - 1
         assert (edge_tris[:, 1] < 0).sum() == 4 * 16
 
+    def test_built_once_and_read_only(self):
+        m = generate_lshape("mixed", 2)
+        first = edge_table(m)
+        assert all(a is b for a, b in zip(first, edge_table(m)))
+        assert m.boundary_node is m.boundary_node
+        for arr in (*first, m.boundary_node):
+            assert not arr.flags.writeable
+        assert [f.name for f in dataclasses.fields(Mesh)] == [
+            "nodes", "triangles", "refinement_edge"]
+
     def test_validator_rejects_flipped_triangle(self):
         m = generate_square("right", 2, 1.0)
         tris = m.triangles.copy()
         tris[0] = tris[0][::-1]
-        bad = Mesh(m.nodes.copy(), tris, m.boundary_node.copy(),
-                   m.refinement_edge.copy())
+        bad = Mesh(m.nodes.copy(), tris, m.refinement_edge.copy())
         with pytest.raises(MeshError):
             validate_mesh(bad)
+
+
+def geometric_boundary(domain, nodes):
+    """Nodes on the boundary of the unit square or of the L-shape."""
+    x, y = nodes[:, 0], nodes[:, 1]
+    tol = 1e-12
+    if domain == "square":
+        return boundary_distance_square(nodes, 1.0) <= tol
+    outer = (np.abs(np.abs(x) - 1) <= tol) | (np.abs(np.abs(y) - 1) <= tol)
+    reentrant = ((np.abs(x) <= tol) & (y <= tol)) | ((np.abs(y) <= tol) & (x >= -tol))
+    return outer | reentrant
+
+
+class TestBisectionProperties:
+    STARTS = {
+        "lshape-mixed": lambda: generate_lshape("mixed", 1),
+        "lshape-crisscross": lambda: generate_lshape("crisscross", 1),
+        "square-right": lambda: generate_square("right", 2, 1.0),
+    }
+
+    @given(start=st.sampled_from(sorted(STARTS)), data=st.data(),
+           rounds=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=30, deadline=None)
+    def test_random_markings_keep_invariants(self, start, data, rounds):
+        domain = start.split("-")[0]
+        mesh = self.STARTS[start]()
+        area = triangle_areas(mesh).sum()
+        for _ in range(rounds):
+            marked = data.draw(st.lists(
+                st.integers(min_value=0, max_value=mesh.n_triangles - 1),
+                min_size=1, max_size=mesh.n_triangles))
+            refined = bisect_refine(mesh, marked)
+            validate_mesh(refined)
+            for got, want in zip((refined.nodes, refined.triangles,
+                                  refined.refinement_edge),
+                                 bisect_recursive(mesh, marked)):
+                assert np.array_equal(got, want)
+            areas = triangle_areas(refined)
+            assert abs(areas.sum() - area) <= 1e-12 * area
+            assert np.array_equal(refined.boundary_node,
+                                  geometric_boundary(domain, refined.nodes))
+            # each triangle is bisected at most twice per call
+            assert areas.min() >= triangle_areas(mesh).min() / 4 * (1 - 1e-12)
+            # Euler's formula for a conforming simply connected triangulation
+            # (a hanging node would add a spurious face)
+            n_edges = len(edge_table(refined)[0])
+            assert n_edges == refined.n_nodes + refined.n_triangles - 1
+            mesh = refined

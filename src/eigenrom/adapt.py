@@ -22,7 +22,7 @@ from .continuation import ContinuationConfig
 from .fem import (DiscreteField, DofMap, QUAD_POINTS, QUAD_WEIGHTS,
                   _barycentric_gradients, assemble, build_dofmap, p2_dlambda,
                   p2_values)
-from .linalg import NonconvergenceError
+from .linalg import NonconvergenceError, NotSpdError
 from .mesh import Mesh, bisect_refine, edge_lengths, edge_table
 from .rom import solve_level
 
@@ -171,8 +171,8 @@ def adaptive_solve(initial_mesh: Mesh, fe_degree: int, theta: float,
     snapshots at the configured stride, reduced run timed as the online
     stage), estimate with the full-order eigenpair, mark, bisect.  Returns
     one record per level and the final (unrefined) mesh.  A level that does
-    not converge raises NonconvergenceError carrying the records of the
-    levels finished before it.
+    not converge, or whose reduced system is not SPD, raises
+    NonconvergenceError with the records of the levels finished before it.
     """
     mesh = initial_mesh
     records = []
@@ -183,9 +183,10 @@ def adaptive_solve(initial_mesh: Mesh, fe_degree: int, theta: float,
             trace, [(_, basis, rom_trace, rom_time)] = solve_level(
                 A, M, continuation_config,
                 (continuation_config.snapshot_stride,), pod_eps)
-        except NonconvergenceError as exc:
+        except (NonconvergenceError, NotSpdError) as exc:
             raise NonconvergenceError(f"adaptive level {level}: {exc}",
-                                      exc.residual, records) from exc
+                                      getattr(exc, "residual", np.nan),
+                                      records) from exc
 
         u = trace.final_vector
         u = u / np.sqrt(u @ (M @ u))

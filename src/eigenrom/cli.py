@@ -1,8 +1,8 @@
 """Command line entry point.
 
-Exit codes: 0 success, 1 configuration error, 2 nonconvergence.  The
-EIGENROM_LOG environment variable (error|info|debug) controls diagnostics on
-standard error.
+Exit codes: 0 success, 1 configuration or input error, 2 solver failure
+(no convergence, or a reduced system that is not SPD).  The EIGENROM_LOG
+environment variable (error|info|debug) controls diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         rows = run_experiment(cfg)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"eigenrom: error: {exc}", file=sys.stderr)
         return 1
     except ExperimentError as exc:

@@ -4,8 +4,10 @@ steady state is the first eigenpair of the generalized problem A U = lam M U.
 Each step solves (A + M/dt) U' = (lam + 1/dt) M U with lam the Rayleigh
 quotient of the current state, and records every ``snapshot_stride``-th state
 as a column of the snapshot matrix.  The step operator A + M/dt is constant
-for the whole run, so it is factored once with SuperLU (through scipy) and
-every step is a pair of triangular solves.
+for the whole run, so it is factored once with SuperLU (through scipy).  Each
+step is then one pair of triangular solves and one product with the stacked
+operator [A; M]: the products A U' and M U' check the solve's residual and
+give the next step's Rayleigh quotient and right-hand side.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import rayleigh_quotient
+from .fem import rayleigh_from_products
 from .linalg import NonconvergenceError
 
 # renormalize only if the iterate norm leaves this range (overflow guard)
@@ -95,34 +97,39 @@ def initial_state(n: int, config: ContinuationConfig) -> np.ndarray:
 def step_solver(A, M, dt: float):
     """Factor K = A + M/dt once and return ``solve(b)`` for K x = b.
 
+    ``solve`` returns ``(x, A x, M x)``; one product with the stacked
+    operator [A; M] gives both, and the caller's next step reuses them.
     The factorization is SuperLU with the minimum-degree ordering of
     K^T + K and diagonal pivots (K is SPD).  Every solve checks the true
-    residual ||K x - b|| <= 1e-12 ||b||; if the check fails it makes one step
-    of iterative refinement, and if it still fails it raises
+    residual ||b - (A x + M x / dt)|| <= 1e-12 ||b||; if the check fails it
+    makes one step of iterative refinement, and if it still fails it raises
     NonconvergenceError carrying the achieved relative residual.
     """
     # imported here: scipy.sparse.linalg is slow to import, and the CLI
     # should not pay for it before a solve runs
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    K = (A + (1.0 / dt) * M).tocsc()
-    lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
+    lu = splu((A + (1.0 / dt) * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    AM = sp.vstack([A, M], format="csr")
 
-    def solve(b) -> np.ndarray:
+    def solve(b):
         b = np.asarray(b, dtype=np.float64)
         target = _SOLVE_RTOL * np.linalg.norm(b)
         x = lu.solve(b)
-        r = b - K @ x
+        ax, mx = (AM @ x).reshape(2, -1)
+        r = b - (ax + mx / dt)
         if not np.linalg.norm(r) <= target:
             x += lu.solve(r)
-            res = np.linalg.norm(b - K @ x)
+            ax, mx = (AM @ x).reshape(2, -1)
+            res = np.linalg.norm(b - (ax + mx / dt))
             if not res <= target:
                 raise NonconvergenceError(
                     f"factored step solve missed rel_tol={_SOLVE_RTOL:g} "
                     "after one refinement step",
                     residual=res / np.linalg.norm(b))
-        return x
+        return x, ax, mx
 
     return solve
 
@@ -135,8 +142,7 @@ def fom_step(A, M, U, lam: float, dt: float, solve=None) -> np.ndarray:
     """
     if solve is None:
         solve = step_solver(A, M, dt)
-    rhs = (lam + 1.0 / dt) * (M @ U)
-    return solve(rhs)
+    return solve((lam + 1.0 / dt) * (M @ U))[0]
 
 
 def run_fom(A, M, config: ContinuationConfig, u0=None
@@ -161,30 +167,32 @@ def run_fom(A, M, config: ContinuationConfig, u0=None
     U0 = U.copy()
 
     solve = step_solver(A, M, config.dt)
+    AU, MU = A @ U, M @ U
     lam_history = []
     snapshots = []
     converged = False
     steps = 0
     for k in range(config.max_steps):
-        lam = rayleigh_quotient(A, M, U)
+        lam = rayleigh_from_products(U, AU, MU)
         lam_history.append(lam)
-        U_new = fom_step(A, M, U, lam, config.dt, solve=solve)
+        U_new, AU, MU = solve((lam + 1.0 / config.dt) * MU)
         steps = k + 1
         if steps % config.snapshot_stride == 0:
-            snapshots.append(U_new.copy())
+            snapshots.append(U_new)
         rel_change = np.linalg.norm(U_new - U) / np.linalg.norm(U_new)
         U = U_new
         norm = np.linalg.norm(U)
         if not _NORM_FLOOR < norm < _NORM_CEIL:
             U = U / norm
+            AU, MU = A @ U, M @ U
         if rel_change <= config.stop_tol:
             converged = True
             break
-    lam_history.append(rayleigh_quotient(A, M, U))
+    lam_history.append(rayleigh_from_products(U, AU, MU))
 
     warnings = []
-    overlap = abs(U0 @ (M @ U))
-    scale = np.sqrt(U0 @ (M @ U0)) * np.sqrt(U @ (M @ U))
+    overlap = abs(U0 @ MU)
+    scale = np.sqrt(U0 @ (M @ U0)) * np.sqrt(U @ MU)
     # the computed eigenvector carries ~10*stop_tol of transient leftovers,
     # so orthogonality of the start is only observable down to that floor
     if overlap <= max(1e-14, 100.0 * config.stop_tol) * scale:
@@ -196,16 +204,5 @@ def run_fom(A, M, config: ContinuationConfig, u0=None
 
     trace = SolveTrace(np.array(lam_history), U, steps,
                        time.perf_counter() - t_start, converged, warnings)
-    if snapshots:
-        matrix = np.column_stack(snapshots)
-    else:
-        matrix = np.empty((n, 0))
+    matrix = np.column_stack(snapshots) if snapshots else np.empty((n, 0))
     return trace, SnapshotMatrix(matrix, config.snapshot_stride)
-
-
-def write_snapshots(snap: SnapshotMatrix, path) -> None:
-    """Dump one snapshot column per line, full-precision decimals."""
-    with open(path, "w") as fh:
-        for col in snap.matrix.T:
-            fh.write(" ".join(repr(float(v)) for v in col))
-            fh.write("\n")

@@ -189,10 +189,15 @@ def assemble(mesh: Mesh, dofmap: DofMap
 
 def rayleigh_quotient(A, M, U) -> float:
     """(U^T A U) / (U^T M U)."""
-    denom = float(U @ (M @ U))
+    return rayleigh_from_products(U, A @ U, M @ U)
+
+
+def rayleigh_from_products(U, AU, MU) -> float:
+    """The Rayleigh quotient of U from the products A U and M U."""
+    denom = float(U @ MU)
     if denom <= 0:
         raise ValueError("U^T M U <= 0: zero vector or mass matrix not SPD")
-    return float(U @ (A @ U)) / denom
+    return float(U @ AU) / denom
 
 
 def eigen_residual(A, M, U, lam: float) -> float:

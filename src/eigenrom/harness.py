@@ -18,7 +18,7 @@ import numpy as np
 from .adapt import adaptive_solve
 from .continuation import ContinuationConfig
 from .fem import assemble, build_dofmap, interpolate_free
-from .linalg import NonconvergenceError
+from .linalg import NonconvergenceError, NotSpdError
 from .mesh import (Mesh, edge_lengths, generate_lshape, generate_square,
                    read_mesh, uniform_refine, write_mesh)
 from .pod import exact_reference_eps, write_singular_values
@@ -240,7 +240,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     if failure is not None:
         raise ExperimentError(
             f"schedule aborted at n={schedule[len(results)][0]}: {failure}",
-            rows, nonconvergence=isinstance(failure, NonconvergenceError)
+            rows, nonconvergence=isinstance(failure, (NonconvergenceError,
+                                                      NotSpdError))
         ) from failure
 
     if cfg.singvals_path and results:

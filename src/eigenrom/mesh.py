@@ -49,9 +49,11 @@ class Mesh:
     refinement_edge: np.ndarray
 
     def __post_init__(self):
-        self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
-        self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        self.refinement_edge = np.ascontiguousarray(self.refinement_edge, dtype=np.int64)
+        # own read-only copies: the cached edge table relies on the arrays
+        # staying fixed, and the caller's arrays stay writable
+        self.nodes = np.array(self.nodes, dtype=np.float64, order="C")
+        self.triangles = np.array(self.triangles, dtype=np.int64, order="C")
+        self.refinement_edge = np.array(self.refinement_edge, dtype=np.int64, order="C")
         for arr in (self.nodes, self.triangles, self.refinement_edge):
             arr.setflags(write=False)
 

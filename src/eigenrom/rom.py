@@ -2,8 +2,10 @@
 and the level pipeline that feeds it.
 
 The reduced operators are the dense congruences V^T A V and V^T M V; the
-reduced iteration mirrors the full-order one with a dense Cholesky solve
-factored once per run, and the final state is lifted back as V U_N.
+reduced iteration mirrors the full-order one.  Its N x N step matrix
+a_red + m_red/dt is Cholesky-factored once per run with LAPACK ``dpotrf``,
+each step is one ``dpotrs`` solve plus two small dense products, and the
+final state is lifted back as V U_N.
 ``solve_level`` is the one per-mesh pipeline of uniform and adaptive runs:
 full-order run, then one POD basis and one reduced run per snapshot stride.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .continuation import ContinuationConfig, SolveTrace, run_fom
-from .fem import eigen_residual
+from .fem import eigen_residual, rayleigh_from_products
 from .linalg import NonconvergenceError, NotSpdError
 from .pod import build_pod
 
@@ -58,7 +60,9 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     applied to the reduced coefficients (the basis is orthonormal, so the
     lifted norms agree).
     """
-    import scipy.linalg        # imported here to keep `import eigenrom.cli` light
+    # LAPACK directly: at N <= ~20 cho_factor/cho_solve's checks cost more
+    # than the arithmetic; imported here to keep `import eigenrom.cli` light
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
     if ops.dim < 1:
         raise ValueError("reduced dimension must be >= 1")
@@ -70,26 +74,30 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     y = ops.basis.T @ u0
     if not np.any(y):
         raise ValueError("initial state projects to zero in the reduced space")
-    try:
-        system = scipy.linalg.cho_factor(ops.a_red + ops.m_red / config.dt)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError(f"reduced system is not SPD: {exc}") from exc
+    system = ops.a_red + ops.m_red / config.dt
+    if not np.isfinite(system).all():
+        raise ValueError("reduced system has non-finite entries")
+    factor, info = dpotrf(system)
+    if info != 0:
+        raise NotSpdError(f"reduced system is not SPD: dpotrf info={info}")
 
     lam_history = []
     converged = False
     steps = 0
     for k in range(config.max_steps):
         my = ops.m_red @ y
-        lam = float(y @ (ops.a_red @ y)) / float(y @ my)
+        lam = rayleigh_from_products(y, ops.a_red @ y, my)
         lam_history.append(lam)
-        y_new = scipy.linalg.cho_solve(system, (lam + 1.0 / config.dt) * my)
+        y_new, info = dpotrs(factor, (lam + 1.0 / config.dt) * my)
+        if info != 0:
+            raise ValueError(f"reduced step solve failed: dpotrs info={info}")
         steps = k + 1
         rel_change = np.linalg.norm(y_new - y) / np.linalg.norm(y_new)
         y = y_new
         if rel_change <= config.stop_tol:
             converged = True
             break
-    lam_history.append(float(y @ (ops.a_red @ y)) / float(y @ (ops.m_red @ y)))
+    lam_history.append(rayleigh_from_products(y, ops.a_red @ y, ops.m_red @ y))
     trace = SolveTrace(np.array(lam_history), y, steps,
                        time.perf_counter() - t_start, converged)
     return trace, ops.basis @ y
@@ -125,7 +133,12 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
     per_stride = []
     for stride in strides:
         t0 = time.perf_counter()
-        basis = build_pod(snaps.with_stride(stride), eps=eps)
+        sub = snaps.with_stride(stride)
+        if sub.n_columns == 0:
+            raise ValueError(f"the full-order run on {n} dofs stopped after "
+                             f"{trace.n_steps} steps, before its first "
+                             f"snapshot at stride {stride}")
+        basis = build_pod(sub, eps=eps)
         t_offline = time.perf_counter() - t0
         t0 = time.perf_counter()
         rom_trace, lifted = run_rom(reduce(A, M, basis.V), np.ones(n), cont)

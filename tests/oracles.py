@@ -2,13 +2,15 @@
 
 These deliberately take different routes than the code under test: the SVD
 oracle runs power iteration with deflation on the Gram matrix, eigenvalue
-references come from scipy's shift-invert Lanczos, and newest-vertex
-bisection is replayed one triangle at a time on vertex-pair edges.
+references come from scipy's shift-invert Lanczos, newest-vertex bisection
+is replayed one triangle at a time on vertex-pair edges, and the reduced
+loop runs on scipy's checked Cholesky wrappers.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 
@@ -109,3 +111,25 @@ def bisect_recursive(mesh, marked):
     for tri, r in zip(tris, ref):
         bisect(tri, r)
     return nodes, np.array(out_tris, dtype=np.int64), np.array(out_ref, dtype=np.int64)
+
+
+def rom_loop_cho(a_red, m_red, y0, dt, stop_tol, max_steps):
+    """The reduced fictitious-time loop on scipy's ``cho_factor`` /
+    ``cho_solve`` (the reference for ``rom.run_rom``'s direct LAPACK calls).
+
+    Returns the Rayleigh-quotient history and the final reduced state.
+    """
+    system = scipy.linalg.cho_factor(a_red + m_red / dt)
+    y = y0
+    history = []
+    for _ in range(max_steps):
+        my = m_red @ y
+        lam = float(y @ (a_red @ y)) / float(y @ my)
+        history.append(lam)
+        y_new = scipy.linalg.cho_solve(system, (lam + 1.0 / dt) * my)
+        rel_change = np.linalg.norm(y_new - y) / np.linalg.norm(y_new)
+        y = y_new
+        if rel_change <= stop_tol:
+            break
+    history.append(float(y @ (a_red @ y)) / float(y @ (m_red @ y)))
+    return np.array(history), y

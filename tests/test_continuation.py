@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import eigenrom.continuation as continuation
 from eigenrom.continuation import (ContinuationConfig, SnapshotMatrix,
-                                   fom_step, run_fom, step_solver,
-                                   write_snapshots)
+                                   fom_step, run_fom, step_solver)
 from eigenrom.fem import assemble, build_dofmap, eigen_residual, rayleigh_quotient
 from eigenrom.linalg import NonconvergenceError, spd_solve
 from eigenrom.mesh import generate_lshape, generate_square
@@ -97,6 +97,32 @@ class TestFomStep:
             solve(rng.standard_normal(A.shape[0]))
         assert 0 < info.value.residual < 1e-12
 
+    @pytest.mark.parametrize("perturb", [0.0, 1e-6])
+    def test_solve_returns_the_products(self, monkeypatch, rng, perturb):
+        # a first solve that is off by ``perturb`` forces one refinement
+        # step; the products returned are those of the refined solution
+        real_splu = spla.splu
+        solves = []
+
+        class PerturbedFirstSolve:
+            def __init__(self, *args, **kwargs):
+                self.lu = real_splu(*args, **kwargs)
+
+            def solve(self, b):
+                solves.append(b)
+                x = self.lu.solve(b)
+                return x * (1.0 + perturb) if len(solves) == 1 else x
+
+        monkeypatch.setattr(spla, "splu", PerturbedFirstSolve)
+        mesh = generate_lshape("crisscross", 4)
+        A, M = assemble(mesh, build_dofmap(mesh, 2))
+        b = rng.standard_normal(A.shape[0])
+        x, ax, mx = step_solver(A, M, 0.1)(b)
+        assert len(solves) == (2 if perturb else 1)
+        assert np.array_equal(ax, A @ x)
+        assert np.array_equal(mx, M @ x)
+        assert np.linalg.norm(A @ x + 10.0 * (M @ x) - b) <= 1e-12 * np.linalg.norm(b)
+
 
 class TestRunFom:
     def test_reaches_printed_eigenvalue(self, runs):
@@ -140,6 +166,26 @@ class TestRunFom:
                 assert np.array_equal(U, snaps.matrix[:, col])
                 col += 1
         assert col == snaps.n_columns == trace.n_steps // cfg.snapshot_stride
+
+    def test_failed_residual_check_stops_the_run(self, monkeypatch):
+        mesh = generate_square("crisscross", 4, PI)
+        A, M = assemble(mesh, build_dofmap(mesh, 1))
+        monkeypatch.setattr(continuation, "_SOLVE_RTOL", 1e-30)
+        with pytest.raises(NonconvergenceError) as info:
+            run_fom(A, M, ContinuationConfig(initial_guess="random"))
+        assert 0 < info.value.residual < 1e-12
+
+    def test_renormalised_run_matches_unscaled_run(self):
+        # a start of norm ~1e-151 is renormalised after the first step, and
+        # the products A U, M U are recomputed from the rescaled state
+        mesh = generate_square("crisscross", 8, PI)
+        A, M = assemble(mesh, build_dofmap(mesh, 1))
+        u0 = np.random.default_rng(5).standard_normal(A.shape[0])
+        ref, _ = run_fom(A, M, ContinuationConfig(), u0=u0)
+        tiny, _ = run_fom(A, M, ContinuationConfig(), u0=1e-152 * u0)
+        assert tiny.converged and 0.1 < np.linalg.norm(tiny.final_vector) < 10
+        assert tiny.eigenvalue == pytest.approx(ref.eigenvalue, rel=1e-12)
+        assert eigen_residual(A, M, tiny.final_vector, tiny.eigenvalue) <= 1e-6
 
     def test_max_steps_returns_unconverged(self):
         mesh = generate_square("right", 4, PI)
@@ -201,11 +247,3 @@ class TestSnapshotMatrix:
     def test_columns_nonzero(self, runs):
         _, _, _, _, _, _, snaps = runs.fom("square", "crisscross", 16, 1)
         assert np.all(np.linalg.norm(snaps.matrix, axis=0) > 0)
-
-    def test_dump_round_trip(self, tmp_path):
-        snap = SnapshotMatrix(np.array([[1.0, 2.0], [0.125, -3.5]]), 2)
-        path = tmp_path / "snaps.txt"
-        write_snapshots(snap, path)
-        rows = [[float(v) for v in line.split()]
-                for line in path.read_text().splitlines()]
-        assert np.array_equal(np.array(rows).T, snap.matrix)

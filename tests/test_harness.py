@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,6 +16,7 @@ from eigenrom.continuation import ContinuationConfig, run_fom
 from eigenrom.harness import (CSV_HEADER, ExperimentConfig, ExperimentError,
                               ResultRow, compute_rate, emit_csv, read_csv,
                               run_experiment)
+from eigenrom.linalg import NotSpdError
 from eigenrom.mesh import generate_square, write_mesh
 from eigenrom.rom import run_rom
 
@@ -319,6 +321,46 @@ class TestCli:
                          "--out", str(tmp_path / "t.csv")])
         assert code == 2
         assert "reduced run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_non_spd_reduced_system_keeps_finished_levels(
+            self, tmp_path, monkeypatch, capsys, adaptive):
+        calls = []
+
+        def failing_at_third_level(ops, u0, cfg):
+            calls.append(ops.dim)
+            if len(calls) >= 3:
+                raise NotSpdError("reduced system is not SPD: dpotrf info=1")
+            return run_rom(ops, u0, cfg)
+
+        monkeypatch.setattr(rom, "run_rom", failing_at_third_level)
+        out = tmp_path / "t.csv"
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", "--levels", "3",
+                         *(["--adaptive"] if adaptive else []),
+                         "--out", str(out)])
+        assert code == 2
+        assert "not SPD" in capsys.readouterr().err
+        assert [r.n for r in read_csv(out)] == ([1, 2] if adaptive else [4, 8])
+
+    def test_missing_mesh_file_is_an_input_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.mesh"
+        code = cli_main(["run", "--domain", "square",
+                         "--mesh", f"file:{missing}",
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("eigenrom: error: ")
+        assert str(missing) in err
+
+    def test_snapshot_free_run_names_steps_and_stride(self, tmp_path, capsys):
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "1", "--stride", "100000",
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.search(r"stopped after \d+ steps, before its first snapshot "
+                         r"at stride 100000", err), err
 
     def test_console_script_entry(self, tmp_path):
         out = tmp_path / "cli.csv"

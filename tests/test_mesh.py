@@ -278,6 +278,19 @@ class TestEdgeTable:
         assert [f.name for f in dataclasses.fields(Mesh)] == [
             "nodes", "triangles", "refinement_edge"]
 
+    def test_caller_arrays_stay_writable(self):
+        m = generate_square("right", 2, 1.0)
+        nodes = np.array(m.nodes)
+        tris = np.array(m.triangles)
+        ref = np.array(m.refinement_edge)
+        copy = Mesh(nodes, tris, ref)
+        for mine, theirs in ((nodes, copy.nodes), (tris, copy.triangles),
+                             (ref, copy.refinement_edge)):
+            assert mine.flags.writeable and not theirs.flags.writeable
+            assert np.array_equal(mine, theirs)
+        nodes[0, 0] = 0.5
+        assert copy.nodes[0, 0] == m.nodes[0, 0]
+
     def test_validator_rejects_flipped_triangle(self):
         m = generate_square("right", 2, 1.0)
         tris = m.triangles.copy()

@@ -6,6 +6,7 @@ from eigenrom.continuation import ContinuationConfig, initial_state
 from eigenrom.linalg import NotSpdError
 from eigenrom.pod import build_pod
 from eigenrom.rom import ReducedOperators, reduce, run_rom
+from oracles import rom_loop_cho
 
 
 def embed_coordinates(n, cols):
@@ -105,6 +106,29 @@ class TestRunRom:
         ops = ReducedOperators(np.diag([-20.0, 1.0]), np.eye(2),
                                rng.standard_normal((5, 2)))
         with pytest.raises(NotSpdError):
+            run_rom(ops, rng.standard_normal(5), ContinuationConfig())
+
+    @pytest.mark.parametrize("domain,pattern,n,degree", [
+        ("square", "crisscross", 16, 1), ("lshape", "crisscross", 8, 2)])
+    def test_matches_cholesky_oracle_bit_for_bit(self, runs, domain, pattern,
+                                                 n, degree):
+        _, _, A, M, cfg, _, snaps = runs.fom(domain, pattern, n, degree)
+        ops = reduce(A, M, build_pod(snaps, eps=1e-7).V)
+        u0 = np.ones(A.shape[0])
+        trace, lifted = run_rom(ops, u0, cfg)
+        history, y = rom_loop_cho(ops.a_red, ops.m_red, ops.basis.T @ u0,
+                                  cfg.dt, cfg.stop_tol, cfg.max_steps)
+        assert ops.dim >= 4 and trace.converged
+        assert np.array_equal(trace.lambda_history, history)
+        assert np.array_equal(trace.final_vector, y)
+        assert np.array_equal(lifted, ops.basis @ y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reduced_operator_rejected(self, rng, bad):
+        a_red = np.diag([2.0, 3.0])
+        a_red[1, 0] = bad          # a triangle dpotrf does not read
+        ops = ReducedOperators(a_red, np.eye(2), rng.standard_normal((5, 2)))
+        with pytest.raises(ValueError, match="non-finite"):
             run_rom(ops, rng.standard_normal(5), ContinuationConfig())
 
     def test_max_steps_returns_unconverged(self, runs):

@@ -116,6 +116,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         rows = run_experiment(cfg)
+        emit_csv(rows, cfg.out_csv)
     except (UsageError, ValueError, OSError) as exc:
         print(f"eigenrom: error: {exc}", file=sys.stderr)
         return 1
@@ -128,7 +129,6 @@ def main(argv=None) -> int:
                 pass
         print(f"eigenrom: error: {exc}", file=sys.stderr)
         return 2 if exc.nonconvergence else 1
-    emit_csv(rows, cfg.out_csv)
     for row in rows:
         log.info("%s n=%s dof=%d lambda_fom=%.12f lambda_rom=%.12f N=%d",
                  row.mesh, row.n, row.dof, row.lambda_fom, row.lambda_rom,

@@ -1,12 +1,14 @@
 """Orthonormal basis extraction from snapshot matrices.
 
-The basis is built by the method of snapshots (Sirovich, 1987) from the
-correlation matrix C = S^T S: its eigenpairs (mu_i, psi_i) give singular
-values sigma_i = sqrt(mu_i) and basis columns S psi_i / sigma_i.  The basis
-dimension is chosen by the energy criterion: the smallest N whose leading
-modes carry at least 1 - eps^2 of the total squared singular values.
-``build_pod(S, eps=...)`` takes the singular values, N and the basis from
-one eigendecomposition of C.
+The basis is taken from one thin SVD of the snapshot matrix X = U Sigma W^T
+(LAPACK ``gesdd``; Golub & Van Loan, Matrix Computations, section 8.6): its
+left singular vectors are the basis columns.  Singular values at or below
+max(n, k) * eps_mach * sigma_1, the size of the SVD's own rounding error on
+an n x k matrix (and numpy.linalg.matrix_rank's default tolerance), are cut,
+so the numerical rank never exceeds min(n, k).  The basis dimension is chosen
+by the energy criterion: the smallest N whose leading modes carry at least
+1 - eps^2 of the total squared singular values.  ``build_pod(S, eps=...)``
+takes the singular values, N and the basis from the same SVD.
 """
 
 from __future__ import annotations
@@ -14,12 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import sym_eig_desc
-
-# modes with mu_i <= (RANK_RTOL^2) mu_1 are below the precision attainable
-# through the squared correlation matrix and are discarded
-RANK_RTOL = 1e-14
 
 
 @dataclass(eq=False)
@@ -32,57 +28,46 @@ class PodBasis:
     rank: int
 
 
-def _as_matrix(S) -> np.ndarray:
-    matrix = getattr(S, "matrix", S)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
+def _thin_svd(S) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values (descending) of the
+    snapshot matrix, cut at its numerical rank."""
+    X = np.asarray(getattr(S, "matrix", S), dtype=np.float64)
+    if X.ndim != 2:
         raise ValueError("snapshot data must be a 2-D array")
-    return matrix
-
-
-def _spectrum(S):
-    """Snapshot matrix, its positive singular values (descending) and the
-    correlation eigenvectors, from one eigendecomposition of S^T S."""
-    X = _as_matrix(S)
     if X.shape[1] == 0:
         raise ValueError("empty snapshot matrix")
-    mu, psi = sym_eig_desc(X.T @ X)
-    if mu.size == 0 or mu[0] <= 0:
+    U, sigma, _ = np.linalg.svd(X, full_matrices=False)
+    if sigma.size == 0 or sigma[0] <= 0:
         raise ValueError("snapshot matrix is zero")
-    rank = int(np.count_nonzero(mu > (RANK_RTOL ** 2) * mu[0]))
-    return X, np.sqrt(mu[:rank]), psi
+    cut = max(X.shape) * np.finfo(np.float64).eps * sigma[0]
+    rank = int(np.count_nonzero(sigma > cut))
+    return U[:, :rank], sigma[:rank]
 
 
 def singular_values(S) -> np.ndarray:
     """Positive singular values of the snapshot matrix, descending."""
-    return _spectrum(S)[1]
+    return _thin_svd(S)[1]
 
 
 def build_pod(S, N: int | None = None, *, eps: float | None = None) -> PodBasis:
-    """First ``N`` basis vectors of the snapshot matrix.
+    """First ``N`` left singular vectors of the snapshot matrix.
 
     Give either ``N`` or the energy tolerance ``eps``, which chooses N by
-    ``select_dim`` on the singular values of the same eigendecomposition.
-    Each column S psi_j / sigma_j is re-orthonormalized by one modified
-    Gram-Schmidt pass to guard against roundoff for clustered singular
-    values, then sign-fixed so its largest-magnitude entry is positive.
+    ``select_dim`` on the singular values of the same SVD.  Each column is
+    sign-fixed so its largest-magnitude entry is positive.
     """
     if (N is None) == (eps is None):
         raise ValueError("give exactly one of N and eps")
     if N is not None and N < 1:
         raise ValueError("basis dimension must be >= 1")
-    X, sigma, psi = _spectrum(S)
+    U, sigma = _thin_svd(S)
     rank = len(sigma)
     if N is None:
         N = select_dim(sigma, eps)
     if N > rank:
         raise ValueError(f"requested {N} modes but the numerical rank is {rank}")
 
-    V = X @ (psi[:, :N] / sigma[:N])
-    for j in range(N):                      # modified Gram-Schmidt, one pass
-        for i in range(j):
-            V[:, j] -= (V[:, i] @ V[:, j]) * V[:, i]
-        V[:, j] /= np.linalg.norm(V[:, j])
+    V = U[:, :N].copy()
     flip = np.sign(V[np.abs(V).argmax(axis=0), np.arange(N)])
     V *= np.where(flip == 0, 1.0, flip)
     return PodBasis(V, sigma, N, rank)
@@ -107,18 +92,6 @@ def select_dim(svals, eps: float) -> int:
     total = tail[0] + energy[0]
     ok = np.flatnonzero(tail <= eps ** 2 * total)
     return int(ok[0]) + 1
-
-
-def projection_error_sq(S, V: np.ndarray) -> float:
-    """Sum over snapshot columns u of ||u - V V^T u||^2."""
-    X = _as_matrix(S)
-    V = np.asarray(V, dtype=np.float64)
-    if V.ndim != 2 or V.shape[0] != X.shape[0]:
-        raise ValueError("basis rows must match snapshot rows")
-    if V.shape[1] == 0:
-        return float(np.linalg.norm(X) ** 2)
-    R = X - V @ (V.T @ X)
-    return float(np.linalg.norm(R) ** 2)
 
 
 def exact_reference_eps(M, u_reference, u_computed) -> float:

@@ -3,8 +3,9 @@
 These deliberately take different routes than the code under test: the SVD
 oracle runs power iteration with deflation on the Gram matrix, eigenvalue
 references come from scipy's shift-invert Lanczos, newest-vertex bisection
-is replayed one triangle at a time on vertex-pair edges, and the reduced
-loop runs on scipy's checked Cholesky wrappers.
+is replayed one triangle at a time on vertex-pair edges, the reduced loop
+runs on scipy's checked Cholesky wrappers, and the POD projection error is
+the residual of an explicit projection.
 """
 
 import math
@@ -133,3 +134,16 @@ def rom_loop_cho(a_red, m_red, y0, dt, stop_tol, max_steps):
             break
     history.append(float(y @ (a_red @ y)) / float(y @ (m_red @ y)))
     return np.array(history), y
+
+
+def projection_error_sq(S, V):
+    """Sum over snapshot columns u of ||u - V V^T u||^2 (the energy the
+    basis V misses; for a POD basis, the Eckart-Young tail)."""
+    X = np.asarray(getattr(S, "matrix", S), dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    if V.ndim != 2 or V.shape[0] != X.shape[0]:
+        raise ValueError("basis rows must match snapshot rows")
+    if V.shape[1] == 0:
+        return float(np.linalg.norm(X) ** 2)
+    R = X - V @ (V.T @ X)
+    return float(np.linalg.norm(R) ** 2)

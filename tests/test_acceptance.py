@@ -19,8 +19,8 @@ from eigenrom.harness import ExperimentConfig, run_experiment
 from eigenrom.linalg import spd_solve, sym_eig_desc
 from eigenrom.mesh import (bisect_refine, generate_lshape, generate_square,
                            uniform_refine, validate_mesh)
-from eigenrom.pod import build_pod, projection_error_sq, singular_values
-from oracles import power_svd
+from eigenrom.pod import build_pod, singular_values
+from oracles import power_svd, projection_error_sq
 
 PI = math.pi
 LSHAPE_REF = 9.6397238440219

@@ -353,6 +353,30 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("eigenrom: error: ")
         assert str(missing) in err
 
+    def test_unwritable_out_path_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("eigenrom: error: ")
+        assert f"cannot write result table {out}" in err
+
+    def test_small_dt_basis_stays_within_the_free_dofs(self, tmp_path):
+        # dt=1e-4 at stride 1 gives ~25 000 snapshot columns of 25 free dofs
+        # (9 interior vertices and 16 cell centres of the n=4 crisscross
+        # mesh); the rank, and so N, cannot exceed the 25 rows
+        out, dump = tmp_path / "t.csv", tmp_path / "sv.txt"
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", "--dt", "1e-4", "--stride", "1",
+                         "--dump-singvals", str(dump), "--out", str(out)])
+        assert code == 0
+        n_svals = len(dump.read_text().split())
+        assert n_svals <= 25
+        [row] = read_csv(out)
+        assert row.n_pod <= n_svals
+        assert abs(row.lambda_rom - row.lambda_fom) <= 5e-9
+
     def test_snapshot_free_run_names_steps_and_stride(self, tmp_path, capsys):
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
                          "--n-start", "1", "--stride", "100000",

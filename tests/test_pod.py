@@ -3,10 +3,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from eigenrom.pod import (build_pod, exact_reference_eps, projection_error_sq,
-                          select_dim, singular_values, write_singular_values)
+from eigenrom.pod import (build_pod, exact_reference_eps, select_dim,
+                          singular_values, write_singular_values)
 from eigenrom.continuation import SnapshotMatrix
-from oracles import power_svd
+from oracles import power_svd, projection_error_sq
 
 
 class TestBuildPod:
@@ -81,6 +81,40 @@ class TestBuildPod:
             build_pod(S)
         with pytest.raises(ValueError, match="exactly one"):
             build_pod(S, 2, eps=1e-3)
+
+    def test_graded_spectrum_below_the_correlation_noise_floor(self):
+        # sigma_i = 10^-i, i = 0..13, on a 40 x 300 matrix: forming X^T X
+        # would lose every sigma_i / sigma_1 below ~1e-8 to rounding; the
+        # thin SVD resolves all 14.  eps = 3e-7 keeps the selection off a
+        # tie (at eps = 1e-7, sigma_8 = eps sits on the boundary and N is 7
+        # or 8 with the draw of Q1, Q2)
+        rng = np.random.default_rng(7)
+        sigma = 10.0 ** -np.arange(14)
+        Q1, _ = np.linalg.qr(rng.standard_normal((40, 14)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((300, 14)))
+        basis = build_pod((Q1 * sigma) @ Q2.T, eps=3e-7)
+        assert basis.rank == 14
+        assert basis.N == select_dim(sigma, 3e-7) == 7
+        assert np.abs(basis.singular_values - sigma).max() <= 1e-12 * sigma[0]
+        assert np.abs(basis.V.T @ basis.V - np.eye(7)).max() <= 1e-12
+
+    @given(st.integers(2, 30), st.integers(1, 60), st.integers(1, 30),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_low_rank_matrices(self, n, k, r, seed):
+        # k is drawn on both sides of n: tall and wide snapshot matrices
+        rng = np.random.default_rng(seed)
+        r = min(r, n, k)
+        S = rng.standard_normal((n, r)) @ rng.standard_normal((r, k))
+        sv = singular_values(S)
+        assert len(sv) <= min(n, k)
+        n_keep = int(rng.integers(1, len(sv) + 1))
+        basis = build_pod(S, n_keep)
+        assert basis.rank == len(sv)
+        assert np.abs(basis.V.T @ basis.V - np.eye(n_keep)).max() <= 1e-12
+        tail = float(np.sum(sv[n_keep:] ** 2))
+        assert projection_error_sq(S, basis.V) == pytest.approx(
+            tail, rel=1e-9, abs=1e-12 * float(np.sum(sv ** 2)))
 
     def test_singular_values_descending_positive(self, rng):
         sv = singular_values(rng.standard_normal((25, 9)))

@@ -8,7 +8,9 @@ equation with the normal-derivative jumps across interior edges:
 
 Boundary edges carry no jump (homogeneous Dirichlet data).  The field is
 normalized to unit M-norm before estimation so that totals are comparable
-across refinement levels.
+across refinement levels.  Areas, element sizes, barycentric gradients and
+their Gram matrices come from the mesh's cached geometry, and the edge Gauss
+points are given by their barycentric coordinates on each side.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import ContinuationConfig
-from .fem import (DiscreteField, DofMap, QUAD_POINTS, QUAD_WEIGHTS,
-                  _barycentric_gradients, assemble, build_dofmap, p2_dlambda,
-                  p2_values)
+from .fem import (DiscreteField, DofMap, QUAD_POINTS, QUAD_WEIGHTS, assemble,
+                  build_dofmap, p2_dlambda, p2_values)
 from .linalg import NonconvergenceError, NotSpdError
-from .mesh import Mesh, bisect_refine, edge_lengths, edge_table
+from .mesh import (Mesh, barycentric_gradients, bisect_refine, edge_lengths,
+                   edge_table, triangle_areas)
 from .rom import solve_level
 
 log = logging.getLogger(__name__)
@@ -49,20 +51,6 @@ class AdaptiveRecord:
     n_pod: int
     fom_time: float
     rom_time: float
-
-
-def _barycentric_at(mesh: Mesh, tris, points):
-    """Barycentric coordinates of physical ``points`` (m, 2) inside the
-    triangles ``tris`` (m,), returned with shape (m, 3)."""
-    p = mesh.nodes[mesh.triangles[tris]]        # (m, 3, 2)
-    v0 = p[:, 0]
-    e1 = p[:, 1] - v0
-    e2 = p[:, 2] - v0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    d = points - v0
-    l1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
-    l2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
-    return np.column_stack([1.0 - l1 - l2, l1, l2])
 
 
 def _gradients_at(u_loc, grads, lam_pts, degree):
@@ -92,7 +80,8 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h: DiscreteField, lambda_h: float
 
 
 def _estimate_full(mesh: Mesh, dofmap: DofMap, u_full, lambda_h: float) -> EtaField:
-    grads, area = _barycentric_gradients(mesh)
+    area = triangle_areas(mesh)
+    grads, gram = barycentric_gradients(mesh)
     h_k = edge_lengths(mesh).max(axis=1)
     u_loc = np.asarray(u_full)[dofmap.cell_dofs]          # (T, n_loc)
 
@@ -102,7 +91,6 @@ def _estimate_full(mesh: Mesh, dofmap: DofMap, u_full, lambda_h: float) -> EtaFi
     else:
         # laplacians of the P2 basis are constant per element:
         # vertex i: 4 |g_i|^2, edge opposite i: 8 g_{i+1}.g_{i+2}
-        gram = np.einsum("tid,tjd->tij", grads, grads)
         lap_basis = np.empty((mesh.n_triangles, 6))
         for i in range(3):
             lap_basis[:, i] = 4.0 * gram[:, i, i]
@@ -113,30 +101,36 @@ def _estimate_full(mesh: Mesh, dofmap: DofMap, u_full, lambda_h: float) -> EtaFi
     rq = lap[:, None] + lambda_h * uq
     eta_sq = h_k ** 2 * area * (rq ** 2 @ QUAD_WEIGHTS)
 
-    edges, tri_edges, edge_tris = edge_table(mesh)
+    edges, _, edge_tris = edge_table(mesh)
     interior = np.flatnonzero(edge_tris[:, 1] >= 0)
     if interior.size:
         e_nodes = edges[interior]
-        pa = mesh.nodes[e_nodes[:, 0]]
-        pb = mesh.nodes[e_nodes[:, 1]]
-        tangent = pb - pa
+        sides = edge_tris[interior]                       # (m, 2)
+        tangent = mesh.nodes[e_nodes[:, 1]] - mesh.nodes[e_nodes[:, 0]]
         h_e = np.hypot(tangent[:, 0], tangent[:, 1])
         normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / h_e[:, None]
 
-        jump_sq = np.zeros(interior.size)
-        for t_gauss in _EDGE_T:
-            pts = pa + 0.5 * (t_gauss + 1.0) * tangent
-            flux = []
-            for side in range(2):
-                tris = edge_tris[interior, side]
-                lam_pts = _barycentric_at(mesh, tris, pts)
-                g = _gradients_at(u_loc[tris], grads[tris], lam_pts, dofmap.degree)
-                flux.append(np.einsum("md,md->m", g, normal))
-            jump_sq += (flux[0] - flux[1]) ** 2
+        # the Gauss point at s in [0, 1] along the edge has barycentric
+        # coordinates 1 - s at the edge's first node, s at its second, and
+        # 0 at the vertex opposite the edge, on either side
+        flux = np.empty((2, len(_EDGE_T), interior.size))
+        for side, tris in enumerate(sides.T):
+            tri_nodes = mesh.triangles[tris]
+            first = tri_nodes == e_nodes[:, :1]
+            second = tri_nodes == e_nodes[:, 1:]
+            u_side, g_side = u_loc[tris], grads[tris]
+            for q, t_gauss in enumerate(_EDGE_T):
+                s = 0.5 * (t_gauss + 1.0)
+                lam_pts = np.zeros(tri_nodes.shape)
+                lam_pts[first] = 1.0 - s
+                lam_pts[second] = s
+                g = _gradients_at(u_side, g_side, lam_pts, dofmap.degree)
+                flux[side, q] = np.einsum("md,md->m", g, normal)
+        jump_sq = ((flux[0] - flux[1]) ** 2).sum(axis=0)
         edge_norm_sq = 0.5 * h_e * jump_sq                # (h_e/2) sum w_q J_q^2
         contrib = 0.5 * h_e * edge_norm_sq
-        np.add.at(eta_sq, edge_tris[interior, 0], contrib)
-        np.add.at(eta_sq, edge_tris[interior, 1], contrib)
+        eta_sq += np.bincount(sides.reshape(-1), np.repeat(contrib, 2),
+                              minlength=mesh.n_triangles)
 
     eta_sq = np.maximum(eta_sq, 0.0)
     return EtaField(np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum())))

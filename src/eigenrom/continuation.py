@@ -17,14 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import rayleigh_from_products
-from .linalg import NonconvergenceError
+from .fem import rayleigh_from_products, residual_from_products
+from .linalg import NonconvergenceError, norm2
 
 # renormalize only if the iterate norm leaves this range (overflow guard)
 _NORM_FLOOR = 1e-150
 _NORM_CEIL = 1e150
 # accuracy contract of every step solve: ||K x - b|| <= _SOLVE_RTOL ||b||
 _SOLVE_RTOL = 1e-12
+# a run that stops must leave an approximate eigenpair: ||A U - lam M U|| <=
+# EIGEN_RTOL lam ||M U||.  At the default dt the acceptance runs stay below
+# 3e-7, a reduced run on a three-vector basis at 1.3e-3 and a one-vector
+# basis at 0.08; dt = 1e-4 gives 4e-5.  A step too short to move the state
+# (dt = 1e-12) stops at 0.8-5.
+EIGEN_RTOL = 0.1
 
 
 @dataclass
@@ -113,25 +119,37 @@ def step_solver(A, M, dt: float):
     lu = splu((A + (1.0 / dt) * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
               diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     AM = sp.vstack([A, M], format="csr")
+    n = A.shape[0]
 
     def solve(b):
         b = np.asarray(b, dtype=np.float64)
-        target = _SOLVE_RTOL * np.linalg.norm(b)
+        norm_b = norm2(b)
         x = lu.solve(b)
-        ax, mx = (AM @ x).reshape(2, -1)
+        amx = AM @ x
+        ax, mx = amx[:n], amx[n:]
         r = b - (ax + mx / dt)
-        if not np.linalg.norm(r) <= target:
+        if not norm2(r) <= _SOLVE_RTOL * norm_b:
             x += lu.solve(r)
-            ax, mx = (AM @ x).reshape(2, -1)
-            res = np.linalg.norm(b - (ax + mx / dt))
-            if not res <= target:
+            amx = AM @ x
+            ax, mx = amx[:n], amx[n:]
+            res = norm2(b - (ax + mx / dt))
+            if not res <= _SOLVE_RTOL * norm_b:
                 raise NonconvergenceError(
                     f"factored step solve missed rel_tol={_SOLVE_RTOL:g} "
-                    "after one refinement step",
-                    residual=res / np.linalg.norm(b))
+                    "after one refinement step", residual=res / norm_b)
         return x, ax, mx
 
     return solve
+
+
+def check_eigen_residual(residual: float, lam: float, what: str) -> None:
+    """Raise NonconvergenceError unless the eigen-residual ||A U - lam M U||
+    / ||M U|| of a stopped run is at most EIGEN_RTOL * lam."""
+    if not residual <= EIGEN_RTOL * lam:
+        raise NonconvergenceError(
+            f"{what} stopped with eigen-residual ||AU - lam MU|| / ||MU|| = "
+            f"{residual:.3g} > {EIGEN_RTOL:g} lam (lam = {lam:.6g}); dt may "
+            "be too small for stop_tol", residual=residual)
 
 
 def fom_step(A, M, U, lam: float, dt: float, solve=None) -> np.ndarray:
@@ -152,7 +170,10 @@ def run_fom(A, M, config: ContinuationConfig, u0=None
     Stops when ||U_new - U|| / ||U_new|| <= stop_tol (Euclidean coefficient
     norm).  ``u0`` overrides the configured initial guess.  Raises no error
     on hitting max_steps; the returned trace has ``converged=False``.  A step
-    solve that misses its residual check raises NonconvergenceError.
+    solve that misses its residual check raises NonconvergenceError, and so
+    does a run that stops away from an eigenpair (``check_eigen_residual``:
+    with a tiny dt a step barely moves the state, so the stopping rule can
+    fire far from the eigenpair).
     """
     n = A.shape[0]
     if n < 1:
@@ -179,9 +200,9 @@ def run_fom(A, M, config: ContinuationConfig, u0=None
         steps = k + 1
         if steps % config.snapshot_stride == 0:
             snapshots.append(U_new)
-        rel_change = np.linalg.norm(U_new - U) / np.linalg.norm(U_new)
+        norm = norm2(U_new)
+        rel_change = norm2(U_new - U) / norm
         U = U_new
-        norm = np.linalg.norm(U)
         if not _NORM_FLOOR < norm < _NORM_CEIL:
             U = U / norm
             AU, MU = A @ U, M @ U
@@ -189,6 +210,9 @@ def run_fom(A, M, config: ContinuationConfig, u0=None
             converged = True
             break
     lam_history.append(rayleigh_from_products(U, AU, MU))
+    if converged:
+        check_eigen_residual(residual_from_products(AU, MU, lam_history[-1]),
+                             lam_history[-1], f"full-order run on {n} dofs")
 
     warnings = []
     overlap = abs(U0 @ MU)

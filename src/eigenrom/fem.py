@@ -2,7 +2,11 @@
 
 Dirichlet conditions on the whole boundary are imposed by elimination: the
 assembled operators act on the free (non-Dirichlet) degrees of freedom only,
-which keeps both matrices symmetric positive definite.
+which keeps both matrices symmetric positive definite.  ``assemble`` drops
+the Dirichlet rows and columns from the element triplets before the one
+sparse conversion per matrix; ``assemble_full`` keeps every dof.  The
+triangle areas and barycentric gradients come from the mesh's cached
+geometry (``mesh.barycentric_gradients``), shared with the error estimator.
 
 Element integrals: P1 uses the exact closed-form triangle formulas; P2 uses
 a six-point symmetric quadrature rule that is exact for quartics, so both
@@ -17,7 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mesh import Mesh, edge_table, triangle_areas
+from .linalg import norm2
+from .mesh import Mesh, barycentric_gradients, edge_table, triangle_areas
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -103,22 +108,6 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
                   cell_dofs, coords, mesh)
 
 
-def _barycentric_gradients(mesh: Mesh):
-    """Per-triangle gradients of the barycentric coordinates, shape (T, 3, 2),
-    together with the (positive) triangle areas."""
-    p = mesh.nodes[mesh.triangles]
-    area = triangle_areas(mesh)
-    grads = np.empty((mesh.n_triangles, 3, 2))
-    for i in range(3):
-        a, b = (i + 1) % 3, (i + 2) % 3
-        # grad lambda_i = rot90(p_b - p_a) / (2 area)
-        d = p[:, b] - p[:, a]
-        grads[:, i, 0] = -d[:, 1]
-        grads[:, i, 1] = d[:, 0]
-    grads /= (2.0 * area)[:, None, None]
-    return grads, area
-
-
 def p2_values(lam: np.ndarray) -> np.ndarray:
     """P2 basis values at barycentric points; shape (..., 6) for input (..., 3)."""
     lam = np.asarray(lam, dtype=np.float64)
@@ -140,9 +129,40 @@ def p2_dlambda(lam: np.ndarray) -> np.ndarray:
     return out
 
 
+# element matrices per unit area, independent of the triangle:
+# P1 mass area/12 (1 + I); P2 mass sum_q w_q phi_i phi_j; P2 stiffness
+# sum_kl W[i,j,k,l] grad lam_k . grad lam_l with
+# W[i,j,k,l] = sum_q w_q dphi_i/dlam_k dphi_j/dlam_l
+_P1_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
+_P2_MASS = np.einsum("q,qi,qj->ij", QUAD_WEIGHTS, p2_values(QUAD_POINTS),
+                     p2_values(QUAD_POINTS))
+_P2_STIFFNESS = np.einsum("q,qik,qjl->ijkl", QUAD_WEIGHTS,
+                          p2_dlambda(QUAD_POINTS), p2_dlambda(QUAD_POINTS))
+
+
 def assemble_full(mesh: Mesh, dofmap: DofMap
                   ) -> tuple[sp.csr_array, sp.csr_array]:
     """Stiffness and mass matrices over all dofs (no Dirichlet elimination)."""
+    return _assemble(mesh, dofmap.degree, dofmap.cell_dofs, dofmap.n_dof_total)
+
+
+def assemble(mesh: Mesh, dofmap: DofMap
+             ) -> tuple[sp.csr_array, sp.csr_array]:
+    """Stiffness and mass matrices restricted to the free dofs.
+
+    The restriction of ``assemble_full`` to the free rows and columns,
+    built without assembling the Dirichlet rows and columns.
+    """
+    free_index = np.full(dofmap.n_dof_total, -1, dtype=np.int64)
+    free_index[dofmap.free_dofs] = np.arange(dofmap.n_free)
+    return _assemble(mesh, dofmap.degree, free_index[dofmap.cell_dofs],
+                     dofmap.n_free)
+
+
+def _assemble(mesh: Mesh, degree: int, cell_index, n: int):
+    """The n x n stiffness and mass matrices from the element matrices, with
+    local dof k of triangle t at row/column ``cell_index[t, k]``; entries
+    with a negative index are dropped."""
     # imported here, like splu in continuation.step_solver: scipy.sparse is
     # slow to import, and `import eigenrom.cli` should not pay for it
     import scipy.sparse as sp
@@ -150,41 +170,25 @@ def assemble_full(mesh: Mesh, dofmap: DofMap
     area = triangle_areas(mesh)
     if np.any(area <= 0):
         raise ValueError("degenerate triangle encountered during assembly")
-    grads, _ = _barycentric_gradients(mesh)
-    n_loc = 3 if dofmap.degree == 1 else 6
-
-    if dofmap.degree == 1:
-        # exact closed forms: K_ij = area * grad_i . grad_j, M = area/12 (1 + I)
-        ke = np.einsum("tid,tjd->tij", grads, grads) * area[:, None, None]
-        m_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        me = area[:, None, None] * m_ref
+    _, gram = barycentric_gradients(mesh)
+    if degree == 1:
+        # exact closed form: K_ij = area * grad_i . grad_j
+        ke = gram * area[:, None, None]
+        me = area[:, None, None] * _P1_MASS
     else:
-        dl = p2_dlambda(QUAD_POINTS)                       # (Q, 6, 3)
-        # W[i,j,k,l] = sum_q w_q dphi_i/dlam_k dphi_j/dlam_l
-        w4 = np.einsum("q,qik,qjl->ijkl", QUAD_WEIGHTS, dl, dl)
-        gram = np.einsum("tkd,tld->tkl", grads, grads)     # (T, 3, 3)
-        ke = np.einsum("ijkl,tkl->tij", w4, gram) * area[:, None, None]
-        phi = p2_values(QUAD_POINTS)                       # (Q, 6)
-        m_ref = np.einsum("q,qi,qj->ij", QUAD_WEIGHTS, phi, phi)
-        me = area[:, None, None] * m_ref
+        ke = np.einsum("ijkl,tkl->tij", _P2_STIFFNESS, gram) * area[:, None, None]
+        me = area[:, None, None] * _P2_MASS
+    n_loc = ke.shape[1]
 
     # int32 indices where they fit, as scipy's sparse matrices choose them:
     # half the index memory, and SuperLU takes them without a copy
-    idx = dofmap.cell_dofs.astype(sp.get_index_dtype(maxval=dofmap.n_dof_total))
-    rows = np.repeat(idx, n_loc, axis=1).reshape(-1)
-    cols = np.tile(idx, (1, n_loc)).reshape(-1)
-    shape = (dofmap.n_dof_total, dofmap.n_dof_total)
-    A = sp.coo_array((ke.reshape(-1), (rows, cols)), shape=shape).tocsr()
-    M = sp.coo_array((me.reshape(-1), (rows, cols)), shape=shape).tocsr()
-    return A, M
-
-
-def assemble(mesh: Mesh, dofmap: DofMap
-             ) -> tuple[sp.csr_array, sp.csr_array]:
-    """Stiffness and mass matrices restricted to the free dofs."""
-    A, M = assemble_full(mesh, dofmap)
-    free = dofmap.free_dofs
-    return A[free][:, free], M[free][:, free]
+    idx = cell_index.astype(sp.get_index_dtype(maxval=n))
+    valid = idx >= 0
+    keep = (valid[:, :, None] & valid[:, None, :]).reshape(-1)
+    rows = np.repeat(idx, n_loc, axis=1).reshape(-1)[keep]
+    cols = np.tile(idx, (1, n_loc)).reshape(-1)[keep]
+    return tuple(sp.coo_array((e.reshape(-1)[keep], (rows, cols)),
+                              shape=(n, n)).tocsr() for e in (ke, me))
 
 
 def rayleigh_quotient(A, M, U) -> float:
@@ -205,8 +209,12 @@ def eigen_residual(A, M, U, lam: float) -> float:
     U = np.asarray(U, dtype=np.float64)
     if not np.any(U):
         raise ValueError("residual of the zero vector is undefined")
-    mu = M @ U
-    return float(np.linalg.norm(A @ U - lam * mu) / np.linalg.norm(mu))
+    return residual_from_products(A @ U, M @ U, lam)
+
+
+def residual_from_products(AU, MU, lam: float) -> float:
+    """||A U - lam M U|| / ||M U|| from the products A U and M U."""
+    return norm2(AU - lam * MU) / norm2(MU)
 
 
 def interpolate(dofmap: DofMap, f) -> np.ndarray:

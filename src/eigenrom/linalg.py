@@ -1,6 +1,7 @@
-"""What the package needs beyond scipy's sparse arrays: the error types, a
-Jacobi-preconditioned conjugate-gradient solver, and the descending-order
-eigendecomposition of small dense symmetric matrices.
+"""What the package needs beyond scipy's sparse arrays: the error types, the
+vector norm of the step loops, a Jacobi-preconditioned conjugate-gradient
+solver, and the descending-order eigendecomposition of small dense symmetric
+matrices.
 
 Operators are ``scipy.sparse.csr_array`` throughout the package.  The
 full-order step operator A + M/dt is not solved here: the continuation
@@ -10,6 +11,8 @@ tests check that factorization against.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,6 +31,16 @@ class NonconvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.records = list(records)
+
+
+def norm2(v) -> float:
+    """Euclidean norm of a 1-D float64 array.
+
+    The arithmetic of ``numpy.linalg.norm`` for such arrays (one dot product
+    and a square root), so the result is the same bit for bit, without its
+    argument handling, which the step loops would pay on every step.
+    """
+    return math.sqrt(v @ v)
 
 
 def spd_solve(K, b, rel_tol: float = 1e-12, x0=None) -> np.ndarray:

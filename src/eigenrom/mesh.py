@@ -13,9 +13,12 @@ Conventions
   lowest local index).
 * Nodes of generated meshes are ordered lexicographically by ``(y, x)``.
 * A ``Mesh`` stores only ``nodes``, ``triangles`` and ``refinement_edge``,
-  all read-only.  The edge table and the boundary flags are derived from
-  them once per mesh, on first use: a boundary edge belongs to exactly one
-  triangle, and a boundary node lies on a boundary edge.
+  all read-only.  Everything derived from them is built once per mesh, on
+  first use, and cached read-only: the edge table, the boundary flags (a
+  boundary edge belongs to exactly one triangle, and a boundary node lies on
+  a boundary edge), and the triangle geometry that validation, assembly and
+  error estimation share (signed areas, local edge lengths, barycentric
+  gradients and their Gram matrices).
 """
 
 from __future__ import annotations
@@ -41,18 +44,21 @@ class Mesh:
     triangles : ndarray, shape (n_triangles, 3)
         Vertex indices, counterclockwise.
     refinement_edge : ndarray, shape (n_triangles,)
-        Local edge index (0-2) used by newest-vertex bisection.
+        Local edge index (0-2) used by newest-vertex bisection; None marks
+        the longest edge of every triangle (ties to the lowest local index).
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    refinement_edge: np.ndarray
+    refinement_edge: np.ndarray | None = None
 
     def __post_init__(self):
-        # own read-only copies: the cached edge table relies on the arrays
-        # staying fixed, and the caller's arrays stay writable
+        # own read-only copies: the cached tables and geometry rely on the
+        # arrays staying fixed, and the caller's arrays stay writable
         self.nodes = np.array(self.nodes, dtype=np.float64, order="C")
         self.triangles = np.array(self.triangles, dtype=np.int64, order="C")
+        if self.refinement_edge is None:
+            self.refinement_edge = np.argmax(edge_lengths(self), axis=1)
         self.refinement_edge = np.array(self.refinement_edge, dtype=np.int64, order="C")
         for arr in (self.nodes, self.triangles, self.refinement_edge):
             arr.setflags(write=False)
@@ -68,6 +74,19 @@ class Mesh:
     @cached_property
     def _edge_table(self):
         return _build_edge_table(self)
+
+    @cached_property
+    def _areas(self):
+        return _read_only(_signed_areas(self.nodes, self.triangles))
+
+    @cached_property
+    def _edge_lengths(self):
+        return _read_only(_local_edge_lengths(self.nodes, self.triangles))
+
+    @cached_property
+    def _gradients(self):
+        grads, gram = _barycentric_gradients(self.nodes, self.triangles, self._areas)
+        return _read_only(grads), _read_only(gram)
 
     @cached_property
     def boundary_node(self) -> np.ndarray:
@@ -90,22 +109,65 @@ class MeshStats:
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed areas of all triangles (positive for counterclockwise)."""
-    p = mesh.nodes[mesh.triangles]
+    """Signed areas of all triangles (positive for counterclockwise),
+    built once per mesh (read-only)."""
+    return mesh._areas
+
+
+def edge_lengths(mesh: Mesh) -> np.ndarray:
+    """Lengths of the three local edges of every triangle, shape (T, 3),
+    built once per mesh (read-only)."""
+    return mesh._edge_lengths
+
+
+def barycentric_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the barycentric coordinates and their Gram matrices,
+    built once per mesh (read-only).
+
+    Returns
+    -------
+    grads : ndarray, shape (T, 3, 2)
+        ``grads[t, i]`` is the gradient of lambda_i on triangle ``t``.
+    gram : ndarray, shape (T, 3, 3)
+        ``gram[t, i, j] = grads[t, i] . grads[t, j]``.
+    """
+    return mesh._gradients
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _signed_areas(nodes, triangles):
+    p = nodes[triangles]
     u = p[:, 1] - p[:, 0]
     v = p[:, 2] - p[:, 0]
     return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
 
-def edge_lengths(mesh: Mesh) -> np.ndarray:
-    """Lengths of the three local edges of every triangle, shape (T, 3)."""
-    return _edge_lengths(mesh.nodes, mesh.triangles)
-
-
-def _edge_lengths(nodes, triangles):
+def _local_edge_lengths(nodes, triangles):
     p = nodes[triangles]
     d = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]        # local edge i opposite vertex i
     return np.hypot(d[..., 0], d[..., 1])
+
+
+def _barycentric_gradients(nodes, triangles, area):
+    p = nodes[triangles]
+    grads = np.empty((len(triangles), 3, 2))
+    for i in range(3):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        # grad lambda_i = rot90(p_b - p_a) / (2 area)
+        d = p[:, b] - p[:, a]
+        grads[:, i, 0] = -d[:, 1]
+        grads[:, i, 1] = d[:, 0]
+    grads /= (2.0 * area)[:, None, None]
+    gx, gy = grads[..., 0], grads[..., 1]
+    gram = np.empty((len(triangles), 3, 3))
+    for i in range(3):
+        for j in range(3):
+            gram[:, i, j] = gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]
+    return grads, gram
 
 
 def edge_table(mesh: Mesh):
@@ -150,10 +212,7 @@ def _build_edge_table(mesh: Mesh):
 
 def _from_arrays(nodes, triangles) -> Mesh:
     """A validated Mesh with longest-edge refinement markers."""
-    nodes = np.asarray(nodes, dtype=np.float64)
-    triangles = np.asarray(triangles, dtype=np.int64)
-    ref = np.argmax(_edge_lengths(nodes, triangles), axis=1)
-    mesh = Mesh(nodes, triangles, ref)
+    mesh = Mesh(nodes, triangles)
     validate_mesh(mesh)
     return mesh
 

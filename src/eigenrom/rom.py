@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuation import ContinuationConfig, SolveTrace, run_fom
+from .continuation import (ContinuationConfig, SolveTrace, check_eigen_residual,
+                           run_fom)
 from .fem import eigen_residual, rayleigh_from_products
-from .linalg import NonconvergenceError, NotSpdError
+from .linalg import NonconvergenceError, NotSpdError, norm2
 from .pod import build_pod
 
 log = logging.getLogger(__name__)
@@ -92,7 +93,7 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
         if info != 0:
             raise ValueError(f"reduced step solve failed: dpotrs info={info}")
         steps = k + 1
-        rel_change = np.linalg.norm(y_new - y) / np.linalg.norm(y_new)
+        rel_change = norm2(y_new - y) / norm2(y_new)
         y = y_new
         if rel_change <= config.stop_tol:
             converged = True
@@ -117,7 +118,9 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
     Returns the full-order trace and one ``(stride, basis, rom_trace,
     rom_time)`` per stride, where ``rom_time`` covers projection plus reduced
     iteration.  Raises NonconvergenceError if the full-order run or a reduced
-    run stops at its step cap.
+    run stops at its step cap, or stops away from an eigenpair (the lifted
+    reduced vector is checked by ``check_eigen_residual``, outside
+    ``rom_time``).
     """
     n = A.shape[0]
     trace, snaps = run_fom(A, M, replace(cont, snapshot_stride=min(strides)))
@@ -148,6 +151,10 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
                 f"reduced run (stride {stride}, N={basis.N}) did not converge "
                 f"on {n} dofs",
                 residual=eigen_residual(A, M, lifted, rom_trace.eigenvalue))
+        check_eigen_residual(
+            eigen_residual(A, M, lifted, rom_trace.eigenvalue),
+            rom_trace.eigenvalue, f"reduced run (stride {stride}, N={basis.N}) "
+                                  f"on {n} dofs")
         log.debug("%d dofs, stride %d: eps=%.3e N=%d offline=%.3fs online=%.3fs",
                   n, stride, eps, basis.N, t_offline, rom_time)
         per_stride.append((stride, basis, rom_trace, rom_time))

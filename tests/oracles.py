@@ -5,7 +5,9 @@ oracle runs power iteration with deflation on the Gram matrix, eigenvalue
 references come from scipy's shift-invert Lanczos, newest-vertex bisection
 is replayed one triangle at a time on vertex-pair edges, the reduced loop
 runs on scipy's checked Cholesky wrappers, and the POD projection error is
-the residual of an explicit projection.
+the residual of an explicit projection.  The error indicators are
+recomputed one triangle and one edge at a time, locating each edge quadrature
+point in its triangles by solving for its barycentric coordinates.
 """
 
 import math
@@ -147,3 +149,70 @@ def projection_error_sq(S, V):
         return float(np.linalg.norm(X) ** 2)
     R = X - V @ (V.T @ X)
     return float(np.linalg.norm(R) ** 2)
+
+
+def estimate_by_point_location(mesh, dofmap, u_full, lam):
+    """Per-triangle residual indicators, one triangle and one edge at a time.
+
+    The reference for ``adapt.estimate``: barycentric gradients come from
+    the inverse of each triangle's [x; y; 1] vertex matrix, edges are vertex
+    pairs found by a dictionary, and each edge Gauss point is located in its
+    two triangles by solving for its barycentric coordinates.
+    """
+    from eigenrom.fem import QUAD_POINTS, QUAD_WEIGHTS, p2_dlambda, p2_values
+
+    u_full = np.asarray(u_full, dtype=np.float64)
+    n_tri = mesh.n_triangles
+    inv = np.empty((n_tri, 3, 3))
+    area = np.empty(n_tri)
+    for t, tri in enumerate(mesh.triangles):
+        B = np.vstack([mesh.nodes[tri].T, np.ones(3)])
+        inv[t] = np.linalg.inv(B)
+        area[t] = 0.5 * np.linalg.det(B)
+
+    def gradient(t, lam_pt):
+        grads = inv[t][:, :2]                            # grad lambda_k
+        u_loc = u_full[dofmap.cell_dofs[t]]
+        if dofmap.degree == 1:
+            return u_loc @ grads
+        return (u_loc @ p2_dlambda(lam_pt)) @ grads
+
+    eta_sq = np.zeros(n_tri)
+    for t, tri in enumerate(mesh.triangles):
+        p = mesh.nodes[tri]
+        h_k = max(math.dist(p[i], p[j]) for i, j in ((0, 1), (1, 2), (2, 0)))
+        u_loc = u_full[dofmap.cell_dofs[t]]
+        if dofmap.degree == 1:
+            lap, uq = 0.0, QUAD_POINTS @ u_loc
+        else:
+            # second derivatives of the P2 basis in lambda: vertex i has
+            # 4 at (i, i); the edge opposite i has 4 at (i+1, i+2), (i+2, i+1)
+            gram = inv[t][:, :2] @ inv[t][:, :2].T
+            lap = 0.0
+            for i in range(3):
+                j, k = (i + 1) % 3, (i + 2) % 3
+                lap += u_loc[i] * 4.0 * gram[i, i]
+                lap += u_loc[3 + i] * 8.0 * gram[j, k]
+            uq = p2_values(QUAD_POINTS) @ u_loc
+        eta_sq[t] = h_k ** 2 * area[t] * (QUAD_WEIGHTS @ (lap + lam * uq) ** 2)
+
+    sides = {}
+    for t, tri in enumerate(mesh.triangles):
+        for i in range(3):
+            a, b = sorted((int(tri[(i + 1) % 3]), int(tri[(i + 2) % 3])))
+            sides.setdefault((a, b), []).append(t)
+    for (a, b), tris in sides.items():
+        if len(tris) < 2:
+            continue
+        pa, pb = mesh.nodes[a], mesh.nodes[b]
+        h_e = math.dist(pa, pb)
+        normal = np.array([pb[1] - pa[1], pa[0] - pb[0]]) / h_e
+        jump_sq = 0.0
+        for s in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
+            x = pa + s * (pb - pa)
+            flux = [gradient(t, inv[t] @ np.array([x[0], x[1], 1.0])) @ normal
+                    for t in tris]
+            jump_sq += (flux[0] - flux[1]) ** 2
+        for t in tris:
+            eta_sq[t] += 0.5 * h_e * (0.5 * h_e * jump_sq)
+    return np.sqrt(eta_sq)

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eigenrom.mesh as mesh_mod
 from eigenrom.adapt import (EtaField, adaptive_solve, estimate, mark,
                             _estimate_full)
 from eigenrom.continuation import ContinuationConfig
 from eigenrom.fem import DiscreteField, build_dofmap, interpolate
 from eigenrom.linalg import NonconvergenceError
-from eigenrom.mesh import (edge_lengths, generate_lshape, generate_square,
-                           triangle_areas, validate_mesh)
+from eigenrom.mesh import (bisect_refine, edge_lengths, generate_lshape,
+                           generate_square, mesh_stats, triangle_areas,
+                           validate_mesh)
+from oracles import estimate_by_point_location
 
 PI = math.pi
 LSHAPE_REF = 9.6397238440219
@@ -75,6 +78,27 @@ class TestEstimate:
         res = oracle_element_integral(mesh,
                                       lambda x, y: (2.0 + lam * x ** 2) ** 2)
         assert np.allclose(eta.per_triangle ** 2, h_k ** 2 * res, rtol=1e-12)
+
+    @pytest.mark.parametrize("domain,pattern", [
+        ("square", "crisscross"), ("square", "right"),
+        ("lshape", "crisscross"), ("lshape", "mixed")])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_matches_point_location_oracle(self, domain, pattern, degree):
+        # three bisection levels per mesh; the field has no symmetry, so the
+        # indicators do not tie and the marked sets must agree exactly
+        mesh = (generate_square(pattern, 3, PI) if domain == "square"
+                else generate_lshape(pattern, 2))
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            dm = build_dofmap(mesh, degree)
+            u_full = interpolate(dm, lambda x, y: np.sin(x + 0.3) * np.cos(0.7 * y)
+                                 + 0.1 * x * y)
+            got = _estimate_full(mesh, dm, u_full, 3.0)
+            want = estimate_by_point_location(mesh, dm, u_full, 3.0)
+            assert np.allclose(got.per_triangle, want, rtol=1e-12, atol=0)
+            assert mark(got, 0.5) == mark(EtaField(want, 0.0), 0.5)
+            mesh = bisect_refine(mesh, rng.choice(
+                mesh.n_triangles, mesh.n_triangles // 4, replace=False))
 
     def test_total_consistent_with_components(self, runs):
         mesh, dm, A, M, _, trace, _ = runs.fom("lshape", "crisscross", 8, 1)
@@ -168,6 +192,27 @@ class TestAdaptiveSolve:
         assert all(r.lambda_fom >= LSHAPE_REF - 1e-12 for r in records)
         assert all(abs(r.lambda_rom - r.lambda_fom) <= 1e-8 for r in records)
         assert all(r.eta_total > 0 for r in records)
+
+    def test_geometry_built_once_per_mesh(self, monkeypatch):
+        # validation, assembly, estimation and the stats all read one cache
+        built = {name: [] for name in ("_signed_areas", "_local_edge_lengths",
+                                       "_barycentric_gradients")}
+        for name, calls in built.items():
+            def counted(nodes, triangles, *rest, _fn=getattr(mesh_mod, name),
+                        _calls=calls):
+                _calls.append(triangles)
+                return _fn(nodes, triangles, *rest)
+            monkeypatch.setattr(mesh_mod, name, counted)
+        cfg = ContinuationConfig(initial_guess="random", snapshot_stride=4)
+        records, final_mesh = adaptive_solve(generate_lshape("crisscross", 2),
+                                             2, 0.5, 3, cfg)
+        mesh_stats(final_mesh)
+        assert len(records) == 3
+        for calls in built.values():
+            # one call per mesh: the triangle arrays are all distinct objects
+            assert len(calls) == 3
+            assert len({id(t) for t in calls}) == 3
+        assert built["_signed_areas"][-1] is final_mesh.triangles
 
     def test_unconverged_fom_raises(self):
         cfg = ContinuationConfig(max_steps=3)

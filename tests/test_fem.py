@@ -8,7 +8,7 @@ from eigenrom.fem import (DiscreteField, assemble, assemble_full,
                           build_dofmap, eigen_residual, interpolate,
                           interpolate_free, rayleigh_quotient)
 from eigenrom.linalg import SYMMETRY_RTOL
-from eigenrom.mesh import generate_lshape, generate_square
+from eigenrom.mesh import bisect_refine, generate_lshape, generate_square
 from oracles import smallest_pencil_eigenpair
 
 PI = math.pi
@@ -81,6 +81,25 @@ class TestAssembly:
         A, M = assemble(mesh, dm)
         for X in (A, M):
             assert abs(X - X.T).max() <= SYMMETRY_RTOL * abs(X).max()
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("mesh", [
+        generate_square("crisscross", 3, PI), generate_square("right", 4, PI),
+        generate_lshape("mixed", 2),
+        bisect_refine(generate_lshape("crisscross", 2), range(0, 48, 5))],
+        ids=["square-crisscross", "square-right", "lshape-mixed", "bisected"])
+    def test_free_dof_operators_match_restricted_full_operators(self, mesh,
+                                                                degree):
+        # the same entries summed in another order: scipy sums duplicates
+        # in the order its row sort leaves them, which depends on the
+        # Dirichlet entries dropped from the row
+        dm = build_dofmap(mesh, degree)
+        free = dm.free_dofs
+        for X, full in zip(assemble(mesh, dm), assemble_full(mesh, dm)):
+            Y = full[free][:, free]
+            assert np.array_equal(X.indptr, Y.indptr)
+            assert np.array_equal(X.indices, Y.indices)
+            assert np.abs(X.data - Y.data).max() <= 1e-15 * np.abs(Y.data).max()
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_assemble_returns_canonical_csr_array(self, degree):

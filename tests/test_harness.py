@@ -377,6 +377,34 @@ class TestCli:
         assert row.n_pod <= n_svals
         assert abs(row.lambda_rom - row.lambda_fom) <= 5e-9
 
+    def test_stop_before_any_progress_is_nonconvergence(self, tmp_path, capsys):
+        # at dt=1e-12 a step barely moves the random start, so the stopping
+        # rule fires after one step; the start's Rayleigh quotient (413.29,
+        # where the eigenvalue is 2.0054) used to be written as the result
+        out = tmp_path / "t.csv"
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "16", "--dt", "1e-12", "--stride", "1",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "full-order run on 481 dofs stopped with eigen-residual" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_reduced_stop_before_any_progress_is_nonconvergence(
+            self, tmp_path, monkeypatch, capsys, adaptive):
+        def short_step_rom(ops, u0, cfg):
+            return run_rom(ops, u0, replace(cfg, dt=1e-12))
+
+        monkeypatch.setattr(rom, "run_rom", short_step_rom)
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", "--levels", "2",
+                         *(["--adaptive"] if adaptive else []),
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert re.search(r"reduced run \(stride 4, N=\d+\) on 25 dofs stopped "
+                         r"with eigen-residual", capsys.readouterr().err)
+
     def test_snapshot_free_run_names_steps_and_stride(self, tmp_path, capsys):
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
                          "--n-start", "1", "--stride", "100000",

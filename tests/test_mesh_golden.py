@@ -5,7 +5,11 @@ Each digest hashes the dtype, shape and bytes of ``nodes``, ``triangles``,
 node order (the ``(y, x)`` sort) and the triangle order, which matters
 because ``adapt.mark`` breaks ties by the lower triangle index.  The digests
 were recorded with the loop-based generators and the recursive bisection
-that the array code replaced; any change to a mesh shows here.
+that the array code replaced; any change to a mesh shows here.  The adaptive
+digest hashes the ``--dump-mesh`` file of a whole adaptive run, so a rounding
+change anywhere upstream of the marking that flips a marked triangle shows
+here too.  The cached triangle geometry of every golden mesh must equal the
+direct formulas bit for bit.
 """
 
 import hashlib
@@ -14,7 +18,9 @@ import math
 import numpy as np
 import pytest
 
-from eigenrom.mesh import (bisect_refine, generate_lshape, generate_square,
+from eigenrom.cli import main as cli_main
+from eigenrom.mesh import (barycentric_gradients, bisect_refine, edge_lengths,
+                           generate_lshape, generate_square, triangle_areas,
                            uniform_refine)
 
 FIELDS = ("nodes", "triangles", "boundary_node", "refinement_edge")
@@ -112,6 +118,12 @@ GOLDEN = {
         "664c5e21896b1f293848a7eecefd491e13cca9433d23e5c3973e42d676d8d941",
 }
 
+# the benchmark's lshape-adaptive workload at seed 0 (24 P2 levels)
+ADAPTIVE_ARGV = ("--domain", "lshape", "--mesh", "crisscross", "--fe", "2",
+                 "--n-start", "4", "--adaptive", "--theta", "0.5",
+                 "--levels", "24", "--seed", "0")
+ADAPTIVE_GOLDEN = "ca1fef9f552dd7d5052bd7a86f3aa0972e71ceab74f84ebdc42ee5582207ada4"
+
 
 def digest(mesh) -> str:
     h = hashlib.sha256()
@@ -156,3 +168,33 @@ def keys():
 @pytest.mark.parametrize("key", list(keys()))
 def test_mesh_matches_golden_digest(key):
     assert digest(build(key)) == GOLDEN[key]
+
+
+def test_adaptive_mesh_sequence_matches_golden_digest(tmp_path):
+    dump = tmp_path / "final.mesh"
+    assert cli_main(["run", *ADAPTIVE_ARGV, "--out", str(tmp_path / "t.csv"),
+                     "--dump-mesh", str(dump)]) == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == ADAPTIVE_GOLDEN
+
+
+@pytest.mark.parametrize("key", list(keys()))
+def test_cached_geometry_matches_direct_formulas(key):
+    mesh = build(key)
+    x, y = (mesh.nodes[mesh.triangles, d] for d in (0, 1))     # (T, 3) each
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+    # local edge i, opposite vertex i, runs from vertex a to vertex b
+    ends = ((1, 2), (2, 0), (0, 1))
+    lengths = np.column_stack([np.hypot(x[:, a] - x[:, b], y[:, a] - y[:, b])
+                               for a, b in ends])
+    grads = np.stack([np.column_stack([-(y[:, b] - y[:, a]), x[:, b] - x[:, a]])
+                      for a, b in ends], axis=1) / (2.0 * area)[:, None, None]
+    gram = np.einsum("tid,tjd->tij", grads, grads)
+
+    cached = (triangle_areas(mesh), edge_lengths(mesh), *barycentric_gradients(mesh))
+    for got, want in zip(cached, (area, lengths, grads, gram)):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    # built once: every call returns the same arrays
+    again = (triangle_areas(mesh), edge_lengths(mesh), *barycentric_gradients(mesh))
+    assert all(a is b for a, b in zip(cached, again))

@@ -3,8 +3,8 @@ finite elements, plus a POD reduced-order model built from time snapshots."""
 
 from .continuation import (ContinuationConfig, SnapshotMatrix, SolveTrace,
                            fom_step, run_fom, step_solver)
-from .fem import (DiscreteField, DofMap, assemble, assemble_full,
-                  build_dofmap, eigen_residual, rayleigh_quotient)
+from .fem import (DofMap, assemble, assemble_full, build_dofmap,
+                  eigen_residual, rayleigh_quotient)
 from .harness import (ExperimentConfig, ExperimentError, ResultRow,
                       compute_rate, emit_csv, run_experiment)
 from .linalg import NonconvergenceError, NotSpdError, spd_solve, sym_eig_desc
@@ -13,14 +13,14 @@ from .mesh import (Mesh, MeshError, MeshStats, bisect_refine, generate_lshape,
                    validate_mesh, write_mesh)
 from .pod import PodBasis, build_pod, select_dim, singular_values
 from .rom import ReducedOperators, reduce, run_rom
-from .adapt import AdaptiveRecord, EtaField, adaptive_solve, estimate, mark
+from .adapt import EtaField, adaptive_solve, estimate, mark
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveRecord", "ContinuationConfig", "DiscreteField", "DofMap",
-    "EtaField", "ExperimentConfig", "ExperimentError", "Mesh", "MeshError",
-    "MeshStats", "NonconvergenceError", "NotSpdError", "PodBasis",
+    "ContinuationConfig", "DofMap", "EtaField", "ExperimentConfig",
+    "ExperimentError", "Mesh", "MeshError", "MeshStats",
+    "NonconvergenceError", "NotSpdError", "PodBasis",
     "ReducedOperators", "ResultRow", "SnapshotMatrix", "SolveTrace",
     "adaptive_solve", "assemble", "assemble_full", "bisect_refine",
     "build_dofmap", "build_pod", "compute_rate", "eigen_residual", "emit_csv",

@@ -1,4 +1,4 @@
-"""Residual error estimation, bulk marking, and the adaptive loop.
+"""Residual error estimation, bulk marking, and adaptive refinement.
 
 The elementwise indicator combines the interior residual of the eigenvalue
 equation with the normal-derivative jumps across interior edges:
@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .continuation import ContinuationConfig
-from .fem import (DiscreteField, DofMap, QUAD_POINTS, QUAD_WEIGHTS, assemble,
-                  build_dofmap, p2_dlambda, p2_values)
-from .linalg import NonconvergenceError, NotSpdError
+from .fem import DofMap, QUAD_POINTS, QUAD_WEIGHTS, p2_dlambda, p2_values
 from .mesh import (Mesh, barycentric_gradients, bisect_refine, edge_lengths,
                    edge_table, triangle_areas)
-from .rom import solve_level
+from .rom import Level, solve_levels
 
 log = logging.getLogger(__name__)
 
@@ -42,17 +41,6 @@ class EtaField:
     total: float
 
 
-@dataclass
-class AdaptiveRecord:
-    n_dof: int
-    lambda_fom: float
-    lambda_rom: float
-    eta_total: float
-    n_pod: int
-    fom_time: float
-    rom_time: float
-
-
 def _gradients_at(u_loc, grads, lam_pts, degree):
     """Gradient of the local field at barycentric points.
 
@@ -66,24 +54,19 @@ def _gradients_at(u_loc, grads, lam_pts, degree):
     return np.einsum("mk,mkd->md", coef, grads)
 
 
-def estimate(mesh: Mesh, dofmap: DofMap, u_h: DiscreteField, lambda_h: float
-             ) -> EtaField:
+def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
     """Residual indicators for an (approximate) eigenpair.
 
-    ``u_h`` is expected M-normalized; the indicator itself is scale-covariant
+    ``u_h`` holds the free-dof coefficients (ValueError on a wrong length)
+    and is expected M-normalized; the indicator itself is scale-covariant
     so marking is unaffected either way.  The elementwise Laplacian vanishes
     for P1 and is constant for P2; element and edge integrals use quadrature
     exact for the polynomial degrees present.
     """
-    u_full = u_h.full()
-    return _estimate_full(mesh, dofmap, u_full, lambda_h)
-
-
-def _estimate_full(mesh: Mesh, dofmap: DofMap, u_full, lambda_h: float) -> EtaField:
     area = triangle_areas(mesh)
     grads, gram = barycentric_gradients(mesh)
     h_k = edge_lengths(mesh).max(axis=1)
-    u_loc = np.asarray(u_full)[dofmap.cell_dofs]          # (T, n_loc)
+    u_loc = dofmap.full_vector(u_h)[dofmap.cell_dofs]     # (T, n_loc)
 
     if dofmap.degree == 1:
         lap = np.zeros(mesh.n_triangles)
@@ -136,70 +119,50 @@ def _estimate_full(mesh: Mesh, dofmap: DofMap, u_full, lambda_h: float) -> EtaFi
     return EtaField(np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum())))
 
 
-def mark(etas: EtaField, theta: float) -> set:
+def mark(etas: EtaField, theta: float) -> np.ndarray:
     """Bulk marking: the smallest set of triangles, taken in descending
     indicator order (ties to the lower index), whose squared indicators reach
-    theta^2 times the squared total."""
+    theta^2 times the squared total.  Returns their indices as a sorted int64
+    array."""
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
     eta_sq = etas.per_triangle ** 2
     total = eta_sq.sum()
     if total == 0.0:
-        return set()
+        return np.empty(0, dtype=np.int64)
     order = np.argsort(-eta_sq, kind="stable")
     running = np.cumsum(eta_sq[order])
     # tiny relative slack so that exact-fraction targets are not missed by
     # one rounding ulp of theta**2
     target = theta ** 2 * total * (1.0 - 1e-12)
     cut = int(np.flatnonzero(running >= target)[0]) + 1
-    return set(int(i) for i in order[:cut])
+    return np.sort(order[:cut]).astype(np.int64, copy=False)
+
+
+def next_mesh(theta: float, level: Level, dofmap: DofMap, M) -> Mesh | None:
+    """The adaptive refinement of ``rom.solve_levels``: estimate with the
+    level's M-normalized full-order eigenpair, mark with ``theta``, bisect.
+    Returns None once the estimate vanishes."""
+    u = level.trace.final_vector
+    etas = estimate(level.mesh, dofmap, u / np.sqrt(u @ (M @ u)),
+                    level.trace.eigenvalue)
+    log.info("level %d: dof=%d lambda=%.12f eta=%.3e pod=%d", level.index,
+             level.n_dof, level.trace.eigenvalue, etas.total,
+             level.per_stride[0][1].N)
+    if etas.total <= 1e-14:
+        return None
+    return bisect_refine(level.mesh, mark(etas, theta))
 
 
 def adaptive_solve(initial_mesh: Mesh, fe_degree: int, theta: float,
                    n_refinements: int, continuation_config: ContinuationConfig,
-                   pod_eps: float = 1e-7
-                   ) -> tuple[list[AdaptiveRecord], Mesh]:
-    """Solve-estimate-mark-refine loop with a reduced solve per level.
-
-    Per level: run ``solve_level`` (full-order continuation, basis from its
-    snapshots at the configured stride, reduced run timed as the online
-    stage), estimate with the full-order eigenpair, mark, bisect.  Returns
-    one record per level and the final (unrefined) mesh.  A level that does
-    not converge, or whose reduced system is not SPD, raises
-    NonconvergenceError with the records of the levels finished before it.
-    """
+                   pod_eps: float = 1e-7) -> Mesh:
+    """Solve-estimate-mark-refine: ``rom.solve_levels`` with ``next_mesh``
+    at the configured snapshot stride.  Returns the last solved level's mesh;
+    raises what the loop raises (NonconvergenceError, NotSpdError)."""
     mesh = initial_mesh
-    records = []
-    for level in range(n_refinements):
-        dofmap = build_dofmap(mesh, fe_degree)
-        A, M = assemble(mesh, dofmap)
-        try:
-            trace, [(_, basis, rom_trace, rom_time)] = solve_level(
-                A, M, continuation_config,
-                (continuation_config.snapshot_stride,), pod_eps)
-        except (NonconvergenceError, NotSpdError) as exc:
-            raise NonconvergenceError(f"adaptive level {level}: {exc}",
-                                      getattr(exc, "residual", np.nan),
-                                      records) from exc
-
-        u = trace.final_vector
-        u = u / np.sqrt(u @ (M @ u))
-        etas = estimate(mesh, dofmap, DiscreteField(dofmap, u), trace.eigenvalue)
-
-        records.append(AdaptiveRecord(
-            n_dof=dofmap.n_dof_total,
-            lambda_fom=trace.eigenvalue,
-            lambda_rom=rom_trace.eigenvalue,
-            eta_total=etas.total,
-            n_pod=basis.N,
-            fom_time=trace.wall_time,
-            rom_time=rom_time,
-        ))
-        log.info("level %d: dof=%d lambda=%.12f eta=%.3e pod=%d",
-                 level, dofmap.n_dof_total, trace.eigenvalue, etas.total,
-                 basis.N)
-        if etas.total <= 1e-14:
-            break
-        if level + 1 < n_refinements:
-            mesh = bisect_refine(mesh, mark(etas, theta))
-    return records, mesh
+    for level in solve_levels(initial_mesh, fe_degree, continuation_config,
+                              (continuation_config.snapshot_stride,), pod_eps,
+                              n_refinements, partial(next_mesh, theta)):
+        mesh = level.mesh
+    return mesh

@@ -73,22 +73,6 @@ class DofMap:
         return out
 
 
-@dataclass(eq=False)
-class DiscreteField:
-    """Finite element function given by its free-dof coefficients."""
-
-    dofmap: DofMap
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.shape != (self.dofmap.n_free,):
-            raise ValueError("coefficient length must match the free dof count")
-
-    def full(self) -> np.ndarray:
-        return self.dofmap.full_vector(self.coeffs)
-
-
 def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     """Number the dofs of the P``degree`` space with Dirichlet elimination."""
     if degree not in (1, 2):

@@ -1,5 +1,6 @@
-"""Experiment orchestration: mesh schedules, timed full/reduced runs,
-convergence rates, and CSV export.
+"""Experiment orchestration: config validation, the schedule of meshes fed
+to the one level loop (``rom.solve_levels``), table rows with convergence
+rates, the mesh and singular-value dumps, and CSV export.
 
 Reference eigenvalues for error and rate reporting: 2 on the square
 (0, pi)^2 and 9.6397238440219 on the L-shaped domain.
@@ -15,14 +16,14 @@ from functools import partial
 
 import numpy as np
 
-from .adapt import adaptive_solve
+from .adapt import next_mesh
 from .continuation import ContinuationConfig
-from .fem import assemble, build_dofmap, interpolate_free
+from .fem import interpolate_free
 from .linalg import NonconvergenceError, NotSpdError
 from .mesh import (Mesh, edge_lengths, generate_lshape, generate_square,
                    read_mesh, uniform_refine, write_mesh)
 from .pod import exact_reference_eps, write_singular_values
-from .rom import solve_level
+from .rom import solve_levels
 
 log = logging.getLogger(__name__)
 
@@ -148,30 +149,18 @@ def _mesh(cfg: ExperimentConfig, n: int) -> Mesh:
     return generate_lshape(cfg.mesh, n)
 
 
-def _level_meshes(cfg: ExperimentConfig) -> list[tuple[int, Mesh]]:
-    """The (n, mesh) schedule; imported meshes refine uniformly per level
-    and are labelled by the level number."""
-    out = []
-    for level in range(cfg.levels):
-        if cfg.mesh == "file":
-            out.append((level, uniform_refine(out[-1][1]) if level else _mesh(cfg, 0)))
-        else:
-            n = cfg.n_start * 2 ** level
-            out.append((n, _mesh(cfg, n)))
-    return out
+def _exact_eps(dofmap, M, u) -> float:
+    """The M-distance of u from the square's interpolated eigenfunction."""
+    return exact_reference_eps(M, interpolate_free(
+        dofmap, lambda x, y: np.sin(x) * np.sin(y)), u)
 
 
-def _run_level(cfg: ExperimentConfig, cont: ContinuationConfig, mesh: Mesh):
-    """Assemble one uniform level and run its solve_level pipeline."""
-    dofmap = build_dofmap(mesh, cfg.fe_degree)
-    if dofmap.n_free == 0:
-        raise ValueError("mesh has no free degrees of freedom")
-    A, M = assemble(mesh, dofmap)
-    eps = cfg.resolved_pod_eps()
-    if eps == "exact":
-        eps = partial(exact_reference_eps, M, interpolate_free(
-            dofmap, lambda x, y: np.sin(x) * np.sin(y)))
-    return (dofmap, *solve_level(A, M, cont, cfg.strides, eps))
+def _label(cfg: ExperimentConfig, index: int) -> int:
+    """A level's ``n`` column: n, the level index on a file mesh, or the
+    level number from 1 on adaptive runs."""
+    if cfg.adaptive:
+        return index + 1
+    return index if cfg.mesh == "file" else cfg.n_start * 2 ** index
 
 
 def compute_rate(errors, sizes, mode: str) -> list:
@@ -201,87 +190,69 @@ def compute_rate(errors, sizes, mode: str) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Run one schedule and return its table rows.
+    """Run one schedule through ``rom.solve_levels`` and return its rows.
 
-    Deterministic for a fixed config and seed, timing aside.  Component
-    failures abort the schedule; the raised ExperimentError carries the rows
-    already completed.
+    Deterministic for a fixed config and seed, timing aside.  Both dumps are
+    written from the last solved level.  Component failures abort the
+    schedule; the raised ExperimentError carries the rows already completed.
     """
     _validate(cfg)
     lam_ref = reference_eigenvalue(cfg.domain)
     cont = replace(cfg.continuation, seed=cfg.seed,
                    snapshot_stride=min(cfg.strides))
+    eps = cfg.resolved_pod_eps()
+    eps = _exact_eps if eps == "exact" else float(eps)
 
-    if cfg.adaptive:
-        try:
-            records, final_mesh = adaptive_solve(
-                _mesh(cfg, cfg.n_start), cfg.fe_degree, cfg.theta, cfg.levels, cont,
-                pod_eps=float(cfg.resolved_pod_eps()))
-        except NonconvergenceError as exc:
-            raise ExperimentError(
-                f"schedule aborted: {exc}",
-                _adaptive_rows(cfg, exc.records, lam_ref),
-                nonconvergence=True) from exc
-        if cfg.mesh_dump_path:
-            write_mesh(final_mesh, cfg.mesh_dump_path)
-        return _adaptive_rows(cfg, records, lam_ref)
+    def uniform(level, dofmap, M):
+        if cfg.mesh == "file":
+            return uniform_refine(level.mesh)
+        return _mesh(cfg, 2 * _label(cfg, level.index))
 
-    schedule = _level_meshes(cfg)
-    results = []
-    failure: Exception | None = None
-    for n, mesh in schedule:
-        try:
-            results.append(_run_level(cfg, cont, mesh))
-        except Exception as exc:
-            failure = exc
-            break
-
-    rows = _format_rows(cfg, schedule[:len(results)], results, lam_ref)
-    if failure is not None:
+    labels = ([cfg.mesh] if len(cfg.strides) == 1
+              else [f"{cfg.mesh}-s{stride}" for stride in cfg.strides])
+    sizes, table, last = [], [], None
+    levels = solve_levels(
+        _mesh(cfg, cfg.n_start), cfg.fe_degree, cont, cfg.strides, eps,
+        cfg.levels, partial(next_mesh, cfg.theta) if cfg.adaptive else uniform)
+    try:
+        for last in levels:
+            sizes.append(last.n_dof if cfg.adaptive
+                         else float(edge_lengths(last.mesh).max()))
+            table.append([
+                ResultRow(label, _label(cfg, last.index), last.n_dof,
+                          last.trace.eigenvalue, rom_trace.eigenvalue, None,
+                          None, basis.N, last.trace.wall_time, rom_time)
+                for label, (_, basis, rom_trace, rom_time)
+                in zip(labels, last.per_stride)])
+    except Exception as exc:
         raise ExperimentError(
-            f"schedule aborted at n={schedule[len(results)][0]}: {failure}",
-            rows, nonconvergence=isinstance(failure, (NonconvergenceError,
-                                                      NotSpdError))
-        ) from failure
+            f"schedule aborted at n={_label(cfg, len(table))}: {exc}",
+            _rows(cfg, table, sizes, lam_ref),
+            nonconvergence=isinstance(exc, (NonconvergenceError, NotSpdError))
+        ) from exc
 
-    if cfg.singvals_path and results:
-        multi = len(cfg.strides) > 1
-        for stride, basis, _, _ in results[-1][2]:
+    if last is not None and cfg.mesh_dump_path:
+        write_mesh(last.mesh, cfg.mesh_dump_path)
+    if last is not None and cfg.singvals_path:
+        for stride, basis, _, _ in last.per_stride:
             path = cfg.singvals_path
-            if multi:
+            if len(cfg.strides) > 1:
                 stem, dot_, ext = path.rpartition(".")
                 path = f"{stem}_s{stride}{dot_}{ext}" if stem else f"{path}_s{stride}"
             write_singular_values(basis, path)
-    return rows
+    return _rows(cfg, table, sizes, lam_ref)
 
 
-def _adaptive_rows(cfg, records, lam_ref) -> list[ResultRow]:
-    dofs = [r.n_dof for r in records]
-    rf = compute_rate([r.lambda_fom - lam_ref for r in records], dofs, "adaptive")
-    rr = compute_rate([r.lambda_rom - lam_ref for r in records], dofs, "adaptive")
-    return [ResultRow(cfg.mesh, level + 1, rec.n_dof, rec.lambda_fom,
-                      rec.lambda_rom, rf[level], rr[level], rec.n_pod,
-                      rec.fom_time, rec.rom_time)
-            for level, rec in enumerate(records)]
-
-
-def _format_rows(cfg, schedule, results, lam_ref) -> list[ResultRow]:
-    h_values = [float(edge_lengths(mesh).max()) for _, mesh in schedule]
-    labels: dict = {}
-    for (n, _), (dofmap, trace, per_stride) in zip(schedule, results):
-        for stride, basis, rom_trace, rom_time in per_stride:
-            label = cfg.mesh if len(cfg.strides) == 1 else f"{cfg.mesh}-s{stride}"
-            labels.setdefault(label, []).append(
-                (n, dofmap.n_dof_total, trace.eigenvalue, rom_trace.eigenvalue,
-                 basis.N, trace.wall_time, rom_time))
-
+def _rows(cfg, table, sizes, lam_ref) -> list[ResultRow]:
+    """The table rows grouped by stride, with rates along each group:
+    h-based on uniform schedules, dof-based on adaptive ones."""
+    mode = "adaptive" if cfg.adaptive else "uniform"
     rows: list[ResultRow] = []
-    for label, entries in labels.items():
-        rf = compute_rate([e[2] - lam_ref for e in entries], h_values, "uniform")
-        rr = compute_rate([e[3] - lam_ref for e in entries], h_values, "uniform")
-        for k, (n, dof, lam_f, lam_r, n_pod, t_f, t_r) in enumerate(entries):
-            rows.append(ResultRow(label, n, dof, lam_f, lam_r,
-                                  rf[k], rr[k], n_pod, t_f, t_r))
+    for group in zip(*table):
+        rf = compute_rate([r.lambda_fom - lam_ref for r in group], sizes, mode)
+        rr = compute_rate([r.lambda_rom - lam_ref for r in group], sizes, mode)
+        rows += [replace(r, rate_fom=f, rate_rom=g)
+                 for r, f, g in zip(group, rf, rr)]
     return rows
 
 

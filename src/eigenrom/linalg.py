@@ -24,13 +24,12 @@ class NotSpdError(ValueError):
 
 
 class NonconvergenceError(RuntimeError):
-    """Iteration cap reached; carries the achieved relative residual and the
-    records of any levels a multi-level run finished before it."""
+    """Iteration cap reached, or a run stopped away from an eigenpair;
+    carries the achieved relative residual."""
 
-    def __init__(self, message: str, residual: float, records=()):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-        self.records = list(records)
 
 
 def norm2(v) -> float:

@@ -6,8 +6,8 @@ reduced iteration mirrors the full-order one.  Its N x N step matrix
 a_red + m_red/dt is Cholesky-factored once per run with LAPACK ``dpotrf``,
 each step is one ``dpotrs`` solve plus two small dense products, and the
 final state is lifted back as V U_N.
-``solve_level`` is the one per-mesh pipeline of uniform and adaptive runs:
-full-order run, then one POD basis and one reduced run per snapshot stride.
+``solve_levels`` is the one level loop of uniform and adaptive schedules;
+``solve_level`` is its per-mesh pipeline.
 """
 
 from __future__ import annotations
@@ -15,13 +15,15 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .continuation import (ContinuationConfig, SolveTrace, check_eigen_residual,
                            run_fom)
-from .fem import eigen_residual, rayleigh_from_products
+from .fem import assemble, build_dofmap, eigen_residual, rayleigh_from_products
 from .linalg import NonconvergenceError, NotSpdError, norm2
+from .mesh import Mesh
 from .pod import build_pod
 
 log = logging.getLogger(__name__)
@@ -159,3 +161,39 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
                   n, stride, eps, basis.N, t_offline, rom_time)
         per_stride.append((stride, basis, rom_trace, rom_time))
     return trace, per_stride
+
+
+@dataclass(eq=False)
+class Level:
+    """One solved level of a schedule and what ``solve_level`` returned."""
+
+    index: int
+    mesh: Mesh
+    n_dof: int
+    trace: SolveTrace
+    per_stride: list         # (stride, basis, rom_trace, rom_time)
+
+
+def solve_levels(mesh: Mesh, degree: int, cont: ContinuationConfig, strides,
+                 eps, levels: int, refine):
+    """Number, assemble and ``solve_level`` up to ``levels`` meshes from
+    ``mesh``, yielding one ``Level`` each.
+
+    The next mesh, made only when its level is due, is ``refine(level,
+    dofmap, M)`` of the last one; None ends the schedule.  ``eps`` is a float
+    or ``eps(dofmap, M, u)`` of the converged full-order vector u.  A level's
+    operators are released before the next one is assembled.
+    """
+    for index in range(levels):
+        if index:
+            mesh = refine(level, dofmap, M)
+            del dofmap, M
+            if mesh is None:
+                return
+        dofmap = build_dofmap(mesh, degree)
+        A, M = assemble(mesh, dofmap)
+        level_eps = partial(eps, dofmap, M) if callable(eps) else eps
+        trace, per_stride = solve_level(A, M, cont, strides, level_eps)
+        del A, level_eps
+        level = Level(index, mesh, dofmap.n_dof_total, trace, per_stride)
+        yield level

@@ -3,9 +3,10 @@
 These deliberately take different routes than the code under test: the SVD
 oracle runs power iteration with deflation on the Gram matrix, eigenvalue
 references come from scipy's shift-invert Lanczos, newest-vertex bisection
-is replayed one triangle at a time on vertex-pair edges, the reduced loop
-runs on scipy's checked Cholesky wrappers, and the POD projection error is
-the residual of an explicit projection.  The error indicators are
+is replayed one triangle at a time on vertex-pair edges, the reduced and
+full-order loops run on scipy's checked Cholesky wrappers (the full-order
+one on dense matrices), and the POD projection error is the residual of an
+explicit projection.  The error indicators are
 recomputed one triangle and one edge at a time, locating each edge quadrature
 point in its triangles by solving for its barycentric coordinates.
 """
@@ -136,6 +137,36 @@ def rom_loop_cho(a_red, m_red, y0, dt, stop_tol, max_steps):
             break
     history.append(float(y @ (a_red @ y)) / float(y @ (m_red @ y)))
     return np.array(history), y
+
+
+def fom_loop_dense(A, M, u0, dt, stop_tol, snapshot_stride, max_steps):
+    """The full-order fictitious-time loop on dense matrices (the reference
+    for ``continuation.run_fom``'s factored sparse steps).
+
+    Each step solves (A + M/dt) U' = (lam + 1/dt) M U with a dense Cholesky
+    factor and takes the Rayleigh quotient from fresh products; there is no
+    overflow guard, which starts of moderate norm never reach.  Returns the
+    Rayleigh-quotient history, the step count and the snapshot matrix of
+    every ``snapshot_stride``-th state.
+    """
+    A, M = A.toarray(), M.toarray()
+    system = scipy.linalg.cho_factor(A + M / dt)
+    U = np.array(u0, dtype=np.float64)
+    history, snapshots = [], []
+    steps = 0
+    while steps < max_steps:
+        lam = float(U @ A @ U) / float(U @ M @ U)
+        history.append(lam)
+        U_new = scipy.linalg.cho_solve(system, (lam + 1.0 / dt) * (M @ U))
+        steps += 1
+        if steps % snapshot_stride == 0:
+            snapshots.append(U_new)
+        rel_change = np.linalg.norm(U_new - U) / np.linalg.norm(U_new)
+        U = U_new
+        if rel_change <= stop_tol:
+            break
+    history.append(float(U @ A @ U) / float(U @ M @ U))
+    return np.array(history), steps, np.column_stack(snapshots)
 
 
 def projection_error_sq(S, V):

@@ -1,18 +1,20 @@
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import eigenrom.mesh as mesh_mod
-from eigenrom.adapt import (EtaField, adaptive_solve, estimate, mark,
-                            _estimate_full)
+from eigenrom.adapt import EtaField, adaptive_solve, estimate, mark, next_mesh
 from eigenrom.continuation import ContinuationConfig
-from eigenrom.fem import DiscreteField, build_dofmap, interpolate
+from eigenrom.fem import build_dofmap, interpolate
 from eigenrom.linalg import NonconvergenceError
 from eigenrom.mesh import (bisect_refine, edge_lengths, generate_lshape,
                            generate_square, mesh_stats, triangle_areas,
                            validate_mesh)
+from eigenrom.rom import solve_levels
 from oracles import estimate_by_point_location
 
 PI = math.pi
@@ -37,6 +39,12 @@ _ORACLE_W = np.array([0.050844906370207] * 3 + [0.116786275726379] * 3
                      + [0.082851075618374] * 6)
 
 
+def all_free(dofmap):
+    """The dofmap without Dirichlet elimination, so that estimate() takes
+    fields that do not vanish on the boundary (every dof is free)."""
+    return replace(dofmap, free_dofs=np.arange(dofmap.n_dof_total))
+
+
 def oracle_element_integral(mesh, f):
     """Integral of f over each triangle by the degree-6 reference rule."""
     p = mesh.nodes[mesh.triangles]
@@ -49,9 +57,16 @@ class TestEstimate:
     def test_zero_field_gives_zero(self):
         mesh = generate_square("crisscross", 4, PI)
         dm = build_dofmap(mesh, 1)
-        eta = estimate(mesh, dm, DiscreteField(dm, np.zeros(dm.n_free)), 2.0)
+        eta = estimate(mesh, dm, np.zeros(dm.n_free), 2.0)
         assert eta.total == 0.0
         assert np.all(eta.per_triangle == 0.0)
+
+    def test_length_mismatch_rejected(self):
+        mesh = generate_square("crisscross", 4, PI)
+        dm = build_dofmap(mesh, 2)
+        for n in (dm.n_free - 1, dm.n_free + 1, dm.n_dof_total):
+            with pytest.raises(ValueError, match="free dof count"):
+                estimate(mesh, dm, np.ones(n), 2.0)
 
     def test_globally_linear_p1_has_no_jumps(self):
         # u = x has continuous gradient: the indicator reduces to the
@@ -60,7 +75,7 @@ class TestEstimate:
         dm = build_dofmap(mesh, 1)
         u_full = interpolate(dm, lambda x, y: x)
         lam = 1.7
-        eta = _estimate_full(mesh, dm, u_full, lam)
+        eta = estimate(mesh, all_free(dm), u_full, lam)
         h_k = edge_lengths(mesh).max(axis=1)
         mass = oracle_element_integral(mesh, lambda x, y: x ** 2)
         expected = h_k ** 2 * lam ** 2 * mass
@@ -73,7 +88,7 @@ class TestEstimate:
         dm = build_dofmap(mesh, 2)
         u_full = interpolate(dm, lambda x, y: x ** 2)
         lam = 0.9
-        eta = _estimate_full(mesh, dm, u_full, lam)
+        eta = estimate(mesh, all_free(dm), u_full, lam)
         h_k = edge_lengths(mesh).max(axis=1)
         res = oracle_element_integral(mesh,
                                       lambda x, y: (2.0 + lam * x ** 2) ** 2)
@@ -93,10 +108,11 @@ class TestEstimate:
             dm = build_dofmap(mesh, degree)
             u_full = interpolate(dm, lambda x, y: np.sin(x + 0.3) * np.cos(0.7 * y)
                                  + 0.1 * x * y)
-            got = _estimate_full(mesh, dm, u_full, 3.0)
+            got = estimate(mesh, all_free(dm), u_full, 3.0)
             want = estimate_by_point_location(mesh, dm, u_full, 3.0)
             assert np.allclose(got.per_triangle, want, rtol=1e-12, atol=0)
-            assert mark(got, 0.5) == mark(EtaField(want, 0.0), 0.5)
+            assert np.array_equal(mark(got, 0.5),
+                                  mark(EtaField(want, 0.0), 0.5))
             mesh = bisect_refine(mesh, rng.choice(
                 mesh.n_triangles, mesh.n_triangles // 4, replace=False))
 
@@ -104,7 +120,7 @@ class TestEstimate:
         mesh, dm, A, M, _, trace, _ = runs.fom("lshape", "crisscross", 8, 1)
         u = trace.final_vector
         u = u / np.sqrt(u @ (M @ u))
-        eta = estimate(mesh, dm, DiscreteField(dm, u), trace.eigenvalue)
+        eta = estimate(mesh, dm, u, trace.eigenvalue)
         assert eta.total == pytest.approx(
             np.sqrt(np.sum(eta.per_triangle ** 2)), rel=1e-14)
         assert np.all(eta.per_triangle >= 0)
@@ -113,7 +129,7 @@ class TestEstimate:
         mesh, dm, A, M, _, trace, _ = runs.fom("lshape", "crisscross", 8, 1)
         u = trace.final_vector
         u = u / np.sqrt(u @ (M @ u))
-        eta = estimate(mesh, dm, DiscreteField(dm, u), trace.eigenvalue)
+        eta = estimate(mesh, dm, u, trace.eigenvalue)
         worst = int(np.argmax(eta.per_triangle))
         corner_dist = np.linalg.norm(mesh.nodes[mesh.triangles[worst]],
                                      axis=1).min()
@@ -129,7 +145,7 @@ class TestEstimate:
                                                    degree)
             u = trace.final_vector
             u = u / np.sqrt(u @ (M @ u))
-            eta = estimate(mesh, dm, DiscreteField(dm, u), trace.eigenvalue)
+            eta = estimate(mesh, dm, u, trace.eigenvalue)
             ratios.append(eta.total ** 2 / (trace.eigenvalue - 2.0))
         assert max(ratios) <= 10 * min(ratios)
 
@@ -137,19 +153,22 @@ class TestEstimate:
 class TestMark:
     def test_theta_one_marks_all_positive(self):
         etas = EtaField(np.array([0.5, 0.0, 0.2, 0.1]), 0.0)
-        assert mark(etas, 1.0) == {0, 2, 3}
+        marked = mark(etas, 1.0)
+        assert marked.dtype == np.int64
+        assert marked.tolist() == [0, 2, 3]
 
     def test_bulk_arithmetic_example(self):
         # squared indicators (4, 1, 1, 1, 1): the largest alone reaches half
         etas = EtaField(np.sqrt([4.0, 1.0, 1.0, 1.0, 1.0]), 0.0)
-        assert mark(etas, math.sqrt(0.5)) == {0}
+        assert mark(etas, math.sqrt(0.5)).tolist() == [0]
 
     def test_all_zero_gives_empty_set(self):
-        assert mark(EtaField(np.zeros(5), 0.0), 0.5) == set()
+        marked = mark(EtaField(np.zeros(5), 0.0), 0.5)
+        assert marked.dtype == np.int64 and marked.tolist() == []
 
     def test_tie_break_prefers_lower_index(self):
         etas = EtaField(np.array([1.0, 1.0, 1.0, 1.0]), 0.0)
-        assert mark(etas, 0.5) == {0}
+        assert mark(etas, 0.5).tolist() == [0]
 
     def test_theta_validation(self):
         with pytest.raises(ValueError):
@@ -165,11 +184,13 @@ class TestMark:
         eta_sq = np.asarray(values)
         etas = EtaField(np.sqrt(eta_sq), 0.0)
         marked = mark(etas, theta)
+        assert marked.dtype == np.int64
+        assert np.all(np.diff(marked) > 0)
         total = eta_sq.sum()
         if total == 0.0:
-            assert marked == set()
+            assert marked.size == 0
             return
-        got = eta_sq[sorted(marked)].sum()
+        got = eta_sq[marked].sum()
         assert got >= theta ** 2 * total - 1e-12 * total
         # dropping the weakest marked element must break the bulk bound;
         # compared as a fraction of the total, because theta^2 * total
@@ -181,17 +202,23 @@ class TestMark:
 class TestAdaptiveSolve:
     def test_lshape_records_and_conformity(self):
         cfg = ContinuationConfig(initial_guess="random", snapshot_stride=4)
-        records, final_mesh = adaptive_solve(generate_lshape("crisscross", 4),
-                                             2, 0.5, 5, cfg)
-        assert len(records) == 5
+        levels = list(solve_levels(generate_lshape("crisscross", 4), 2, cfg,
+                                   (4,), 1e-7, 5, partial(next_mesh, 0.5)))
+        # five levels: the estimate never vanished, so every level refined
+        assert [level.index for level in levels] == list(range(5))
+        final_mesh = adaptive_solve(generate_lshape("crisscross", 4),
+                                    2, 0.5, 5, cfg)
         validate_mesh(final_mesh)
-        dofs = [r.n_dof for r in records]
+        assert np.array_equal(final_mesh.triangles, levels[-1].mesh.triangles)
+        assert np.array_equal(final_mesh.nodes, levels[-1].mesh.nodes)
+        dofs = [level.n_dof for level in levels]
         assert dofs == sorted(dofs)
-        lams = [r.lambda_fom for r in records]
+        lams = [level.trace.eigenvalue for level in levels]
         assert all(l2 <= l1 + 1e-10 for l1, l2 in zip(lams, lams[1:]))
-        assert all(r.lambda_fom >= LSHAPE_REF - 1e-12 for r in records)
-        assert all(abs(r.lambda_rom - r.lambda_fom) <= 1e-8 for r in records)
-        assert all(r.eta_total > 0 for r in records)
+        assert all(lam >= LSHAPE_REF - 1e-12 for lam in lams)
+        for level in levels:
+            [(_, _, rom_trace, _)] = level.per_stride
+            assert abs(rom_trace.eigenvalue - level.trace.eigenvalue) <= 1e-8
 
     def test_geometry_built_once_per_mesh(self, monkeypatch):
         # validation, assembly, estimation and the stats all read one cache
@@ -204,10 +231,9 @@ class TestAdaptiveSolve:
                 return _fn(nodes, triangles, *rest)
             monkeypatch.setattr(mesh_mod, name, counted)
         cfg = ContinuationConfig(initial_guess="random", snapshot_stride=4)
-        records, final_mesh = adaptive_solve(generate_lshape("crisscross", 2),
-                                             2, 0.5, 3, cfg)
+        final_mesh = adaptive_solve(generate_lshape("crisscross", 2),
+                                    2, 0.5, 3, cfg)
         mesh_stats(final_mesh)
-        assert len(records) == 3
         for calls in built.values():
             # one call per mesh: the triangle arrays are all distinct objects
             assert len(calls) == 3

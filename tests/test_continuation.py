@@ -11,7 +11,7 @@ from eigenrom.continuation import (ContinuationConfig, SnapshotMatrix,
 from eigenrom.fem import assemble, build_dofmap, eigen_residual, rayleigh_quotient
 from eigenrom.linalg import NonconvergenceError, spd_solve
 from eigenrom.mesh import generate_lshape, generate_square
-from oracles import smallest_pencil_eigenpair
+from oracles import fom_loop_dense, smallest_pencil_eigenpair
 
 PI = math.pi
 
@@ -166,6 +166,27 @@ class TestRunFom:
                 assert np.array_equal(U, snaps.matrix[:, col])
                 col += 1
         assert col == snaps.n_columns == trace.n_steps // cfg.snapshot_stride
+
+    @pytest.mark.parametrize("domain,n,degree", [("square", 8, 1),
+                                                  ("lshape", 4, 2)])
+    def test_matches_dense_oracle(self, domain, n, degree):
+        # an independent replay: dense Cholesky steps and fresh products, so
+        # a change in the factored step's arithmetic (or in the products it
+        # hands back) shows here
+        mesh = (generate_square("crisscross", n, PI) if domain == "square"
+                else generate_lshape("crisscross", n))
+        A, M = assemble(mesh, build_dofmap(mesh, degree))
+        cfg = ContinuationConfig(initial_guess="random", seed=3,
+                                 snapshot_stride=4)
+        trace, snaps = run_fom(A, M, cfg)
+        u0 = np.random.default_rng(3).standard_normal(A.shape[0])
+        history, steps, S = fom_loop_dense(A, M, u0, cfg.dt, cfg.stop_tol,
+                                           cfg.snapshot_stride, cfg.max_steps)
+        assert trace.converged and trace.n_steps == steps
+        assert np.allclose(trace.lambda_history, history, rtol=1e-12, atol=0)
+        assert snaps.matrix.shape == S.shape
+        assert np.all(np.linalg.norm(snaps.matrix - S, axis=0)
+                      <= 1e-12 * np.linalg.norm(S, axis=0))
 
     def test_failed_residual_check_stops_the_run(self, monkeypatch):
         mesh = generate_square("crisscross", 4, PI)

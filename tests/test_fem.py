@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from eigenrom.fem import (DiscreteField, assemble, assemble_full,
-                          build_dofmap, eigen_residual, interpolate,
-                          interpolate_free, rayleigh_quotient)
+from eigenrom.fem import (assemble, assemble_full, build_dofmap,
+                          eigen_residual, interpolate, interpolate_free,
+                          rayleigh_quotient)
 from eigenrom.linalg import SYMMETRY_RTOL
 from eigenrom.mesh import bisect_refine, generate_lshape, generate_square
 from oracles import smallest_pencil_eigenpair
@@ -224,8 +224,7 @@ class TestFields:
     def test_full_vector_layout(self):
         mesh = generate_square("right", 2, 1.0)
         dm = build_dofmap(mesh, 1)
-        field = DiscreteField(dm, np.ones(dm.n_free))
-        full = field.full()
+        full = dm.full_vector(np.ones(dm.n_free))
         assert np.array_equal(full[dm.free_dofs], np.ones(dm.n_free))
         assert np.all(full[mesh.boundary_node] == 0)
 
@@ -240,4 +239,4 @@ class TestFields:
         mesh = generate_square("right", 2, 1.0)
         dm = build_dofmap(mesh, 1)
         with pytest.raises(ValueError):
-            DiscreteField(dm, np.ones(dm.n_free + 1))
+            dm.full_vector(np.ones(dm.n_free + 1))

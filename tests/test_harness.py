@@ -17,7 +17,7 @@ from eigenrom.harness import (CSV_HEADER, ExperimentConfig, ExperimentError,
                               ResultRow, compute_rate, emit_csv, read_csv,
                               run_experiment)
 from eigenrom.linalg import NotSpdError
-from eigenrom.mesh import generate_square, write_mesh
+from eigenrom.mesh import generate_square, read_mesh, write_mesh
 from eigenrom.rom import run_rom
 
 PI = math.pi
@@ -226,8 +226,30 @@ class TestCli:
                          "--adaptive", "--out", str(out),
                          "--dump-mesh", str(dump)])
         assert code == 0
-        from eigenrom.mesh import read_mesh
         read_mesh(dump)
+
+    def test_uniform_mesh_dump_writes_the_finest_mesh(self, tmp_path):
+        dump = tmp_path / "u.mesh"
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "8", "--levels", "2",
+                         "--out", str(tmp_path / "t.csv"),
+                         "--dump-mesh", str(dump)])
+        assert code == 0
+        finest = generate_square("crisscross", 16, PI)
+        written = read_mesh(dump)
+        assert np.array_equal(written.triangles, finest.triangles)
+        assert np.allclose(written.nodes, finest.nodes, rtol=0, atol=1e-15)
+
+    def test_adaptive_singular_value_dump(self, tmp_path):
+        out, dump = tmp_path / "t.csv", tmp_path / "a.sv"
+        code = cli_main(["run", "--domain", "lshape", "--mesh", "crisscross",
+                         "--fe", "2", "--n-start", "2", "--levels", "3",
+                         "--adaptive", "--out", str(out),
+                         "--dump-singvals", str(dump)])
+        assert code == 0
+        values = [float(v) for v in dump.read_text().split()]
+        assert values == sorted(values, reverse=True) and values[-1] > 0
+        assert len(values) >= read_csv(out)[-1].n_pod
 
     def test_config_error_exit_code(self, tmp_path):
         code = cli_main(["run", "--domain", "square", "--mesh", "mixed",

@@ -1,8 +1,8 @@
 """First Laplace-Dirichlet eigenpair by fictitious-time continuation with
 finite elements, plus a POD reduced-order model built from time snapshots."""
 
-from .continuation import (ContinuationConfig, SnapshotMatrix, SolveTrace,
-                           fom_step, run_fom, step_solver)
+from .continuation import (ContinuationConfig, SolveTrace, fom_step, run_fom,
+                           step_solver)
 from .fem import (DofMap, assemble, assemble_full, build_dofmap,
                   eigen_residual, rayleigh_quotient)
 from .harness import (ExperimentConfig, ExperimentError, ResultRow,
@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ContinuationConfig", "DofMap", "EtaField", "ExperimentConfig",
     "ExperimentError", "Mesh", "MeshError", "MeshStats",
-    "NonconvergenceError", "NotSpdError", "PodBasis",
-    "ReducedOperators", "ResultRow", "SnapshotMatrix", "SolveTrace",
+    "NonconvergenceError", "NotSpdError", "PodBasis", "ReducedOperators",
+    "ResultRow", "SolveTrace",
     "adaptive_solve", "assemble", "assemble_full", "bisect_refine",
     "build_dofmap", "build_pod", "compute_rate", "eigen_residual", "emit_csv",
     "estimate", "fom_step", "generate_lshape", "generate_square", "mark",

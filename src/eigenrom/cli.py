@@ -99,15 +99,13 @@ def _config_from_args(args) -> ExperimentConfig:
     else:
         strides = (args.stride,)
     cont = ContinuationConfig(dt=args.dt, stop_tol=args.stop_tol,
-                              snapshot_stride=strides[0],
                               initial_guess=args.init, seed=args.seed)
     return ExperimentConfig(
         domain=args.domain, mesh=mesh, mesh_file=mesh_file,
         n_start=args.n_start, levels=args.levels, fe_degree=args.fe,
         adaptive=args.adaptive, theta=args.theta, continuation=cont,
-        strides=strides, pod_eps=args.pod_eps, seed=args.seed,
-        out_csv=args.out, singvals_path=args.dump_singvals,
-        mesh_dump_path=args.dump_mesh)
+        strides=strides, pod_eps=args.pod_eps, out_csv=args.out,
+        singvals_path=args.dump_singvals, mesh_dump_path=args.dump_mesh)
 
 
 def main(argv=None) -> int:

@@ -3,11 +3,12 @@ steady state is the first eigenpair of the generalized problem A U = lam M U.
 
 Each step solves (A + M/dt) U' = (lam + 1/dt) M U with lam the Rayleigh
 quotient of the current state, and records every ``snapshot_stride``-th state
-as a column of the snapshot matrix.  The step operator A + M/dt is constant
-for the whole run, so it is factored once with SuperLU (through scipy).  Each
-step is then one pair of triangular solves and one product with the stacked
-operator [A; M]: the products A U' and M U' check the solve's residual and
-give the next step's Rayleigh quotient and right-hand side.
+as a column of the snapshot array.  That loop (``_iterate``) also runs the
+reduced model (``rom.run_rom``).  Here the step operator A + M/dt is factored
+once with SuperLU (through scipy); each step is one pair of triangular solves
+and one product with the stacked operator [A; M], whose A U' and M U' check
+the solve's residual and give the next step's Rayleigh quotient and
+right-hand side.
 """
 
 from __future__ import annotations
@@ -53,29 +54,6 @@ class ContinuationConfig:
             raise ValueError("snapshot_stride must be >= 1")
         if self.initial_guess not in ("ones", "random"):
             raise ValueError("initial_guess must be 'ones' or 'random'")
-
-
-@dataclass(eq=False)
-class SnapshotMatrix:
-    """States sampled every ``stride`` steps, stored as matrix columns."""
-
-    matrix: np.ndarray
-    stride: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.matrix.shape[1]
-
-    def with_stride(self, stride: int) -> "SnapshotMatrix":
-        """Subsample to a coarser stride that is a multiple of this one."""
-        if stride % self.stride != 0:
-            raise ValueError(f"stride {stride} is not a multiple of {self.stride}")
-        step = stride // self.stride
-        return SnapshotMatrix(self.matrix[:, step - 1::step].copy(), stride)
 
 
 @dataclass(eq=False)
@@ -163,58 +141,75 @@ def fom_step(A, M, U, lam: float, dt: float, solve=None) -> np.ndarray:
     return solve((lam + 1.0 / dt) * (M @ U))[0]
 
 
-def run_fom(A, M, config: ContinuationConfig, u0=None
-            ) -> tuple[SolveTrace, SnapshotMatrix]:
-    """Iterate to the steady state and collect snapshots.
+def _iterate(U, solve, products, config: ContinuationConfig, t_start: float):
+    """The fictitious-time loop of the full-order and the reduced run, from
+    the nonzero state U.  ``solve(b)`` returns ``(x, A x, M x)`` for
+    (A + M/dt) x = b and ``products(U)`` returns ``(A U, M U)``.  A state
+    whose norm leaves (1e-150, 1e150) is rescaled to unit norm.
 
-    Stops when ||U_new - U|| / ||U_new|| <= stop_tol (Euclidean coefficient
-    norm).  ``u0`` overrides the configured initial guess.  Raises no error
-    on hitting max_steps; the returned trace has ``converged=False``.  A step
-    solve that misses its residual check raises NonconvergenceError, and so
-    does a run that stops away from an eigenpair (``check_eigen_residual``:
-    with a tiny dt a step barely moves the state, so the stopping rule can
-    fire far from the eigenpair).
+    Returns the trace (timed from ``t_start``), the list of snapshot
+    columns and the products A U, M U of the final state.
     """
-    n = A.shape[0]
-    if n < 1:
-        raise ValueError("the system has no free degrees of freedom")
-    t_start = time.perf_counter()
-
-    U = np.array(u0, dtype=np.float64) if u0 is not None else initial_state(n, config)
-    if U.shape != (n,):
-        raise ValueError(f"u0 has shape {U.shape}, the system has {n} unknowns")
     if not np.any(U):
         raise ValueError("initial state is the zero vector")
-    U0 = U.copy()
-
-    solve = step_solver(A, M, config.dt)
-    AU, MU = A @ U, M @ U
+    AU, MU = products(U)
     lam_history = []
     snapshots = []
     converged = False
     steps = 0
+    shift, stride = 1.0 / config.dt, config.snapshot_stride
     for k in range(config.max_steps):
         lam = rayleigh_from_products(U, AU, MU)
         lam_history.append(lam)
-        U_new, AU, MU = solve((lam + 1.0 / config.dt) * MU)
+        U_new, AU, MU = solve((lam + shift) * MU)
         steps = k + 1
-        if steps % config.snapshot_stride == 0:
+        if steps % stride == 0:
             snapshots.append(U_new)
         norm = norm2(U_new)
         rel_change = norm2(U_new - U) / norm
         U = U_new
         if not _NORM_FLOOR < norm < _NORM_CEIL:
             U = U / norm
-            AU, MU = A @ U, M @ U
+            AU, MU = products(U)
         if rel_change <= config.stop_tol:
             converged = True
             break
     lam_history.append(rayleigh_from_products(U, AU, MU))
-    if converged:
-        check_eigen_residual(residual_from_products(AU, MU, lam_history[-1]),
-                             lam_history[-1], f"full-order run on {n} dofs")
+    trace = SolveTrace(np.array(lam_history), U, steps,
+                       time.perf_counter() - t_start, converged)
+    return trace, snapshots, AU, MU
 
-    warnings = []
+
+def run_fom(A, M, config: ContinuationConfig, u0=None
+            ) -> tuple[SolveTrace, np.ndarray]:
+    """Iterate to the steady state and collect snapshots.
+
+    Returns the trace and the (n, k) array of every ``snapshot_stride``-th
+    state.  Stops when ||U_new - U|| / ||U_new|| <= stop_tol (Euclidean
+    coefficient norm).  ``u0`` overrides the configured initial guess.
+    Raises no error on hitting max_steps; the returned trace has
+    ``converged=False``.  A step solve that misses its residual check raises
+    NonconvergenceError, and so does a run that stops away from an eigenpair
+    (``check_eigen_residual``: with a tiny dt a step barely moves the state,
+    so the stopping rule can fire far from the eigenpair).
+    """
+    n = A.shape[0]
+    if n < 1:
+        raise ValueError("the system has no free degrees of freedom")
+    t_start = time.perf_counter()
+
+    U0 = np.array(u0, dtype=np.float64) if u0 is not None else initial_state(n, config)
+    if U0.shape != (n,):
+        raise ValueError(f"u0 has shape {U0.shape}, the system has {n} unknowns")
+
+    trace, snapshots, AU, MU = _iterate(
+        U0, step_solver(A, M, config.dt), lambda U: (A @ U, M @ U), config,
+        t_start)
+    if trace.converged:
+        check_eigen_residual(residual_from_products(AU, MU, trace.eigenvalue),
+                             trace.eigenvalue, f"full-order run on {n} dofs")
+
+    U, warnings = trace.final_vector, trace.warnings
     overlap = abs(U0 @ MU)
     scale = np.sqrt(U0 @ (M @ U0)) * np.sqrt(U @ MU)
     # the computed eigenvector carries ~10*stop_tol of transient leftovers,
@@ -225,8 +220,4 @@ def run_fom(A, M, config: ContinuationConfig, u0=None
     if U.min() * U.max() < 0 and min(abs(U.min()), abs(U.max())) > 1e-6 * abs(U).max():
         warnings.append("computed eigenvector changes sign; it may belong to a "
                         "higher mode")
-
-    trace = SolveTrace(np.array(lam_history), U, steps,
-                       time.perf_counter() - t_start, converged, warnings)
-    matrix = np.column_stack(snapshots) if snapshots else np.empty((n, 0))
-    return trace, SnapshotMatrix(matrix, config.snapshot_stride)
+    return trace, (np.column_stack(snapshots) if snapshots else np.empty((n, 0)))

@@ -68,7 +68,6 @@ class ExperimentConfig:
     strides: tuple = (4,)
     pod_eps: object = None            # float, "exact", or None for the default
     mesh_file: str | None = None
-    seed: int = 0
     out_csv: str | None = None
     singvals_path: str | None = None
     mesh_dump_path: str | None = None
@@ -198,8 +197,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """
     _validate(cfg)
     lam_ref = reference_eigenvalue(cfg.domain)
-    cont = replace(cfg.continuation, seed=cfg.seed,
-                   snapshot_stride=min(cfg.strides))
     eps = cfg.resolved_pod_eps()
     eps = _exact_eps if eps == "exact" else float(eps)
 
@@ -212,8 +209,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
               else [f"{cfg.mesh}-s{stride}" for stride in cfg.strides])
     sizes, table, last = [], [], None
     levels = solve_levels(
-        _mesh(cfg, cfg.n_start), cfg.fe_degree, cont, cfg.strides, eps,
-        cfg.levels, partial(next_mesh, cfg.theta) if cfg.adaptive else uniform)
+        _mesh(cfg, cfg.n_start), cfg.fe_degree, cfg.continuation, cfg.strides,
+        eps, cfg.levels, partial(next_mesh, cfg.theta) if cfg.adaptive else uniform)
     try:
         for last in levels:
             sizes.append(last.n_dof if cfg.adaptive

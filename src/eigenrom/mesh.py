@@ -319,7 +319,9 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     newest-vertex rule: their refinement edge is the edge opposite the newly
     created midpoint.
     """
-    marked = np.unique(np.fromiter(marked, dtype=np.int64))
+    if not isinstance(marked, np.ndarray):
+        marked = np.fromiter(marked, dtype=np.int64)
+    marked = np.unique(marked.astype(np.int64, copy=False))
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:

@@ -31,7 +31,7 @@ class PodBasis:
 def _thin_svd(S) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and singular values (descending) of the
     snapshot matrix, cut at its numerical rank."""
-    X = np.asarray(getattr(S, "matrix", S), dtype=np.float64)
+    X = np.asarray(S, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("snapshot data must be a 2-D array")
     if X.shape[1] == 0:

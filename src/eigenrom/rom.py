@@ -2,10 +2,10 @@
 and the level pipeline that feeds it.
 
 The reduced operators are the dense congruences V^T A V and V^T M V; the
-reduced iteration mirrors the full-order one.  Its N x N step matrix
-a_red + m_red/dt is Cholesky-factored once per run with LAPACK ``dpotrf``,
-each step is one ``dpotrs`` solve plus two small dense products, and the
-final state is lifted back as V U_N.
+reduced run is the full-order loop (``continuation._iterate``) on them.  Its
+N x N step matrix a_red + m_red/dt is Cholesky-factored once per run with
+LAPACK ``dpotrf``, each step is one ``dpotrs`` solve plus two small dense
+products, and the final state is lifted back as V U_N.
 ``solve_levels`` is the one level loop of uniform and adaptive schedules;
 ``solve_level`` is its per-mesh pipeline.
 """
@@ -19,10 +19,10 @@ from functools import partial
 
 import numpy as np
 
-from .continuation import (ContinuationConfig, SolveTrace, check_eigen_residual,
-                           run_fom)
-from .fem import assemble, build_dofmap, eigen_residual, rayleigh_from_products
-from .linalg import NonconvergenceError, NotSpdError, norm2
+from .continuation import (ContinuationConfig, SolveTrace, _iterate,
+                           check_eigen_residual, run_fom)
+from .fem import assemble, build_dofmap, eigen_residual
+from .linalg import NonconvergenceError, NotSpdError
 from .mesh import Mesh
 from .pod import build_pod
 
@@ -59,24 +59,19 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     """Reduced continuation run from the projection of the full-space u0.
 
     Returns the trace over reduced coefficients plus the lifted final vector.
-    The stopping rule is the relative-change criterion of the full-order run,
-    applied to the reduced coefficients (the basis is orthonormal, so the
-    lifted norms agree).
+    The loop is the full-order run's (``continuation._iterate``), stopping
+    rule and overflow renormalisation included, applied to the reduced
+    coefficients (the basis is orthonormal, so the lifted norms agree).
     """
     # LAPACK directly: at N <= ~20 cho_factor/cho_solve's checks cost more
     # than the arithmetic; imported here to keep `import eigenrom.cli` light
     from scipy.linalg.lapack import dpotrf, dpotrs
 
-    if ops.dim < 1:
-        raise ValueError("reduced dimension must be >= 1")
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.shape != (ops.basis.shape[0],):
         raise ValueError("u0 must be a full-space vector")
     t_start = time.perf_counter()
 
-    y = ops.basis.T @ u0
-    if not np.any(y):
-        raise ValueError("initial state projects to zero in the reduced space")
     system = ops.a_red + ops.m_red / config.dt
     if not np.isfinite(system).all():
         raise ValueError("reduced system has non-finite entries")
@@ -84,26 +79,15 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     if info != 0:
         raise NotSpdError(f"reduced system is not SPD: dpotrf info={info}")
 
-    lam_history = []
-    converged = False
-    steps = 0
-    for k in range(config.max_steps):
-        my = ops.m_red @ y
-        lam = rayleigh_from_products(y, ops.a_red @ y, my)
-        lam_history.append(lam)
-        y_new, info = dpotrs(factor, (lam + 1.0 / config.dt) * my)
+    def solve(b):
+        x, info = dpotrs(factor, b)
         if info != 0:
             raise ValueError(f"reduced step solve failed: dpotrs info={info}")
-        steps = k + 1
-        rel_change = norm2(y_new - y) / norm2(y_new)
-        y = y_new
-        if rel_change <= config.stop_tol:
-            converged = True
-            break
-    lam_history.append(rayleigh_from_products(y, ops.a_red @ y, ops.m_red @ y))
-    trace = SolveTrace(np.array(lam_history), y, steps,
-                       time.perf_counter() - t_start, converged)
-    return trace, ops.basis @ y
+        return x, ops.a_red @ x, ops.m_red @ x
+
+    trace = _iterate(ops.basis.T @ u0, solve,
+                     lambda y: (ops.a_red @ y, ops.m_red @ y), config, t_start)[0]
+    return trace, ops.basis @ trace.final_vector
 
 
 def solve_level(A, M, cont: ContinuationConfig, strides, eps
@@ -111,11 +95,13 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
     """Full-order run once, then one basis and reduced run per stride.
 
     The full-order run samples every ``min(strides)``-th step from the
-    configured initial guess; each stride's basis takes a subsample of those
-    snapshots, with N chosen by the energy tolerance ``eps`` (a float, or a
-    function of the converged full-order vector that returns one).  Every
-    reduced run starts from the all-ones vector, which is positive and so
-    never M-orthogonal to the positive first eigenfunction.
+    configured initial guess; each stride's basis takes every
+    ``stride // min(strides)``-th of those snapshot columns (ValueError if
+    a stride is not a multiple of the smallest), with N chosen by the energy
+    tolerance ``eps`` (a float, or a function of the converged full-order
+    vector that returns one).  Every reduced run starts from the all-ones
+    vector, which is positive and so never M-orthogonal to the positive first
+    eigenfunction.
 
     Returns the full-order trace and one ``(stride, basis, rom_trace,
     rom_time)`` per stride, where ``rom_time`` covers projection plus reduced
@@ -124,8 +110,11 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
     reduced vector is checked by ``check_eigen_residual``, outside
     ``rom_time``).
     """
-    n = A.shape[0]
-    trace, snaps = run_fom(A, M, replace(cont, snapshot_stride=min(strides)))
+    n, base = A.shape[0], min(strides)
+    for stride in strides:
+        if stride % base:
+            raise ValueError(f"stride {stride} is not a multiple of {base}")
+    trace, snaps = run_fom(A, M, replace(cont, snapshot_stride=base))
     for warning in trace.warnings:
         log.warning("full-order run on %d dofs: %s", n, warning)
     if not trace.converged:
@@ -138,8 +127,8 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
     per_stride = []
     for stride in strides:
         t0 = time.perf_counter()
-        sub = snaps.with_stride(stride)
-        if sub.n_columns == 0:
+        sub = snaps[:, stride // base - 1::stride // base]
+        if sub.shape[1] == 0:
             raise ValueError(f"the full-order run on {n} dofs stopped after "
                              f"{trace.n_steps} steps, before its first "
                              f"snapshot at stride {stride}")

@@ -61,7 +61,12 @@ def power_svd(X, n_modes=None, iters=20000, tol=1e-14):
 
 
 def smallest_pencil_eigenpair(A, M):
-    """Smallest generalized eigenpair of (A, M) via scipy shift-invert."""
+    """Smallest generalized eigenpair of (A, M) via scipy shift-invert
+    (dense ``eigh`` below three unknowns, where ARPACK cannot run)."""
+    if A.shape[0] < 3:
+        vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray(),
+                                       subset_by_index=[0, 0])
+        return float(vals[0]), vecs[:, 0]
     vals, vecs = spla.eigsh(A, k=1, M=M, sigma=0, which="LM")
     return float(vals[0]), vecs[:, 0]
 
@@ -172,7 +177,7 @@ def fom_loop_dense(A, M, u0, dt, stop_tol, snapshot_stride, max_steps):
 def projection_error_sq(S, V):
     """Sum over snapshot columns u of ||u - V V^T u||^2 (the energy the
     basis V misses; for a POD basis, the Eckart-Young tail)."""
-    X = np.asarray(getattr(S, "matrix", S), dtype=np.float64)
+    X = np.asarray(S, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] != X.shape[0]:
         raise ValueError("basis rows must match snapshot rows")

@@ -6,8 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import eigenrom.continuation as continuation
-from eigenrom.continuation import (ContinuationConfig, SnapshotMatrix,
-                                   fom_step, run_fom, step_solver)
+from eigenrom.continuation import (ContinuationConfig, fom_step, run_fom,
+                                   step_solver)
 from eigenrom.fem import assemble, build_dofmap, eigen_residual, rayleigh_quotient
 from eigenrom.linalg import NonconvergenceError, spd_solve
 from eigenrom.mesh import generate_lshape, generate_square
@@ -163,9 +163,9 @@ class TestRunFom:
             lam = rayleigh_quotient(A, M, U)
             U = fom_step(A, M, U, lam, cfg.dt, solve=solve)
             if (k + 1) % cfg.snapshot_stride == 0:
-                assert np.array_equal(U, snaps.matrix[:, col])
+                assert np.array_equal(U, snaps[:, col])
                 col += 1
-        assert col == snaps.n_columns == trace.n_steps // cfg.snapshot_stride
+        assert col == snaps.shape[1] == trace.n_steps // cfg.snapshot_stride
 
     @pytest.mark.parametrize("domain,n,degree", [("square", 8, 1),
                                                   ("lshape", 4, 2)])
@@ -184,8 +184,8 @@ class TestRunFom:
                                            cfg.snapshot_stride, cfg.max_steps)
         assert trace.converged and trace.n_steps == steps
         assert np.allclose(trace.lambda_history, history, rtol=1e-12, atol=0)
-        assert snaps.matrix.shape == S.shape
-        assert np.all(np.linalg.norm(snaps.matrix - S, axis=0)
+        assert snaps.shape == S.shape
+        assert np.all(np.linalg.norm(snaps - S, axis=0)
                       <= 1e-12 * np.linalg.norm(S, axis=0))
 
     def test_failed_residual_check_stops_the_run(self, monkeypatch):
@@ -251,20 +251,10 @@ class TestRunFom:
 
 
 class TestSnapshotMatrix:
-    def test_with_stride_subsampling(self):
-        base = SnapshotMatrix(np.arange(20, dtype=float).reshape(2, 10), 2)
-        sub = base.with_stride(4)
-        assert sub.stride == 4
-        assert np.array_equal(sub.matrix, base.matrix[:, 1::2])
-        with pytest.raises(ValueError):
-            base.with_stride(3)
-
     def test_column_count_floor(self, runs):
-        _, _, _, _, cfg, trace, snaps = runs.fom("square", "crisscross", 16, 1)
-        assert snaps.n_columns == trace.n_steps // snaps.stride
-        for stride in (4, 8):
-            assert snaps.with_stride(stride).n_columns == trace.n_steps // stride
+        _, _, A, _, cfg, trace, snaps = runs.fom("square", "crisscross", 16, 1)
+        assert snaps.shape == (A.shape[0], trace.n_steps // cfg.snapshot_stride)
 
     def test_columns_nonzero(self, runs):
         _, _, _, _, _, _, snaps = runs.fom("square", "crisscross", 16, 1)
-        assert np.all(np.linalg.norm(snaps.matrix, axis=0) > 0)
+        assert np.all(np.linalg.norm(snaps, axis=0) > 0)

@@ -144,11 +144,24 @@ class TestRunExperiment:
 
     def test_uniform_and_adaptive_levels_agree(self):
         # both paths run one square level through the same solve_level
-        uniform = run_experiment(small_config(seed=3))
-        adaptive = run_experiment(small_config(seed=3, adaptive=True))
+        cont = ContinuationConfig(initial_guess="random", seed=3)
+        uniform = run_experiment(small_config(continuation=cont))
+        adaptive = run_experiment(small_config(continuation=cont,
+                                               adaptive=True))
         assert len(uniform) == len(adaptive) == 1
         for field_ in ("lambda_fom", "lambda_rom", "n_pod"):
             assert getattr(uniform[0], field_) == getattr(adaptive[0], field_)
+
+    def test_continuation_seed_is_the_cli_seed(self, tmp_path):
+        # the configured seed is the one the run uses, as --seed on the CLI
+        cont = ContinuationConfig(initial_guess="random", seed=5)
+        rows = run_experiment(small_config(continuation=cont))
+        out = tmp_path / "t.csv"
+        assert cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "8", "--seed", "5",
+                         "--out", str(out)]) == 0
+        untimed = [replace(r, fom_s=0.0, rom_s=0.0) for r in read_csv(out)]
+        assert untimed == [replace(r, fom_s=0.0, rom_s=0.0) for r in rows]
 
     def test_file_mesh_schedule(self, tmp_path):
         path = tmp_path / "imported.mesh"

@@ -188,6 +188,20 @@ class TestBisectRefine:
         with pytest.raises(ValueError):
             bisect_refine(m, {m.n_triangles})
 
+    def test_every_form_of_the_marked_set_gives_one_mesh(self):
+        # ``adapt.mark`` hands over a sorted int64 array; any iterable of the
+        # same indices, in any order and with repeats, must refine alike
+        m = generate_lshape("mixed", 2)
+        idx = [3, 17, 4, 20, 9]
+        forms = [np.array(sorted(idx), dtype=np.int64),
+                 np.array(idx + idx[::2], dtype=np.int64),
+                 np.array(idx, dtype=np.int32), idx, set(idx), (i for i in idx)]
+        want = bisect_refine(m, sorted(idx))
+        for marked in forms:
+            got = bisect_refine(m, marked)
+            for field in ("nodes", "triangles", "refinement_edge"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
 
 class TestMeshIO:
     def test_round_trip(self, tmp_path):

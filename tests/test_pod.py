@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from eigenrom.pod import (build_pod, exact_reference_eps, select_dim,
                           singular_values, write_singular_values)
-from eigenrom.continuation import SnapshotMatrix
 from oracles import power_svd, projection_error_sq
 
 
@@ -49,10 +48,14 @@ class TestBuildPod:
             col = basis.V[:, j]
             assert col[np.abs(col).argmax()] > 0
 
-    def test_accepts_snapshot_matrix(self, rng):
-        snap = SnapshotMatrix(rng.standard_normal((20, 5)), 4)
-        basis = build_pod(snap, 3)
-        assert basis.V.shape == (20, 3)
+    def test_accepts_snapshot_matrix(self, runs):
+        # the snapshot array of a full-order run, and a strided column view
+        # of it as ``rom.solve_level`` passes, give the basis of a copy
+        _, _, _, _, _, _, snaps = runs.fom("square", "crisscross", 16, 1)
+        for S in (snaps, snaps[:, 1::2]):
+            basis = build_pod(S, 3)
+            assert basis.V.shape == (481, 3)
+            assert np.array_equal(basis.V, build_pod(S.copy(), 3).V)
 
     def test_rank_errors(self, rng):
         S = rng.standard_normal((10, 3))

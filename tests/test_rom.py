@@ -1,9 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from eigenrom.continuation import ContinuationConfig, initial_state
+import eigenrom.rom as rom
+from eigenrom.continuation import ContinuationConfig, initial_state, run_fom
+from eigenrom.fem import assemble, build_dofmap
 from eigenrom.linalg import NotSpdError
+from eigenrom.mesh import generate_square
 from eigenrom.pod import build_pod
 from eigenrom.rom import ReducedOperators, reduce, run_rom
 from oracles import rom_loop_cho
@@ -143,3 +149,37 @@ class TestRunRom:
         ops = ReducedOperators(np.eye(1), np.eye(1), np.eye(3)[:, :1])
         with pytest.raises(ValueError):
             run_rom(ops, np.array([0.0, 1.0, 0.0]) * 0.0, ContinuationConfig())
+
+
+class TestSolveLevel:
+    @pytest.fixture()
+    def pencil(self):
+        mesh = generate_square("crisscross", 8, math.pi)
+        return assemble(mesh, build_dofmap(mesh, 1))
+
+    def test_stride_subsampling(self, monkeypatch, pencil):
+        # each stride's basis is built from the columns of the one full-order
+        # snapshot array that a run at that stride records on its own
+        A, M = pencil
+        cont = ContinuationConfig(initial_guess="random", seed=3)
+        seen = []
+
+        def recording_build_pod(S, **kwargs):
+            seen.append(np.array(S))
+            return build_pod(S, **kwargs)
+
+        monkeypatch.setattr(rom, "build_pod", recording_build_pod)
+        rom.solve_level(A, M, cont, (2, 4, 8), 1e-7)
+        assert len(seen) == 3
+        for stride, S in zip((2, 4, 8), seen):
+            own = run_fom(A, M, replace(cont, snapshot_stride=stride))[1]
+            assert S.shape[1] >= 1 and np.array_equal(S, own)
+
+    def test_stride_not_a_multiple_rejected_before_the_run(self, monkeypatch,
+                                                           pencil):
+        A, M = pencil
+        calls = []
+        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="not a multiple"):
+            rom.solve_level(A, M, ContinuationConfig(), (2, 3), 1e-7)
+        assert calls == []

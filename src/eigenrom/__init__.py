@@ -1,10 +1,9 @@
 """First Laplace-Dirichlet eigenpair by fictitious-time continuation with
 finite elements, plus a POD reduced-order model built from time snapshots."""
 
-from .continuation import (ContinuationConfig, SolveTrace, fom_step, run_fom,
-                           step_solver)
+from .continuation import ContinuationConfig, SolveTrace, run_fom, step_solver
 from .fem import (DofMap, assemble, assemble_full, build_dofmap,
-                  eigen_residual, rayleigh_quotient)
+                  eigen_residual)
 from .harness import (ExperimentConfig, ExperimentError, ResultRow,
                       compute_rate, emit_csv, run_experiment)
 from .linalg import NonconvergenceError, NotSpdError, spd_solve, sym_eig_desc
@@ -24,8 +23,8 @@ __all__ = [
     "ResultRow", "SolveTrace",
     "adaptive_solve", "assemble", "assemble_full", "bisect_refine",
     "build_dofmap", "build_pod", "compute_rate", "eigen_residual", "emit_csv",
-    "estimate", "fom_step", "generate_lshape", "generate_square", "mark",
-    "mesh_stats", "rayleigh_quotient", "read_mesh", "reduce",
+    "estimate", "generate_lshape", "generate_square", "mark",
+    "mesh_stats", "read_mesh", "reduce",
     "run_experiment", "run_fom", "run_rom", "select_dim", "singular_values",
     "spd_solve", "step_solver", "sym_eig_desc", "uniform_refine",
     "validate_mesh", "write_mesh",

@@ -23,8 +23,7 @@ import numpy as np
 
 from .continuation import ContinuationConfig
 from .fem import DofMap, QUAD_POINTS, QUAD_WEIGHTS, p2_dlambda, p2_values
-from .mesh import (Mesh, barycentric_gradients, bisect_refine, edge_lengths,
-                   edge_table, triangle_areas)
+from .mesh import Mesh, bisect_refine
 from .rom import Level, solve_levels
 
 log = logging.getLogger(__name__)
@@ -63,9 +62,9 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
     for P1 and is constant for P2; element and edge integrals use quadrature
     exact for the polynomial degrees present.
     """
-    area = triangle_areas(mesh)
-    grads, gram = barycentric_gradients(mesh)
-    h_k = edge_lengths(mesh).max(axis=1)
+    area = mesh.areas
+    grads, gram = mesh.gradients
+    h_k = mesh.edge_lengths.max(axis=1)
     u_loc = dofmap.full_vector(u_h)[dofmap.cell_dofs]     # (T, n_loc)
 
     if dofmap.degree == 1:
@@ -84,7 +83,7 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
     rq = lap[:, None] + lambda_h * uq
     eta_sq = h_k ** 2 * area * (rq ** 2 @ QUAD_WEIGHTS)
 
-    edges, _, edge_tris = edge_table(mesh)
+    edges, _, edge_tris = mesh.edge_table
     interior = np.flatnonzero(edge_tris[:, 1] >= 0)
     if interior.size:
         e_nodes = edges[interior]

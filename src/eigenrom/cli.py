@@ -45,6 +45,13 @@ def _pod_eps(text: str):
         raise UsageError(f"--pod-eps expects a number or 'exact': {text!r}") from exc
 
 
+def _strides(text: str) -> tuple:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad --stride/--strides value {text!r}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="eigenrom",
                      description="First Laplace-Dirichlet eigenpair by "
@@ -62,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of mesh levels (n doubles per level)")
     run.add_argument("--dt", type=float, default=0.1)
     run.add_argument("--stop-tol", type=float, default=1e-8)
-    run.add_argument("--stride", type=int, default=4,
-                     help="snapshot stride in time steps")
-    run.add_argument("--strides", default=None,
-                     help="comma separated strides, e.g. 2,4,8 (overrides --stride)")
-    run.add_argument("--pod-eps", type=_pod_eps, default=None,
+    run.add_argument("--stride", "--strides", dest="strides", type=_strides,
+                     default=(4,),
+                     help="snapshot stride in time steps, or a comma "
+                          "separated list, e.g. 2,4,8")
+    run.add_argument("--pod-eps", type=_pod_eps, default=1e-7,
                      help="energy tolerance, or 'exact' for uniform levels on "
                           "the square (default: 1e-7)")
     run.add_argument("--init", default="random", choices=["ones", "random"],
@@ -91,20 +98,13 @@ def _config_from_args(args) -> ExperimentConfig:
     if mesh.startswith("file:"):
         mesh_file = mesh[len("file:"):]
         mesh = "file"
-    if args.strides:
-        try:
-            strides = tuple(int(s) for s in args.strides.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad --strides value {args.strides!r}") from exc
-    else:
-        strides = (args.stride,)
     cont = ContinuationConfig(dt=args.dt, stop_tol=args.stop_tol,
                               initial_guess=args.init, seed=args.seed)
     return ExperimentConfig(
         domain=args.domain, mesh=mesh, mesh_file=mesh_file,
         n_start=args.n_start, levels=args.levels, fe_degree=args.fe,
         adaptive=args.adaptive, theta=args.theta, continuation=cont,
-        strides=strides, pod_eps=args.pod_eps, out_csv=args.out,
+        strides=args.strides, pod_eps=args.pod_eps,
         singvals_path=args.dump_singvals, mesh_dump_path=args.dump_mesh)
 
 
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         rows = run_experiment(cfg)
-        emit_csv(rows, cfg.out_csv)
+        emit_csv(rows, args.out)
     except (UsageError, ValueError, OSError) as exc:
         print(f"eigenrom: error: {exc}", file=sys.stderr)
         return 1

@@ -130,17 +130,6 @@ def check_eigen_residual(residual: float, lam: float, what: str) -> None:
             "be too small for stop_tol", residual=residual)
 
 
-def fom_step(A, M, U, lam: float, dt: float, solve=None) -> np.ndarray:
-    """One implicit-Euler step: solve (A + M/dt) U' = (lam + 1/dt) M U.
-
-    ``solve`` is a ``step_solver(A, M, dt)`` that callers stepping in a loop
-    build once; without it the step factors the system itself.
-    """
-    if solve is None:
-        solve = step_solver(A, M, dt)
-    return solve((lam + 1.0 / dt) * (M @ U))[0]
-
-
 def _iterate(U, solve, products, config: ContinuationConfig, t_start: float):
     """The fictitious-time loop of the full-order and the reduced run, from
     the nonzero state U.  ``solve(b)`` returns ``(x, A x, M x)`` for

@@ -5,8 +5,8 @@ assembled operators act on the free (non-Dirichlet) degrees of freedom only,
 which keeps both matrices symmetric positive definite.  ``assemble`` drops
 the Dirichlet rows and columns from the element triplets before the one
 sparse conversion per matrix; ``assemble_full`` keeps every dof.  The
-triangle areas and barycentric gradients come from the mesh's cached
-geometry (``mesh.barycentric_gradients``), shared with the error estimator.
+triangle areas and barycentric gradients are the mesh's cached properties
+(``mesh.areas``, ``mesh.gradients``), shared with the error estimator.
 
 Element integrals: P1 uses the exact closed-form triangle formulas; P2 uses
 a six-point symmetric quadrature rule that is exact for quartics, so both
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .linalg import norm2
-from .mesh import Mesh, barycentric_gradients, edge_table, triangle_areas
+from .mesh import Mesh
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -57,7 +57,6 @@ class DofMap:
     free_dofs: np.ndarray
     cell_dofs: np.ndarray
     dof_coords: np.ndarray
-    mesh: Mesh
 
     @property
     def n_free(self) -> int:
@@ -80,16 +79,16 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     if degree == 1:
         dirichlet = mesh.boundary_node
         return DofMap(1, mesh.n_nodes, np.flatnonzero(~dirichlet),
-                      mesh.triangles.copy(), mesh.nodes.copy(), mesh)
+                      mesh.triangles, mesh.nodes)
 
-    edges, tri_edges, edge_tris = edge_table(mesh)
+    edges, tri_edges, edge_tris = mesh.edge_table
     midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     cell_dofs = np.hstack([mesh.triangles, mesh.n_nodes + tri_edges])
     boundary_edge = edge_tris[:, 1] < 0
     dirichlet = np.concatenate([mesh.boundary_node, boundary_edge])
     coords = np.vstack([mesh.nodes, midpoints])
     return DofMap(2, mesh.n_nodes + len(edges), np.flatnonzero(~dirichlet),
-                  cell_dofs, coords, mesh)
+                  cell_dofs, coords)
 
 
 def p2_values(lam: np.ndarray) -> np.ndarray:
@@ -151,10 +150,8 @@ def _assemble(mesh: Mesh, degree: int, cell_index, n: int):
     # slow to import, and `import eigenrom.cli` should not pay for it
     import scipy.sparse as sp
 
-    area = triangle_areas(mesh)
-    if np.any(area <= 0):
-        raise ValueError("degenerate triangle encountered during assembly")
-    _, gram = barycentric_gradients(mesh)
+    area = mesh.areas
+    _, gram = mesh.gradients
     if degree == 1:
         # exact closed form: K_ij = area * grad_i . grad_j
         ke = gram * area[:, None, None]
@@ -173,11 +170,6 @@ def _assemble(mesh: Mesh, degree: int, cell_index, n: int):
     cols = np.tile(idx, (1, n_loc)).reshape(-1)[keep]
     return tuple(sp.coo_array((e.reshape(-1)[keep], (rows, cols)),
                               shape=(n, n)).tocsr() for e in (ke, me))
-
-
-def rayleigh_quotient(A, M, U) -> float:
-    """(U^T A U) / (U^T M U)."""
-    return rayleigh_from_products(U, A @ U, M @ U)
 
 
 def rayleigh_from_products(U, AU, MU) -> float:

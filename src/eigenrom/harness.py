@@ -20,8 +20,8 @@ from .adapt import next_mesh
 from .continuation import ContinuationConfig
 from .fem import interpolate_free
 from .linalg import NonconvergenceError, NotSpdError
-from .mesh import (Mesh, edge_lengths, generate_lshape, generate_square,
-                   read_mesh, uniform_refine, write_mesh)
+from .mesh import (Mesh, generate_lshape, generate_square, read_mesh,
+                   uniform_refine, write_mesh)
 from .pod import exact_reference_eps, write_singular_values
 from .rom import solve_levels
 
@@ -35,9 +35,6 @@ CSV_HEADER = ["mesh", "n", "dof", "lambda_fom", "lambda_rom",
               "rate_fom", "rate_rom", "n_pod", "fom_s", "rom_s"]
 
 _GENERATED = ("crisscross", "right", "left", "mixed")
-
-
-DEFAULT_POD_EPS = 1e-7
 
 
 def default_continuation() -> ContinuationConfig:
@@ -66,14 +63,10 @@ class ExperimentConfig:
     theta: float = 0.5
     continuation: ContinuationConfig = field(default_factory=default_continuation)
     strides: tuple = (4,)
-    pod_eps: object = None            # float, "exact", or None for the default
+    pod_eps: object = 1e-7            # float, or "exact"
     mesh_file: str | None = None
-    out_csv: str | None = None
     singvals_path: str | None = None
     mesh_dump_path: str | None = None
-
-    def resolved_pod_eps(self):
-        return DEFAULT_POD_EPS if self.pod_eps is None else self.pod_eps
 
 
 @dataclass
@@ -123,13 +116,12 @@ def _validate(cfg: ExperimentConfig):
                              f"stride {base}")
     if cfg.adaptive and len(cfg.strides) > 1:
         raise ValueError("adaptive runs take a single snapshot stride")
-    eps = cfg.resolved_pod_eps()
-    if eps == "exact":
+    if cfg.pod_eps == "exact":
         if cfg.domain != "square" or cfg.adaptive:
             raise ValueError("the exact-reference tolerance needs uniform "
                              "levels on the square domain, where the first "
                              "eigenfunction is known")
-    elif not 0 < float(eps) < 1:
+    elif not 0 < float(cfg.pod_eps) < 1:
         raise ValueError("pod eps must lie in (0, 1)")
     if cfg.adaptive and not 0 < cfg.theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
@@ -197,8 +189,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """
     _validate(cfg)
     lam_ref = reference_eigenvalue(cfg.domain)
-    eps = cfg.resolved_pod_eps()
-    eps = _exact_eps if eps == "exact" else float(eps)
+    eps = _exact_eps if cfg.pod_eps == "exact" else float(cfg.pod_eps)
 
     def uniform(level, dofmap, M):
         if cfg.mesh == "file":
@@ -214,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     try:
         for last in levels:
             sizes.append(last.n_dof if cfg.adaptive
-                         else float(edge_lengths(last.mesh).max()))
+                         else float(last.mesh.edge_lengths.max()))
             table.append([
                 ResultRow(label, _label(cfg, last.index), last.n_dof,
                           last.trace.eigenvalue, rom_trace.eigenvalue, None,
@@ -236,7 +227,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             if len(cfg.strides) > 1:
                 stem, dot_, ext = path.rpartition(".")
                 path = f"{stem}_s{stride}{dot_}{ext}" if stem else f"{path}_s{stride}"
-            write_singular_values(basis, path)
+            write_singular_values(basis.singular_values, path)
     return _rows(cfg, table, sizes, lam_ref)
 
 

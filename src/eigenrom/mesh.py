@@ -13,12 +13,13 @@ Conventions
   lowest local index).
 * Nodes of generated meshes are ordered lexicographically by ``(y, x)``.
 * A ``Mesh`` stores only ``nodes``, ``triangles`` and ``refinement_edge``,
-  all read-only.  Everything derived from them is built once per mesh, on
-  first use, and cached read-only: the edge table, the boundary flags (a
-  boundary edge belongs to exactly one triangle, and a boundary node lies on
-  a boundary edge), and the triangle geometry that validation, assembly and
-  error estimation share (signed areas, local edge lengths, barycentric
-  gradients and their Gram matrices).
+  all read-only, and is validated when it is built.  Everything derived
+  from them is a property built once, on first use, and cached read-only:
+  ``edge_table``, ``boundary_node`` (a boundary edge belongs to exactly one
+  triangle, and a boundary node lies on a boundary edge), and the triangle
+  geometry that validation, assembly and error estimation share: ``areas``
+  (signed), local ``edge_lengths`` and barycentric ``gradients`` with their
+  Gram matrices.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class MeshError(ValueError):
 
 @dataclass(eq=False)
 class Mesh:
-    """Conforming triangulation of a planar domain.
+    """Conforming triangulation of a planar domain, validated on construction.
 
     Attributes
     ----------
@@ -57,11 +58,18 @@ class Mesh:
         # arrays staying fixed, and the caller's arrays stay writable
         self.nodes = np.array(self.nodes, dtype=np.float64, order="C")
         self.triangles = np.array(self.triangles, dtype=np.int64, order="C")
+        # the triangles must index the nodes before any geometry is read
+        if self.nodes.shape[1:] != (2,) or self.triangles.shape[1:] != (3,):
+            raise MeshError("nodes must have shape (n, 2) and triangles (T, 3)")
+        if self.triangles.size and (self.triangles.min() < 0
+                                    or self.triangles.max() >= self.n_nodes):
+            raise MeshError("triangle references an invalid node index")
         if self.refinement_edge is None:
-            self.refinement_edge = np.argmax(edge_lengths(self), axis=1)
+            self.refinement_edge = np.argmax(self.edge_lengths, axis=1)
         self.refinement_edge = np.array(self.refinement_edge, dtype=np.int64, order="C")
         for arr in (self.nodes, self.triangles, self.refinement_edge):
             arr.setflags(write=False)
+        validate_mesh(self)
 
     @property
     def n_nodes(self) -> int:
@@ -72,30 +80,88 @@ class Mesh:
         return self.triangles.shape[0]
 
     @cached_property
-    def _edge_table(self):
-        return _build_edge_table(self)
+    def areas(self) -> np.ndarray:
+        """Signed areas of all triangles (positive for counterclockwise)."""
+        p = self.nodes[self.triangles]
+        u = p[:, 1] - p[:, 0]
+        v = p[:, 2] - p[:, 0]
+        return _read_only(0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))
 
     @cached_property
-    def _areas(self):
-        return _read_only(_signed_areas(self.nodes, self.triangles))
+    def edge_lengths(self) -> np.ndarray:
+        """Lengths of the three local edges of every triangle, shape (T, 3)."""
+        p = self.nodes[self.triangles]
+        d = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]        # local edge i opposite vertex i
+        return _read_only(np.hypot(d[..., 0], d[..., 1]))
 
     @cached_property
-    def _edge_lengths(self):
-        return _read_only(_local_edge_lengths(self.nodes, self.triangles))
+    def gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of the barycentric coordinates and their Gram matrices.
 
-    @cached_property
-    def _gradients(self):
-        grads, gram = _barycentric_gradients(self.nodes, self.triangles, self._areas)
+        Returns
+        -------
+        grads : ndarray, shape (T, 3, 2)
+            ``grads[t, i]`` is the gradient of lambda_i on triangle ``t``.
+        gram : ndarray, shape (T, 3, 3)
+            ``gram[t, i, j] = grads[t, i] . grads[t, j]``.
+        """
+        p = self.nodes[self.triangles]
+        grads = np.empty((self.n_triangles, 3, 2))
+        for i in range(3):
+            a, b = (i + 1) % 3, (i + 2) % 3
+            # grad lambda_i = rot90(p_b - p_a) / (2 area)
+            d = p[:, b] - p[:, a]
+            grads[:, i, 0] = -d[:, 1]
+            grads[:, i, 1] = d[:, 0]
+        grads /= (2.0 * self.areas)[:, None, None]
+        gx, gy = grads[..., 0], grads[..., 1]
+        gram = np.empty((self.n_triangles, 3, 3))
+        for i in range(3):
+            for j in range(3):
+                gram[:, i, j] = gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]
         return _read_only(grads), _read_only(gram)
+
+    @cached_property
+    def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unique-edge connectivity.
+
+        Returns
+        -------
+        edges : ndarray, shape (E, 2)
+            Endpoint indices with ``edges[:, 0] < edges[:, 1]``,
+            lexicographically sorted.
+        tri_edges : ndarray, shape (T, 3)
+            Edge id of each local edge (local edge ``i`` opposite vertex ``i``).
+        edge_tris : ndarray, shape (E, 2)
+            The one or two triangles containing each edge; -1 marks absence.
+            When two are present they are in increasing triangle order.
+        """
+        n = self.n_nodes
+        raw = self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+        # one int64 key per edge, lo * n + hi, sorts lexicographically by (lo, hi)
+        keys, first, inverse, counts = np.unique(
+            raw.min(axis=1) * n + raw.max(axis=1),
+            return_index=True, return_inverse=True, return_counts=True)
+        if counts.max(initial=0) > 2:
+            raise MeshError("edge shared by more than two triangles")
+        edges = np.column_stack([keys // n, keys % n])
+        tri_edges = inverse.reshape(-1, 3)
+
+        # the first occurrence of an edge has the lower triangle; the other
+        # occurrence, if any, is the edge's second triangle
+        edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+        edge_tris[:, 0] = first // 3
+        second = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
+        edge_tris[inverse[second], 1] = second // 3
+        return _read_only(edges), _read_only(tri_edges), _read_only(edge_tris)
 
     @cached_property
     def boundary_node(self) -> np.ndarray:
         """True for nodes on the domain boundary, shape (n_nodes,)."""
-        edges, _, edge_tris = edge_table(self)
+        edges, _, edge_tris = self.edge_table
         flags = np.zeros(self.n_nodes, dtype=bool)
         flags[edges[edge_tris[:, 1] < 0]] = True
-        flags.setflags(write=False)
-        return flags
+        return _read_only(flags)
 
 
 @dataclass
@@ -108,113 +174,9 @@ class MeshStats:
     dof_p2: int
 
 
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed areas of all triangles (positive for counterclockwise),
-    built once per mesh (read-only)."""
-    return mesh._areas
-
-
-def edge_lengths(mesh: Mesh) -> np.ndarray:
-    """Lengths of the three local edges of every triangle, shape (T, 3),
-    built once per mesh (read-only)."""
-    return mesh._edge_lengths
-
-
-def barycentric_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the barycentric coordinates and their Gram matrices,
-    built once per mesh (read-only).
-
-    Returns
-    -------
-    grads : ndarray, shape (T, 3, 2)
-        ``grads[t, i]`` is the gradient of lambda_i on triangle ``t``.
-    gram : ndarray, shape (T, 3, 3)
-        ``gram[t, i, j] = grads[t, i] . grads[t, j]``.
-    """
-    return mesh._gradients
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _signed_areas(nodes, triangles):
-    p = nodes[triangles]
-    u = p[:, 1] - p[:, 0]
-    v = p[:, 2] - p[:, 0]
-    return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-
-
-def _local_edge_lengths(nodes, triangles):
-    p = nodes[triangles]
-    d = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]        # local edge i opposite vertex i
-    return np.hypot(d[..., 0], d[..., 1])
-
-
-def _barycentric_gradients(nodes, triangles, area):
-    p = nodes[triangles]
-    grads = np.empty((len(triangles), 3, 2))
-    for i in range(3):
-        a, b = (i + 1) % 3, (i + 2) % 3
-        # grad lambda_i = rot90(p_b - p_a) / (2 area)
-        d = p[:, b] - p[:, a]
-        grads[:, i, 0] = -d[:, 1]
-        grads[:, i, 1] = d[:, 0]
-    grads /= (2.0 * area)[:, None, None]
-    gx, gy = grads[..., 0], grads[..., 1]
-    gram = np.empty((len(triangles), 3, 3))
-    for i in range(3):
-        for j in range(3):
-            gram[:, i, j] = gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]
-    return grads, gram
-
-
-def edge_table(mesh: Mesh):
-    """Unique-edge connectivity, built once per mesh (read-only arrays).
-
-    Returns
-    -------
-    edges : ndarray, shape (E, 2)
-        Endpoint indices with ``edges[:, 0] < edges[:, 1]``, lexicographically
-        sorted.
-    tri_edges : ndarray, shape (T, 3)
-        Edge id of each local edge (local edge ``i`` opposite vertex ``i``).
-    edge_tris : ndarray, shape (E, 2)
-        The one or two triangles containing each edge; -1 marks absence.
-        When two are present they are in increasing triangle order.
-    """
-    return mesh._edge_table
-
-
-def _build_edge_table(mesh: Mesh):
-    n = mesh.n_nodes
-    raw = mesh.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
-    # one int64 key per edge, lo * n + hi, sorts lexicographically by (lo, hi)
-    keys, first, inverse, counts = np.unique(
-        raw.min(axis=1) * n + raw.max(axis=1),
-        return_index=True, return_inverse=True, return_counts=True)
-    if counts.max(initial=0) > 2:
-        raise MeshError("edge shared by more than two triangles")
-    edges = np.column_stack([keys // n, keys % n])
-    tri_edges = inverse.reshape(-1, 3)
-
-    # the first occurrence of an edge has the lower triangle; the other
-    # occurrence, if any, is the edge's second triangle
-    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-    edge_tris[:, 0] = first // 3
-    second = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
-    edge_tris[inverse[second], 1] = second // 3
-    for arr in (edges, tri_edges, edge_tris):
-        arr.setflags(write=False)
-    return edges, tri_edges, edge_tris
-
-
-def _from_arrays(nodes, triangles) -> Mesh:
-    """A validated Mesh with longest-edge refinement markers."""
-    mesh = Mesh(nodes, triangles)
-    validate_mesh(mesh)
-    return mesh
 
 
 def _grid_mesh(m: int, coord, keep, right_diagonal) -> Mesh:
@@ -248,7 +210,7 @@ def _grid_mesh(m: int, coord, keep, right_diagonal) -> Mesh:
     order = np.lexsort((nodes[:, 0], nodes[:, 1]))
     rank = np.empty(len(nodes), dtype=np.int64)
     rank[order] = np.arange(len(nodes))
-    return _from_arrays(nodes[order], rank[tris])
+    return Mesh(nodes[order], rank[tris])
 
 
 def generate_square(pattern: str, n: int, side: float) -> Mesh:
@@ -298,7 +260,7 @@ def generate_lshape(pattern: str, n: int) -> Mesh:
 
 def uniform_refine(mesh: Mesh) -> Mesh:
     """Split every triangle into four congruent children by edge midpoints."""
-    edges, tri_edges, _ = edge_table(mesh)
+    edges, tri_edges, _ = mesh.edge_table
     midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     nodes = np.vstack([mesh.nodes, midpoints])
     t = mesh.triangles
@@ -308,7 +270,7 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     children[:, 1] = np.column_stack([t[:, 1], mid[:, 0], mid[:, 2]])
     children[:, 2] = np.column_stack([t[:, 2], mid[:, 1], mid[:, 0]])
     children[:, 3] = mid
-    return _from_arrays(nodes, children.reshape(-1, 3))
+    return Mesh(nodes, children.reshape(-1, 3))
 
 
 def bisect_refine(mesh: Mesh, marked) -> Mesh:
@@ -327,7 +289,7 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:
         raise ValueError("marked triangle index out of range")
 
-    edges, tri_edges, _ = edge_table(mesh)
+    edges, tri_edges, _ = mesh.edge_table
     n_tri = mesh.n_triangles
     ref = mesh.refinement_edge
     # vertices and edge ids in the local order r, r+1, r+2 (r: refinement edge)
@@ -378,36 +340,32 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     slot_ref[~s, 0] = ref[~s]
     leaf = np.column_stack([np.ones(n_tri, dtype=bool), s_a, s, s_b])
 
-    refined = Mesh(nodes, slots[leaf], slot_ref[leaf])
-    validate_mesh(refined)
-    return refined
+    return Mesh(nodes, slots[leaf], slot_ref[leaf])
 
 
 def validate_mesh(mesh: Mesh) -> None:
-    """Check the mesh invariants; raise MeshError on the first violation."""
-    if mesh.triangles.size and (mesh.triangles.min() < 0
-                                or mesh.triangles.max() >= mesh.n_nodes):
-        raise MeshError("triangle references an invalid node index")
+    """Check a mesh whose triangles index its nodes (the constructor checks
+    that, then runs this); raise MeshError on the first violation."""
     if not np.isfinite(mesh.nodes).all():
         raise MeshError("node coordinates must be finite")
-    areas = triangle_areas(mesh)
+    areas = mesh.areas
     if np.any(areas <= 0):
         bad = int(np.argmin(areas))
         raise MeshError(f"triangle {bad} has non-positive area {areas[bad]:g}")
-    if mesh.refinement_edge.size and (mesh.refinement_edge.min() < 0
-                                      or mesh.refinement_edge.max() > 2):
-        raise MeshError("refinement edge index out of range")
-    edge_table(mesh)       # raises if an edge has more than two triangles
+    ref = mesh.refinement_edge
+    if ref.shape != (mesh.n_triangles,) or np.any((ref < 0) | (ref > 2)):
+        raise MeshError("refinement edge must be one local edge (0-2) per triangle")
+    mesh.edge_table        # raises if an edge has more than two triangles
 
 
 def mesh_stats(mesh: Mesh) -> MeshStats:
     """Node/triangle/boundary counts, mesh size, and P1/P2 dof totals."""
-    edges, _, _ = edge_table(mesh)
+    edges, _, _ = mesh.edge_table
     return MeshStats(
         n_nodes=mesh.n_nodes,
         n_triangles=mesh.n_triangles,
         n_boundary_nodes=int(mesh.boundary_node.sum()),
-        h_max=float(edge_lengths(mesh).max()),
+        h_max=float(mesh.edge_lengths.max()),
         dof_p1=mesh.n_nodes,
         dof_p2=mesh.n_nodes + len(edges),
     )
@@ -462,8 +420,6 @@ def read_mesh(path) -> Mesh:
         if n_tris < 0:
             raise MeshError(f"{path}: negative triangle count")
         tris = np.array([int(v) for v in take(3 * n_tris)], dtype=np.int64).reshape(n_tris, 3)
-        if tris.size and (tris.min() < 0 or tris.max() >= n_nodes):
-            raise MeshError(f"{path}: triangle references an invalid node index")
         stored_boundary = None
         if pos < len(tokens):
             expect("boundary")
@@ -474,7 +430,7 @@ def read_mesh(path) -> Mesh:
     except ValueError as exc:
         raise MeshError(f"{path}: malformed value ({exc})") from exc
 
-    mesh = _from_arrays(coords, tris)
+    mesh = Mesh(coords, tris)
     if stored_boundary is not None:
         recomputed = np.flatnonzero(mesh.boundary_node)
         if not np.array_equal(np.sort(stored_boundary), recomputed):

@@ -53,7 +53,8 @@ def build_pod(S, N: int | None = None, *, eps: float | None = None) -> PodBasis:
     """First ``N`` left singular vectors of the snapshot matrix.
 
     Give either ``N`` or the energy tolerance ``eps``, which chooses N by
-    ``select_dim`` on the singular values of the same SVD.  Each column is
+    ``select_dim`` on the singular values of the same SVD; ``eps = 0`` (an
+    exact reference met exactly) keeps the numerical rank.  Each column is
     sign-fixed so its largest-magnitude entry is positive.
     """
     if (N is None) == (eps is None):
@@ -63,7 +64,7 @@ def build_pod(S, N: int | None = None, *, eps: float | None = None) -> PodBasis:
     U, sigma = _thin_svd(S)
     rank = len(sigma)
     if N is None:
-        N = select_dim(sigma, eps)
+        N = select_dim(sigma, eps) if eps != 0 else rank
     if N > rank:
         raise ValueError(f"requested {N} modes but the numerical rank is {rank}")
 
@@ -110,9 +111,8 @@ def exact_reference_eps(M, u_reference, u_computed) -> float:
     return float(np.sqrt(max(d @ (M @ d), 0.0)))
 
 
-def write_singular_values(svals_or_basis, path) -> None:
+def write_singular_values(svals, path) -> None:
     """One singular value per line, descending, 17 significant digits."""
-    svals = getattr(svals_or_basis, "singular_values", svals_or_basis)
     with open(path, "w") as fh:
         for s in np.asarray(svals, dtype=np.float64):
             fh.write(f"{s:.17g}\n")

@@ -44,7 +44,7 @@ class ReducedOperators:
 
 def reduce(A, M, V) -> ReducedOperators:
     """Form V^T A V and V^T M V (symmetrized to kill roundoff skew)."""
-    V = np.asarray(getattr(V, "V", V), dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2 or not A.shape == M.shape == (V.shape[0],) * 2:
         raise ValueError("basis shape does not match the operators")
     a_red = V.T @ (A @ V)

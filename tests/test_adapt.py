@@ -1,19 +1,17 @@
 import math
 from dataclasses import replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import eigenrom.mesh as mesh_mod
 from eigenrom.adapt import EtaField, adaptive_solve, estimate, mark, next_mesh
 from eigenrom.continuation import ContinuationConfig
 from eigenrom.fem import build_dofmap, interpolate
 from eigenrom.linalg import NonconvergenceError
-from eigenrom.mesh import (bisect_refine, edge_lengths, generate_lshape,
-                           generate_square, mesh_stats, triangle_areas,
-                           validate_mesh)
+from eigenrom.mesh import (Mesh, bisect_refine, generate_lshape,
+                           generate_square, mesh_stats, validate_mesh)
 from eigenrom.rom import solve_levels
 from oracles import estimate_by_point_location
 
@@ -50,7 +48,7 @@ def oracle_element_integral(mesh, f):
     p = mesh.nodes[mesh.triangles]
     pts = np.einsum("qk,tkd->tqd", _ORACLE_BARY, p)
     vals = f(pts[..., 0], pts[..., 1])
-    return triangle_areas(mesh) * (vals @ _ORACLE_W)
+    return mesh.areas * (vals @ _ORACLE_W)
 
 
 class TestEstimate:
@@ -76,7 +74,7 @@ class TestEstimate:
         u_full = interpolate(dm, lambda x, y: x)
         lam = 1.7
         eta = estimate(mesh, all_free(dm), u_full, lam)
-        h_k = edge_lengths(mesh).max(axis=1)
+        h_k = mesh.edge_lengths.max(axis=1)
         mass = oracle_element_integral(mesh, lambda x, y: x ** 2)
         expected = h_k ** 2 * lam ** 2 * mass
         assert np.allclose(eta.per_triangle ** 2, expected, rtol=1e-12)
@@ -89,7 +87,7 @@ class TestEstimate:
         u_full = interpolate(dm, lambda x, y: x ** 2)
         lam = 0.9
         eta = estimate(mesh, all_free(dm), u_full, lam)
-        h_k = edge_lengths(mesh).max(axis=1)
+        h_k = mesh.edge_lengths.max(axis=1)
         res = oracle_element_integral(mesh,
                                       lambda x, y: (2.0 + lam * x ** 2) ** 2)
         assert np.allclose(eta.per_triangle ** 2, h_k ** 2 * res, rtol=1e-12)
@@ -221,24 +219,26 @@ class TestAdaptiveSolve:
             assert abs(rom_trace.eigenvalue - level.trace.eigenvalue) <= 1e-8
 
     def test_geometry_built_once_per_mesh(self, monkeypatch):
-        # validation, assembly, estimation and the stats all read one cache
-        built = {name: [] for name in ("_signed_areas", "_local_edge_lengths",
-                                       "_barycentric_gradients")}
+        # validation, assembly, estimation and the stats all read one cache:
+        # each cached property's builder runs once per mesh
+        built = {name: [] for name in ("areas", "edge_lengths", "gradients",
+                                       "edge_table")}
         for name, calls in built.items():
-            def counted(nodes, triangles, *rest, _fn=getattr(mesh_mod, name),
-                        _calls=calls):
-                _calls.append(triangles)
-                return _fn(nodes, triangles, *rest)
-            monkeypatch.setattr(mesh_mod, name, counted)
+            def counted(mesh, _fn=getattr(Mesh, name).func, _calls=calls):
+                _calls.append(mesh)
+                return _fn(mesh)
+            prop = cached_property(counted)
+            prop.__set_name__(Mesh, name)
+            monkeypatch.setattr(Mesh, name, prop)
         cfg = ContinuationConfig(initial_guess="random", snapshot_stride=4)
         final_mesh = adaptive_solve(generate_lshape("crisscross", 2),
                                     2, 0.5, 3, cfg)
         mesh_stats(final_mesh)
         for calls in built.values():
-            # one call per mesh: the triangle arrays are all distinct objects
+            # one call per mesh of the three levels, each a distinct mesh
             assert len(calls) == 3
-            assert len({id(t) for t in calls}) == 3
-        assert built["_signed_areas"][-1] is final_mesh.triangles
+            assert len({id(m) for m in calls}) == 3
+            assert calls[-1] is final_mesh
 
     def test_unconverged_fom_raises(self):
         cfg = ContinuationConfig(max_steps=3)

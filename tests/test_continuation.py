@@ -6,9 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import eigenrom.continuation as continuation
-from eigenrom.continuation import (ContinuationConfig, fom_step, run_fom,
-                                   step_solver)
-from eigenrom.fem import assemble, build_dofmap, eigen_residual, rayleigh_quotient
+from eigenrom.continuation import ContinuationConfig, run_fom, step_solver
+from eigenrom.fem import (assemble, build_dofmap, eigen_residual,
+                          rayleigh_from_products)
 from eigenrom.linalg import NonconvergenceError, spd_solve
 from eigenrom.mesh import generate_lshape, generate_square
 from oracles import fom_loop_dense, smallest_pencil_eigenpair
@@ -40,11 +40,19 @@ class TestConfig:
             ContinuationConfig(initial_guess="zeros")
 
 
+def rayleigh(A, M, U):
+    return rayleigh_from_products(U, A @ U, M @ U)
+
+
 class TestFomStep:
+    """One implicit-Euler step (A + M/dt) U' = (lam + 1/dt) M U through
+    ``step_solver``."""
+
     def test_scalar_formula(self):
         a, m, lam, dt = 3.0, 2.0, 1.5, 0.1
         u = np.array([0.7])
-        out = fom_step(diag_csr([a]), diag_csr([m]), u, lam, dt)
+        M = diag_csr([m])
+        out = step_solver(diag_csr([a]), M, dt)((lam + 1 / dt) * (M @ u))[0]
         expected = (lam + 1 / dt) * m * u / (a + m / dt)
         assert out[0] == pytest.approx(expected[0], rel=1e-13)
 
@@ -53,25 +61,28 @@ class TestFomStep:
         M = diag_csr([1.0, 1.0, 1.0])
         u = rng.standard_normal(3)
         lam = 2.3
-        one = fom_step(A, M, u, lam, 0.1)
-        scaled = fom_step(A, M, 3.5 * u, lam, 0.1)
+        solve = step_solver(A, M, 0.1)
+        one = solve((lam + 10.0) * (M @ u))[0]
+        scaled = solve((lam + 10.0) * (M @ (3.5 * u)))[0]
         assert np.allclose(scaled, 3.5 * one, rtol=1e-12)
 
     def test_fixed_point_at_eigenpair(self, runs):
         _, _, A, M, cfg, trace, _ = runs.fom("square", "crisscross", 16, 1)
         u = trace.final_vector
-        lam = rayleigh_quotient(A, M, u)
-        moved = fom_step(A, M, u, lam, cfg.dt)
+        lam = rayleigh(A, M, u)
+        moved = step_solver(A, M, cfg.dt)((lam + 1.0 / cfg.dt) * (M @ u))[0]
         rel = np.linalg.norm(moved - u) / np.linalg.norm(u)
         assert rel <= 10 * cfg.stop_tol
 
     def test_precomputed_system_agrees(self, rng):
+        # a solver built once and reused keeps no state between steps
         A = diag_csr([2.0, 5.0])
         M = diag_csr([1.0, 3.0])
         solve = step_solver(A, M, 0.1)
-        u = rng.standard_normal(2)
-        assert np.array_equal(fom_step(A, M, u, 2.0, 0.1),
-                              fom_step(A, M, u, 2.0, 0.1, solve=solve))
+        solve(rng.standard_normal(2))
+        b = rng.standard_normal(2)
+        for got, want in zip(solve(b), step_solver(A, M, 0.1)(b)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("domain,degree", [("square", 1), ("lshape", 2)])
     def test_factored_step_matches_cg_oracle(self, rng, domain, degree):
@@ -82,8 +93,8 @@ class TestFomStep:
         A, M = assemble(mesh, build_dofmap(mesh, degree))
         dt, lam = 0.1, 3.0
         u = rng.standard_normal(A.shape[0])
-        got = fom_step(A, M, u, lam, dt, solve=step_solver(A, M, dt))
         rhs = (lam + 1.0 / dt) * (M @ u)
+        got = step_solver(A, M, dt)(rhs)[0]
         want = spd_solve(A + (1.0 / dt) * M, rhs, rel_tol=1e-12)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -160,8 +171,8 @@ class TestRunFom:
         U = np.random.default_rng(3).standard_normal(A.shape[0])
         col = 0
         for k in range(trace.n_steps):
-            lam = rayleigh_quotient(A, M, U)
-            U = fom_step(A, M, U, lam, cfg.dt, solve=solve)
+            lam = rayleigh(A, M, U)
+            U = solve((lam + 1.0 / cfg.dt) * (M @ U))[0]
             if (k + 1) % cfg.snapshot_stride == 0:
                 assert np.array_equal(U, snaps[:, col])
                 col += 1

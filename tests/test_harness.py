@@ -269,6 +269,36 @@ class TestCli:
                          "--out", str(tmp_path / "t.csv")])
         assert code == 1
 
+    def test_exact_eps_on_one_dof(self, tmp_path):
+        # one unknown: the computed vector is the reference exactly, eps is
+        # 0, and the basis keeps the numerical rank
+        out = tmp_path / "t.csv"
+        code = cli_main(["run", "--domain", "square", "--mesh", "right",
+                         "--fe", "2", "--n-start", "1", "--pod-eps", "exact",
+                         "--stride", "1", "--out", str(out)])
+        assert code == 0
+        [row] = read_csv(out)
+        assert row.dof == 9 and row.n_pod == 1
+
+    def test_zero_pod_eps_is_a_config_error(self, tmp_path, capsys):
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", "--pod-eps", "0",
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert "pod eps must lie in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["--stride", "--strides"])
+    def test_stride_spellings_are_one_option(self, tmp_path, spelling):
+        out = tmp_path / "t.csv"
+        argv = ["run", "--domain", "square", "--mesh", "crisscross",
+                "--n-start", "4", "--out", str(out)]
+        assert cli_main([*argv, spelling, "2,4"]) == 0
+        assert [r.mesh for r in read_csv(out)] == ["crisscross-s2",
+                                                    "crisscross-s4"]
+        assert cli_main([*argv, spelling, "2"]) == 0
+        assert [r.mesh for r in read_csv(out)] == ["crisscross"]
+        assert cli_main([*argv, spelling, "2,x"]) == 1
+
     def test_usage_error_exit_code(self, tmp_path):
         code = cli_main(["run", "--domain", "cube",
                          "--mesh", "crisscross",

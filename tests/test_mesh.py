@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import bisect_recursive
 
-from eigenrom.mesh import (Mesh, MeshError, bisect_refine, edge_lengths,
-                           edge_table, generate_lshape, generate_square,
-                           mesh_stats, read_mesh, triangle_areas,
+from eigenrom.mesh import (Mesh, MeshError, bisect_refine, generate_lshape,
+                           generate_square, mesh_stats, read_mesh,
                            uniform_refine, validate_mesh, write_mesh)
 
 PI = math.pi
@@ -48,7 +47,7 @@ class TestGenerateSquare:
     def test_areas_sum_to_domain(self):
         for pattern in ("crisscross", "right", "left"):
             m = generate_square(pattern, 7, PI)
-            assert abs(triangle_areas(m).sum() - PI ** 2) <= 1e-12 * PI ** 2
+            assert abs(m.areas.sum() - PI ** 2) <= 1e-12 * PI ** 2
 
     def test_boundary_flags_geometric(self):
         m = generate_square("crisscross", 5, PI)
@@ -61,7 +60,7 @@ class TestGenerateSquare:
 
     def test_refinement_edge_is_longest(self):
         m = generate_square("right", 3, 1.0)
-        lengths = edge_lengths(m)
+        lengths = m.edge_lengths
         assert np.array_equal(m.refinement_edge, np.argmax(lengths, axis=1))
 
     def test_parameter_errors(self):
@@ -88,7 +87,7 @@ class TestGenerateLshape:
     def test_area(self):
         for pattern in ("crisscross", "mixed"):
             m = generate_lshape(pattern, 4)
-            assert abs(triangle_areas(m).sum() - 3.0) <= 1e-12 * 3.0
+            assert abs(m.areas.sum() - 3.0) <= 1e-12 * 3.0
 
     def test_reentrant_corner_is_boundary(self):
         m = generate_lshape("mixed", 4)
@@ -141,7 +140,7 @@ class TestUniformRefine:
     def test_areas_preserved_and_conforming(self):
         m = uniform_refine(generate_lshape("crisscross", 2))
         validate_mesh(m)
-        assert abs(triangle_areas(m).sum() - 3.0) <= 1e-12 * 3.0
+        assert abs(m.areas.sum() - 3.0) <= 1e-12 * 3.0
 
 
 class TestBisectRefine:
@@ -154,7 +153,7 @@ class TestBisectRefine:
         refined = bisect_refine(m, {9})
         validate_mesh(refined)
         assert refined.n_triangles > m.n_triangles
-        assert abs(triangle_areas(refined).sum() - 1.0) <= 1e-12
+        assert abs(refined.areas.sum() - 1.0) <= 1e-12
 
     def test_bisect_all_twice_on_single_cell(self):
         # two bisection rounds of the 2-triangle mesh give 8 triangles,
@@ -168,10 +167,10 @@ class TestBisectRefine:
 
     def test_area_lower_bound_after_closure(self):
         m = generate_lshape("crisscross", 2)
-        min_area0 = triangle_areas(m).min()
+        min_area0 = m.areas.min()
         refined = bisect_refine(m, {0, 5, 11})
         depth = 2   # each triangle is bisected at most twice per call
-        assert triangle_areas(refined).min() >= min_area0 / 2 ** depth - 1e-15
+        assert refined.areas.min() >= min_area0 / 2 ** depth - 1e-15
 
     def test_repeated_refinement_stays_conforming(self, rng):
         m = generate_lshape("mixed", 2)
@@ -181,7 +180,7 @@ class TestBisectRefine:
                                     replace=False).tolist())
             m = bisect_refine(m, marked)
             validate_mesh(m)
-        assert abs(triangle_areas(m).sum() - 3.0) <= 1e-12 * 3.0
+        assert abs(m.areas.sum() - 3.0) <= 1e-12 * 3.0
 
     def test_out_of_range_mark_rejected(self):
         m = generate_square("right", 2, 1.0)
@@ -277,15 +276,15 @@ class TestMeshIO:
 class TestEdgeTable:
     def test_interior_and_boundary_edge_counts(self):
         m = generate_square("crisscross", 16, PI)
-        edges, _, edge_tris = edge_table(m)
+        edges, _, edge_tris = m.edge_table
         # Euler: E = V + T - 1 for a simply connected planar triangulation
         assert len(edges) == m.n_nodes + m.n_triangles - 1
         assert (edge_tris[:, 1] < 0).sum() == 4 * 16
 
     def test_built_once_and_read_only(self):
         m = generate_lshape("mixed", 2)
-        first = edge_table(m)
-        assert all(a is b for a, b in zip(first, edge_table(m)))
+        first = m.edge_table
+        assert all(a is b for a, b in zip(first, m.edge_table))
         assert m.boundary_node is m.boundary_node
         for arr in (*first, m.boundary_node):
             assert not arr.flags.writeable
@@ -306,12 +305,34 @@ class TestEdgeTable:
         assert copy.nodes[0, 0] == m.nodes[0, 0]
 
     def test_validator_rejects_flipped_triangle(self):
+        # the constructor validates: a flipped triangle never makes a Mesh
         m = generate_square("right", 2, 1.0)
         tris = m.triangles.copy()
         tris[0] = tris[0][::-1]
-        bad = Mesh(m.nodes.copy(), tris, m.refinement_edge.copy())
-        with pytest.raises(MeshError):
-            validate_mesh(bad)
+        with pytest.raises(MeshError, match="non-positive area"):
+            Mesh(m.nodes.copy(), tris, m.refinement_edge.copy())
+
+
+class TestConstruction:
+    NODES = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("tris", [[[0, 1, 5]], [[-1, 1, 2]]])
+    def test_out_of_range_node_index(self, tris):
+        with pytest.raises(MeshError, match="invalid node index"):
+            Mesh(self.NODES, tris)
+
+    @pytest.mark.parametrize("ref", [[7], [-1], [0, 1]])
+    def test_bad_refinement_edge(self, ref):
+        with pytest.raises(MeshError, match="refinement edge"):
+            Mesh(self.NODES, [[0, 1, 2]], ref)
+
+    @pytest.mark.parametrize("nodes,tris", [
+        ([0.0, 1.0, 2.0], [[0, 1, 2]]),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1]]),
+    ])
+    def test_bad_array_shapes(self, nodes, tris):
+        with pytest.raises(MeshError, match="shape"):
+            Mesh(nodes, tris)
 
 
 def geometric_boundary(domain, nodes):
@@ -338,7 +359,7 @@ class TestBisectionProperties:
     def test_random_markings_keep_invariants(self, start, data, rounds):
         domain = start.split("-")[0]
         mesh = self.STARTS[start]()
-        area = triangle_areas(mesh).sum()
+        area = mesh.areas.sum()
         for _ in range(rounds):
             marked = data.draw(st.lists(
                 st.integers(min_value=0, max_value=mesh.n_triangles - 1),
@@ -349,14 +370,14 @@ class TestBisectionProperties:
                                   refined.refinement_edge),
                                  bisect_recursive(mesh, marked)):
                 assert np.array_equal(got, want)
-            areas = triangle_areas(refined)
+            areas = refined.areas
             assert abs(areas.sum() - area) <= 1e-12 * area
             assert np.array_equal(refined.boundary_node,
                                   geometric_boundary(domain, refined.nodes))
             # each triangle is bisected at most twice per call
-            assert areas.min() >= triangle_areas(mesh).min() / 4 * (1 - 1e-12)
+            assert areas.min() >= mesh.areas.min() / 4 * (1 - 1e-12)
             # Euler's formula for a conforming simply connected triangulation
             # (a hanging node would add a spurious face)
-            n_edges = len(edge_table(refined)[0])
+            n_edges = len(refined.edge_table[0])
             assert n_edges == refined.n_nodes + refined.n_triangles - 1
             mesh = refined

@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from eigenrom.cli import main as cli_main
-from eigenrom.mesh import (barycentric_gradients, bisect_refine, edge_lengths,
-                           generate_lshape, generate_square, triangle_areas,
+from eigenrom.mesh import (bisect_refine, generate_lshape, generate_square,
                            uniform_refine)
 
 FIELDS = ("nodes", "triangles", "boundary_node", "refinement_edge")
@@ -191,10 +190,10 @@ def test_cached_geometry_matches_direct_formulas(key):
                       for a, b in ends], axis=1) / (2.0 * area)[:, None, None]
     gram = np.einsum("tid,tjd->tij", grads, grads)
 
-    cached = (triangle_areas(mesh), edge_lengths(mesh), *barycentric_gradients(mesh))
+    cached = (mesh.areas, mesh.edge_lengths, *mesh.gradients)
     for got, want in zip(cached, (area, lengths, grads, gram)):
         assert np.array_equal(got, want)
         assert not got.flags.writeable
     # built once: every call returns the same arrays
-    again = (triangle_areas(mesh), edge_lengths(mesh), *barycentric_gradients(mesh))
+    again = (mesh.areas, mesh.edge_lengths, *mesh.gradients)
     assert all(a is b for a, b in zip(cached, again))

@@ -92,13 +92,13 @@ class TestRunRom:
         assert np.linalg.norm(rom_dir - fom_dir) <= 1e-6
 
     def test_reduced_rayleigh_equals_lifted_rayleigh(self, runs):
-        from eigenrom.fem import rayleigh_quotient
+        from eigenrom.fem import rayleigh_from_products
         _, _, A, M, cfg, _, snaps = runs.fom("square", "crisscross", 16, 1)
         basis = build_pod(snaps, 4)
         ops = reduce(A, M, basis.V)
         rom_trace, lifted = run_rom(ops, initial_state(A.shape[0], cfg), cfg)
         assert rom_trace.eigenvalue == pytest.approx(
-            rayleigh_quotient(A, M, lifted), rel=1e-12)
+            rayleigh_from_products(lifted, A @ lifted, M @ lifted), rel=1e-12)
 
     def test_lower_bound_on_square(self, runs):
         _, _, A, M, cfg, _, snaps = runs.fom("square", "crisscross", 16, 1)

@@ -6,12 +6,13 @@ from .fem import (DofMap, assemble, assemble_full, build_dofmap,
                   eigen_residual)
 from .harness import (ExperimentConfig, ExperimentError, ResultRow,
                       compute_rate, emit_csv, run_experiment)
-from .linalg import NonconvergenceError, NotSpdError, spd_solve, sym_eig_desc
+from .linalg import (NonconvergenceError, NotSpdError, SolverError, spd_solve,
+                     sym_eig_desc)
 from .mesh import (Mesh, MeshError, MeshStats, bisect_refine, generate_lshape,
                    generate_square, mesh_stats, read_mesh, uniform_refine,
                    validate_mesh, write_mesh)
 from .pod import PodBasis, build_pod, select_dim, singular_values
-from .rom import ReducedOperators, reduce, run_rom
+from .rom import ReducedOperators, SnapshotStrideError, reduce, run_rom
 from .adapt import EtaField, adaptive_solve, estimate, mark
 
 __version__ = "0.1.0"
@@ -20,7 +21,7 @@ __all__ = [
     "ContinuationConfig", "DofMap", "EtaField", "ExperimentConfig",
     "ExperimentError", "Mesh", "MeshError", "MeshStats",
     "NonconvergenceError", "NotSpdError", "PodBasis", "ReducedOperators",
-    "ResultRow", "SolveTrace",
+    "ResultRow", "SnapshotStrideError", "SolveTrace", "SolverError",
     "adaptive_solve", "assemble", "assemble_full", "bisect_refine",
     "build_dofmap", "build_pod", "compute_rate", "eigen_residual", "emit_csv",
     "estimate", "generate_lshape", "generate_square", "mark",

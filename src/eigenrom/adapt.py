@@ -118,13 +118,17 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
     return EtaField(np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum())))
 
 
+def check_theta(theta: float) -> None:
+    if not 0 < theta <= 1:
+        raise ValueError("theta must lie in (0, 1]")
+
+
 def mark(etas: EtaField, theta: float) -> np.ndarray:
     """Bulk marking: the smallest set of triangles, taken in descending
     indicator order (ties to the lower index), whose squared indicators reach
     theta^2 times the squared total.  Returns their indices as a sorted int64
     array."""
-    if not 0 < theta <= 1:
-        raise ValueError("theta must lie in (0, 1]")
+    check_theta(theta)
     eta_sq = etas.per_triangle ** 2
     total = eta_sq.sum()
     if total == 0.0:

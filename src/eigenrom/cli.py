@@ -1,8 +1,10 @@
 """Command line entry point.
 
-Exit codes: 0 success, 1 configuration or input error, 2 solver failure
-(no convergence, or a reduced system that is not SPD).  The EIGENROM_LOG
-environment variable (error|info|debug) controls diagnostics on stderr.
+Exit codes: 0 success; 2 exactly when a solve failed with a
+``linalg.SolverError``; 1 for an input refused before the first solve, and
+for ``rom.SnapshotStrideError`` (a snapshot stride longer than the run, known
+only once it ends).  The EIGENROM_LOG environment variable (error|info|debug)
+controls diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 
 from .continuation import ContinuationConfig
 from .harness import ExperimentConfig, ExperimentError, emit_csv, run_experiment
+from .linalg import SolverError
 
 log = logging.getLogger(__name__)
 
@@ -36,20 +39,13 @@ def _configure_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _pod_eps(text: str):
-    if text == "exact":
-        return "exact"
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise UsageError(f"--pod-eps expects a number or 'exact': {text!r}") from exc
+# argparse reports a ValueError of a type function as a usage error
+def pod_eps(text: str):
+    return text if text == "exact" else float(text)
 
 
-def _strides(text: str) -> tuple:
-    try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --stride/--strides value {text!r}") from exc
+def strides(text: str) -> tuple:
+    return tuple(int(s) for s in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,27 +54,29 @@ def build_parser() -> argparse.ArgumentParser:
                                  "time continuation with a POD reduced model")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment schedule")
-    run.add_argument("--domain", required=True, choices=["square", "lshape"])
+    run.add_argument("--domain", required=True, help="square|lshape")
     run.add_argument("--mesh", required=True,
                      help="crisscross|right|left|mixed|file:<path>")
-    run.add_argument("--fe", type=int, default=1, choices=[1, 2],
-                     help="polynomial degree of the finite element space")
+    run.add_argument("--fe", type=int, default=1,
+                     help="polynomial degree of the finite element space, "
+                          "1 or 2")
     run.add_argument("--n-start", type=int, default=16,
                      help="subintervals per side on the coarsest mesh")
     run.add_argument("--levels", type=int, default=1,
                      help="number of mesh levels (n doubles per level)")
     run.add_argument("--dt", type=float, default=0.1)
     run.add_argument("--stop-tol", type=float, default=1e-8)
-    run.add_argument("--stride", "--strides", dest="strides", type=_strides,
+    run.add_argument("--stride", "--strides", dest="strides", type=strides,
                      default=(4,),
                      help="snapshot stride in time steps, or a comma "
                           "separated list, e.g. 2,4,8")
-    run.add_argument("--pod-eps", type=_pod_eps, default=1e-7,
+    run.add_argument("--pod-eps", type=pod_eps, default=1e-7,
                      help="energy tolerance, or 'exact' for uniform levels on "
                           "the square (default: 1e-7)")
-    run.add_argument("--init", default="random", choices=["ones", "random"],
-                     help="initial iterate of the full-order run (the reduced "
-                          "run always starts from the all-ones vector)")
+    run.add_argument("--init", default="random",
+                     help="initial iterate of the full-order run, ones or "
+                          "random (the reduced run always starts from the "
+                          "all-ones vector)")
     run.add_argument("--adaptive", action="store_true",
                      help="adaptive bisection refinement instead of uniform levels")
     run.add_argument("--theta", type=float, default=0.5,
@@ -113,6 +111,14 @@ def main(argv=None) -> int:
         _configure_logging()
         args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
+        # an output that cannot be written is refused before the first solve
+        for option, what, path in (("--out", "result table", args.out),
+                                   ("--dump-mesh", "mesh", args.dump_mesh),
+                                   ("--dump-singvals", "singular values",
+                                    args.dump_singvals)):
+            folder = os.path.dirname(path or "") or "."
+            if path and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
+                raise UsageError(f"{option}: cannot write {what} {path}")
         rows = run_experiment(cfg)
         emit_csv(rows, args.out)
     except (UsageError, ValueError, OSError) as exc:
@@ -126,7 +132,7 @@ def main(argv=None) -> int:
             except OSError:
                 pass
         print(f"eigenrom: error: {exc}", file=sys.stderr)
-        return 2 if exc.nonconvergence else 1
+        return 2 if isinstance(exc.__cause__, SolverError) else 1
     for row in rows:
         log.info("%s n=%s dof=%d lambda_fom=%.12f lambda_rom=%.12f N=%d",
                  row.mesh, row.n, row.dof, row.lambda_fom, row.lambda_rom,

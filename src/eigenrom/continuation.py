@@ -13,13 +13,14 @@ right-hand side.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fem import rayleigh_from_products, residual_from_products
-from .linalg import NonconvergenceError, norm2
+from .linalg import NonconvergenceError, SolverError, norm2
 
 # renormalize only if the iterate norm leaves this range (overflow guard)
 _NORM_FLOOR = 1e-150
@@ -46,14 +47,32 @@ class ContinuationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        # 1/dt is the shift of every step operator
+        if not (self.dt > 0 and math.isfinite(1.0 / self.dt)):
+            raise ValueError("dt must be positive, with 1/dt finite")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
+        check_strides((self.snapshot_stride,))
         if self.initial_guess not in ("ones", "random"):
             raise ValueError("initial_guess must be 'ones' or 'random'")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+def check_strides(strides) -> None:
+    """Positive, and multiples of the smallest: ``rom.solve_level`` samples
+    every stride from one run at the smallest."""
+    if not strides or min(strides) < 1:
+        raise ValueError("strides must be positive")
+    for stride in strides:
+        if stride % min(strides):
+            raise ValueError(f"stride {stride} is not a multiple of the "
+                             f"smallest stride {min(strides)}")
+
+
+def check_unknowns(n: int) -> None:
+    if n < 1:
+        raise ValueError("the system has no free degrees of freedom")
 
 
 @dataclass(eq=False)
@@ -84,7 +103,8 @@ def step_solver(A, M, dt: float):
     ``solve`` returns ``(x, A x, M x)``; one product with the stacked
     operator [A; M] gives both, and the caller's next step reuses them.
     The factorization is SuperLU with the minimum-degree ordering of
-    K^T + K and diagonal pivots (K is SPD).  Every solve checks the true
+    K^T + K and diagonal pivots (K is SPD); a factorization that fails
+    raises SolverError.  Every solve checks the true
     residual ||b - (A x + M x / dt)|| <= 1e-12 ||b||; if the check fails it
     makes one step of iterative refinement, and if it still fails it raises
     NonconvergenceError carrying the achieved relative residual.
@@ -94,8 +114,12 @@ def step_solver(A, M, dt: float):
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    lu = splu((A + (1.0 / dt) * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
-              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    try:
+        lu = splu((A + (1.0 / dt) * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:        # e.g. "Factor is exactly singular"
+        raise SolverError(f"cannot factor the step operator A + M/dt: {exc}"
+                          ) from exc
     AM = sp.vstack([A, M], format="csr")
     n = A.shape[0]
 
@@ -183,8 +207,10 @@ def run_fom(A, M, config: ContinuationConfig, u0=None
     so the stopping rule can fire far from the eigenpair).
     """
     n = A.shape[0]
-    if n < 1:
-        raise ValueError("the system has no free degrees of freedom")
+    check_unknowns(n)
+    # the first import of the factorization's module takes ~0.1 s, which is
+    # no part of the solve: it happens here, not inside the timed step_solver
+    import scipy.sparse.linalg  # noqa: F401
     t_start = time.perf_counter()
 
     U0 = np.array(u0, dtype=np.float64) if u0 is not None else initial_state(n, config)

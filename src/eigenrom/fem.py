@@ -72,10 +72,14 @@ class DofMap:
         return out
 
 
+def check_degree(degree: int) -> None:
+    if degree not in (1, 2):
+        raise ValueError("fe degree must be 1 or 2")
+
+
 def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     """Number the dofs of the P``degree`` space with Dirichlet elimination."""
-    if degree not in (1, 2):
-        raise ValueError("degree must be 1 or 2")
+    check_degree(degree)
     if degree == 1:
         dirichlet = mesh.boundary_node
         return DofMap(1, mesh.n_nodes, np.flatnonzero(~dirichlet),

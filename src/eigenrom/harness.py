@@ -16,13 +16,12 @@ from functools import partial
 
 import numpy as np
 
-from .adapt import next_mesh
-from .continuation import ContinuationConfig
-from .fem import interpolate_free
-from .linalg import NonconvergenceError, NotSpdError
-from .mesh import (Mesh, generate_lshape, generate_square, read_mesh,
-                   uniform_refine, write_mesh)
-from .pod import exact_reference_eps, write_singular_values
+from .adapt import check_theta, next_mesh
+from .continuation import ContinuationConfig, check_strides
+from .fem import check_degree, interpolate_free
+from .mesh import (PATTERNS, Mesh, check_generator, generate_lshape,
+                   generate_square, read_mesh, uniform_refine, write_mesh)
+from .pod import check_eps, exact_reference_eps, write_singular_values
 from .rom import solve_levels
 
 log = logging.getLogger(__name__)
@@ -33,8 +32,6 @@ LAMBDA_LSHAPE = 9.6397238440219
 
 CSV_HEADER = ["mesh", "n", "dof", "lambda_fom", "lambda_rom",
               "rate_fom", "rate_rom", "n_pod", "fom_s", "rom_s"]
-
-_GENERATED = ("crisscross", "right", "left", "mixed")
 
 
 def default_continuation() -> ContinuationConfig:
@@ -84,36 +81,26 @@ class ResultRow:
 
 
 class ExperimentError(RuntimeError):
-    """A schedule aborted mid-way; carries the rows completed so far."""
+    """A schedule aborted mid-way; carries the rows completed so far, and
+    the failure as its ``__cause__``."""
 
-    def __init__(self, message: str, rows: list, nonconvergence: bool = False):
+    def __init__(self, message: str, rows: list):
         super().__init__(message)
         self.rows = rows
-        self.nonconvergence = nonconvergence
 
 
 def _validate(cfg: ExperimentConfig):
-    if cfg.domain not in ("square", "lshape"):
+    """Refuse a bad config before the first solve, by each stage's checks."""
+    if cfg.domain not in PATTERNS:
         raise ValueError(f"unknown domain {cfg.domain!r}")
-    if cfg.mesh not in _GENERATED + ("file",):
-        raise ValueError(f"unknown mesh kind {cfg.mesh!r}")
-    if cfg.mesh in ("right", "left") and cfg.domain != "square":
-        raise ValueError("right/left meshes exist only on the square")
-    if cfg.mesh == "mixed" and cfg.domain != "lshape":
-        raise ValueError("the mixed mesh exists only on the L-shape")
-    if cfg.mesh == "file" and not cfg.mesh_file:
+    if cfg.mesh != "file":
+        check_generator(cfg.domain, cfg.mesh, cfg.n_start)
+    elif not cfg.mesh_file:
         raise ValueError("mesh 'file' requires a mesh file path")
-    if cfg.fe_degree not in (1, 2):
-        raise ValueError("fe degree must be 1 or 2")
-    if cfg.levels < 0 or cfg.n_start < 1:
-        raise ValueError("levels must be >= 0 and n_start >= 1")
-    if not cfg.strides or any(s < 1 for s in cfg.strides):
-        raise ValueError("strides must be positive")
-    base = min(cfg.strides)
-    for s in cfg.strides:
-        if s % base:
-            raise ValueError(f"stride {s} is not a multiple of the smallest "
-                             f"stride {base}")
+    check_degree(cfg.fe_degree)
+    if cfg.levels < 0:
+        raise ValueError("levels must be >= 0")
+    check_strides(cfg.strides)
     if cfg.adaptive and len(cfg.strides) > 1:
         raise ValueError("adaptive runs take a single snapshot stride")
     if cfg.pod_eps == "exact":
@@ -121,10 +108,10 @@ def _validate(cfg: ExperimentConfig):
             raise ValueError("the exact-reference tolerance needs uniform "
                              "levels on the square domain, where the first "
                              "eigenfunction is known")
-    elif not 0 < float(cfg.pod_eps) < 1:
-        raise ValueError("pod eps must lie in (0, 1)")
-    if cfg.adaptive and not 0 < cfg.theta <= 1:
-        raise ValueError("theta must lie in (0, 1]")
+    else:
+        check_eps(float(cfg.pod_eps))
+    if cfg.adaptive:
+        check_theta(cfg.theta)
 
 
 def reference_eigenvalue(domain: str) -> float:
@@ -215,9 +202,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     except Exception as exc:
         raise ExperimentError(
             f"schedule aborted at n={_label(cfg, len(table))}: {exc}",
-            _rows(cfg, table, sizes, lam_ref),
-            nonconvergence=isinstance(exc, (NonconvergenceError, NotSpdError))
-        ) from exc
+            _rows(cfg, table, sizes, lam_ref)) from exc
 
     if last is not None and cfg.mesh_dump_path:
         write_mesh(last.mesh, cfg.mesh_dump_path)
@@ -254,17 +239,14 @@ def _fmt(value) -> str:
 
 def emit_csv(rows: list[ResultRow], path) -> None:
     """Write the result table; full-precision decimals, empty first rates."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for r in rows:
-                writer.writerow([r.mesh, r.n, r.dof, _fmt(r.lambda_fom),
-                                 _fmt(r.lambda_rom), _fmt(r.rate_fom),
-                                 _fmt(r.rate_rom), r.n_pod, _fmt(r.fom_s),
-                                 _fmt(r.rom_s)])
-    except OSError as exc:
-        raise OSError(f"cannot write result table {path}: {exc}") from exc
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for r in rows:
+            writer.writerow([r.mesh, r.n, r.dof, _fmt(r.lambda_fom),
+                             _fmt(r.lambda_rom), _fmt(r.rate_fom),
+                             _fmt(r.rate_rom), r.n_pod, _fmt(r.fom_s),
+                             _fmt(r.rom_s)])
 
 
 def read_csv(path) -> list[ResultRow]:

@@ -19,11 +19,16 @@ import numpy as np
 SYMMETRY_RTOL = 1e-14
 
 
-class NotSpdError(ValueError):
+class SolverError(RuntimeError):
+    """A numerical failure of a solve (the CLI's exit code 2); an input the
+    solvers refuse is a ValueError instead."""
+
+
+class NotSpdError(SolverError):
     """Matrix is not symmetric positive definite where one is required."""
 
 
-class NonconvergenceError(RuntimeError):
+class NonconvergenceError(SolverError):
     """Iteration cap reached, or a run stopped away from an eigenpair;
     carries the achieved relative residual."""
 

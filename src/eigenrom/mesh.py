@@ -213,6 +213,20 @@ def _grid_mesh(m: int, coord, keep, right_diagonal) -> Mesh:
     return Mesh(nodes[order], rank[tris])
 
 
+# the structured patterns of each domain's generator
+PATTERNS = {"square": ("crisscross", "right", "left"),
+            "lshape": ("crisscross", "mixed")}
+
+
+def check_generator(domain: str, pattern: str, n: int) -> None:
+    """The pattern and the subinterval count n of a domain's generator."""
+    if pattern not in PATTERNS[domain]:
+        raise ValueError(f"no {pattern!r} mesh on the {domain} domain; "
+                         f"patterns: {', '.join(PATTERNS[domain])}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 def generate_square(pattern: str, n: int, side: float) -> Mesh:
     """Structured triangulation of the square (0, side)^2.
 
@@ -226,10 +240,7 @@ def generate_square(pattern: str, n: int, side: float) -> Mesh:
     side : float
         Edge length of the square.
     """
-    if pattern not in ("crisscross", "right", "left"):
-        raise ValueError(f"unknown square pattern {pattern!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_generator("square", pattern, n)
     if not side > 0:
         raise ValueError("side must be positive")
 
@@ -246,10 +257,7 @@ def generate_lshape(pattern: str, n: int) -> Mesh:
     about the reentrant corner: bottom-left and top-right squares use the
     bottom-left/top-right diagonal, the top-left square the other one.
     """
-    if pattern not in ("crisscross", "mixed"):
-        raise ValueError(f"unknown L-shape pattern {pattern!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_generator("lshape", pattern, n)
 
     j, i = np.indices((2 * n, 2 * n))
     keep = ~((i >= n) & (j < n))                  # no cell in the removed quadrant
@@ -391,6 +399,7 @@ def read_mesh(path) -> Mesh:
 
     Boundary flags are recomputed from the connectivity; if the file carries
     a boundary section the stored flags must agree with the recomputed ones.
+    Every MeshError names the file.
     """
     with open(path) as fh:
         tokens = fh.read().split()
@@ -399,7 +408,7 @@ def read_mesh(path) -> Mesh:
     def take(n=1):
         nonlocal pos
         if pos + n > len(tokens):
-            raise MeshError(f"{path}: truncated mesh file")
+            raise MeshError("truncated mesh file")
         out = tokens[pos:pos + n]
         pos += n
         return out
@@ -407,18 +416,18 @@ def read_mesh(path) -> Mesh:
     def expect(word):
         got = take()[0]
         if got != word:
-            raise MeshError(f"{path}: expected {word!r}, found {got!r}")
+            raise MeshError(f"expected {word!r}, found {got!r}")
 
     try:
         expect("nodes")
         n_nodes = int(take()[0])
         if n_nodes < 0:
-            raise MeshError(f"{path}: negative node count")
+            raise MeshError("negative node count")
         coords = np.array([float(v) for v in take(2 * n_nodes)]).reshape(n_nodes, 2)
         expect("triangles")
         n_tris = int(take()[0])
         if n_tris < 0:
-            raise MeshError(f"{path}: negative triangle count")
+            raise MeshError("negative triangle count")
         tris = np.array([int(v) for v in take(3 * n_tris)], dtype=np.int64).reshape(n_tris, 3)
         stored_boundary = None
         if pos < len(tokens):
@@ -426,13 +435,13 @@ def read_mesh(path) -> Mesh:
             n_b = int(take()[0])
             stored_boundary = np.array([int(v) for v in take(n_b)], dtype=np.int64)
         if pos != len(tokens):
-            raise MeshError(f"{path}: trailing data after boundary section")
+            raise MeshError("trailing data after boundary section")
+        mesh = Mesh(coords, tris)
+        if stored_boundary is not None and not np.array_equal(
+                np.sort(stored_boundary), np.flatnonzero(mesh.boundary_node)):
+            raise MeshError("stored boundary flags disagree with connectivity")
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise MeshError(f"{path}: malformed value ({exc})") from exc
-
-    mesh = Mesh(coords, tris)
-    if stored_boundary is not None:
-        recomputed = np.flatnonzero(mesh.boundary_node)
-        if not np.array_equal(np.sort(stored_boundary), recomputed):
-            raise MeshError(f"{path}: stored boundary flags disagree with connectivity")
     return mesh

@@ -74,6 +74,11 @@ def build_pod(S, N: int | None = None, *, eps: float | None = None) -> PodBasis:
     return PodBasis(V, sigma, N, rank)
 
 
+def check_eps(eps) -> None:
+    if not 0 < eps < 1:
+        raise ValueError("pod eps must lie in (0, 1)")
+
+
 def select_dim(svals, eps: float) -> int:
     """Smallest N whose energy fraction I(N) reaches 1 - eps^2.
 
@@ -84,8 +89,7 @@ def select_dim(svals, eps: float) -> int:
     svals = np.asarray(svals, dtype=np.float64)
     if svals.size == 0:
         raise ValueError("empty singular value list")
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
+    check_eps(eps)
     energy = svals ** 2
     # tail(N) = sum_{i>N} sigma_i^2, accumulated from the small end so that
     # tiny tails are not lost to cancellation

@@ -20,13 +20,19 @@ from functools import partial
 import numpy as np
 
 from .continuation import (ContinuationConfig, SolveTrace, _iterate,
-                           check_eigen_residual, run_fom)
+                           check_eigen_residual, check_strides, check_unknowns,
+                           run_fom)
 from .fem import assemble, build_dofmap, eigen_residual
-from .linalg import NonconvergenceError, NotSpdError
+from .linalg import NonconvergenceError, NotSpdError, SolverError
 from .mesh import Mesh
 from .pod import build_pod
 
 log = logging.getLogger(__name__)
+
+
+class SnapshotStrideError(ValueError):
+    """A snapshot stride longer than the full-order run: no snapshot to build
+    the basis from.  The one input error that shows only once a run ends."""
 
 
 @dataclass(eq=False)
@@ -74,7 +80,7 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
 
     system = ops.a_red + ops.m_red / config.dt
     if not np.isfinite(system).all():
-        raise ValueError("reduced system has non-finite entries")
+        raise NotSpdError("reduced system has non-finite entries")
     factor, info = dpotrf(system)
     if info != 0:
         raise NotSpdError(f"reduced system is not SPD: dpotrf info={info}")
@@ -82,7 +88,7 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     def solve(b):
         x, info = dpotrs(factor, b)
         if info != 0:
-            raise ValueError(f"reduced step solve failed: dpotrs info={info}")
+            raise SolverError(f"reduced step solve failed: dpotrs info={info}")
         return x, ops.a_red @ x, ops.m_red @ x
 
     trace = _iterate(ops.basis.T @ u0, solve,
@@ -96,8 +102,9 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
 
     The full-order run samples every ``min(strides)``-th step from the
     configured initial guess; each stride's basis takes every
-    ``stride // min(strides)``-th of those snapshot columns (ValueError if
-    a stride is not a multiple of the smallest), with N chosen by the energy
+    ``stride // min(strides)``-th of those snapshot columns (``check_strides``
+    and ``check_unknowns`` run before the full-order run; SnapshotStrideError
+    if a stride is longer than the run), with N chosen by the energy
     tolerance ``eps`` (a float, or a function of the converged full-order
     vector that returns one).  Every reduced run starts from the all-ones
     vector, which is positive and so never M-orthogonal to the positive first
@@ -110,10 +117,10 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
     reduced vector is checked by ``check_eigen_residual``, outside
     ``rom_time``).
     """
-    n, base = A.shape[0], min(strides)
-    for stride in strides:
-        if stride % base:
-            raise ValueError(f"stride {stride} is not a multiple of {base}")
+    n = A.shape[0]
+    check_unknowns(n)
+    check_strides(strides)
+    base = min(strides)
     trace, snaps = run_fom(A, M, replace(cont, snapshot_stride=base))
     for warning in trace.warnings:
         log.warning("full-order run on %d dofs: %s", n, warning)
@@ -129,9 +136,10 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
         t0 = time.perf_counter()
         sub = snaps[:, stride // base - 1::stride // base]
         if sub.shape[1] == 0:
-            raise ValueError(f"the full-order run on {n} dofs stopped after "
-                             f"{trace.n_steps} steps, before its first "
-                             f"snapshot at stride {stride}")
+            raise SnapshotStrideError(
+                f"the full-order run on {n} dofs stopped after "
+                f"{trace.n_steps} steps, before its first snapshot at "
+                f"stride {stride}")
         basis = build_pod(sub, eps=eps)
         t_offline = time.perf_counter() - t0
         t0 = time.perf_counter()

@@ -9,7 +9,7 @@ import eigenrom.continuation as continuation
 from eigenrom.continuation import ContinuationConfig, run_fom, step_solver
 from eigenrom.fem import (assemble, build_dofmap, eigen_residual,
                           rayleigh_from_products)
-from eigenrom.linalg import NonconvergenceError, spd_solve
+from eigenrom.linalg import NonconvergenceError, SolverError, spd_solve
 from eigenrom.mesh import generate_lshape, generate_square
 from oracles import fom_loop_dense, smallest_pencil_eigenpair
 
@@ -38,6 +38,11 @@ class TestConfig:
             ContinuationConfig(snapshot_stride=0)
         with pytest.raises(ValueError):
             ContinuationConfig(initial_guess="zeros")
+        with pytest.raises(ValueError):
+            ContinuationConfig(seed=-1)
+        # 1/dt overflows: the step operator A + M/dt cannot be formed
+        with pytest.raises(ValueError, match="1/dt finite"):
+            ContinuationConfig(dt=5e-324)
 
 
 def rayleigh(A, M, U):
@@ -232,6 +237,12 @@ class TestRunFom:
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         with pytest.raises(ValueError):
             run_fom(A, M, ContinuationConfig())
+
+    def test_singular_step_operator_is_a_solver_error(self):
+        # SuperLU's "Factor is exactly singular" is a numerical failure
+        zero = sp.csr_array((2, 2))
+        with pytest.raises(SolverError, match="cannot factor"):
+            step_solver(zero, zero, 0.1)
 
     def test_u0_length_mismatch_rejected(self):
         A = diag_csr([2.0, 4.0, 4.5])

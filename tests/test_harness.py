@@ -16,9 +16,9 @@ from eigenrom.continuation import ContinuationConfig, run_fom
 from eigenrom.harness import (CSV_HEADER, ExperimentConfig, ExperimentError,
                               ResultRow, compute_rate, emit_csv, read_csv,
                               run_experiment)
-from eigenrom.linalg import NotSpdError
+from eigenrom.linalg import NonconvergenceError, NotSpdError
 from eigenrom.mesh import generate_square, read_mesh, write_mesh
-from eigenrom.rom import run_rom
+from eigenrom.rom import SnapshotStrideError, run_rom
 
 PI = math.pi
 
@@ -176,7 +176,7 @@ class TestRunExperiment:
         cfg = small_config(levels=2, continuation=cont)
         with pytest.raises(ExperimentError) as info:
             run_experiment(cfg)
-        assert info.value.nonconvergence
+        assert isinstance(info.value.__cause__, NonconvergenceError)
         assert info.value.rows == []
 
     @pytest.mark.parametrize("adaptive", [False, True])
@@ -336,6 +336,17 @@ class TestCli:
         ["--strides", "2,3"],
         ["--adaptive", "--strides", "2,4"],
         ["--adaptive", "--pod-eps", "exact"],
+        ["--dt", "5e-324"],
+        ["--seed=-1"],
+        ["--fe", "3"],
+        ["--init", "zeros"],
+        ["--mesh", "mixed"],
+        ["--n-start", "0"],
+        ["--levels=-1"],
+        ["--strides", "0"],
+        ["--pod-eps", "1"],
+        ["--adaptive", "--theta", "0"],
+        ["--mesh", "right", "--n-start", "1"],     # no free dof
     ])
     def test_bad_config_rejected_before_any_solve(self, tmp_path, monkeypatch,
                                                   capsys, bad):
@@ -408,6 +419,30 @@ class TestCli:
         assert "not SPD" in capsys.readouterr().err
         assert [r.n for r in read_csv(out)] == ([1, 2] if adaptive else [4, 8])
 
+    @pytest.mark.parametrize("option", ["--out", "--dump-mesh",
+                                        "--dump-singvals"])
+    def test_unwritable_output_refused_before_any_solve(
+            self, tmp_path, monkeypatch, capsys, option):
+        calls = []
+        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
+        out = tmp_path / "t.csv"
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", "--out", str(out),
+                         option, str(tmp_path / "missing" / "f.txt")])
+        assert code == 1
+        assert calls == []
+        assert f"{option}: cannot write" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_forced_dpotrs_failure_is_a_solver_error(self, tmp_path,
+                                                     monkeypatch, capsys):
+        import scipy.linalg.lapack as lapack
+        monkeypatch.setattr(lapack, "dpotrs", lambda c, b: (b, -1))
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "dpotrs info=-1" in capsys.readouterr().err
+
     def test_missing_mesh_file_is_an_input_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.mesh"
         code = cli_main(["run", "--domain", "square",
@@ -478,6 +513,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert re.search(r"stopped after \d+ steps, before its first snapshot "
                          r"at stride 100000", err), err
+        with pytest.raises(ExperimentError) as info:
+            run_experiment(small_config(n_start=1, strides=(100000,)))
+        assert isinstance(info.value.__cause__, SnapshotStrideError)
 
     def test_console_script_entry(self, tmp_path):
         out = tmp_path / "cli.csv"
@@ -505,6 +543,23 @@ class TestCli:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_first_row_fom_time_excludes_the_solver_import(self, tmp_path):
+        # a fresh interpreter imports scipy.sparse.linalg (~0.1 s) before
+        # the first timed solve; row 1 (545 dofs) then takes less than
+        # row 2 (2 113 dofs)
+        out = tmp_path / "t.csv"
+        src = os.path.dirname(os.path.dirname(rom.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenrom.cli", "run", "--domain", "square",
+             "--mesh", "crisscross", "--n-start", "16", "--levels", "2",
+             "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        first, second = read_csv(out)
+        assert first.dof == 545 and second.dof == 2113
+        assert first.fom_s < second.fom_s
 
     def test_bad_log_level_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EIGENROM_LOG", "chatty")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from eigenrom.linalg import (NonconvergenceError, NotSpdError, spd_solve,
-                             sym_eig_desc)
+from eigenrom.linalg import (NonconvergenceError, NotSpdError, SolverError,
+                             spd_solve, sym_eig_desc)
 from oracles import power_svd
 
 
@@ -15,6 +15,13 @@ def random_spd(rng, n):
     # B B^T + n I: comfortably SPD, condition number O(1)
     B = rng.standard_normal((n, n))
     return sp.csr_array(B @ B.T + n * np.eye(n))
+
+
+@pytest.mark.parametrize("error", [NotSpdError, NonconvergenceError])
+def test_solver_errors_share_one_base_and_are_not_input_errors(error):
+    # the CLI exits 2 exactly for a SolverError, 1 for a ValueError
+    assert issubclass(error, SolverError)
+    assert not issubclass(error, ValueError)
 
 
 class TestSpdSolve:

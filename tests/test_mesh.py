@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,7 +244,17 @@ class TestMeshIO:
         path = tmp_path / "index.mesh"
         path.write_text("nodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
                         "triangles 1\n0 1 3\n")
-        with pytest.raises(MeshError, match="invalid node index"):
+        with pytest.raises(MeshError, match=re.escape(f"{path}: ")
+                           + "triangle references an invalid node index"):
+            read_mesh(path)
+
+    def test_flipped_triangle_rejected(self, tmp_path):
+        # the constructor's errors name the file, like the parser's own
+        path = tmp_path / "flipped.mesh"
+        path.write_text("nodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                        "triangles 1\n0 2 1\n")
+        with pytest.raises(MeshError, match=re.escape(f"{path}: ")
+                           + "triangle 0 has non-positive area -0.5"):
             read_mesh(path)
 
     def test_non_finite_coordinate_rejected(self, tmp_path):
@@ -259,6 +270,13 @@ class TestMeshIO:
         path.write_text("nodes 2\n0.0 0.0\n")
         with pytest.raises(MeshError):
             read_mesh(path)
+
+    def test_negative_count_names_the_file_once(self, tmp_path):
+        path = tmp_path / "negative.mesh"
+        path.write_text("nodes -1\n")
+        with pytest.raises(MeshError) as info:
+            read_mesh(path)
+        assert str(info.value) == f"{path}: negative node count"
 
     def test_stale_boundary_flags_rejected(self, tmp_path):
         m = generate_square("right", 2, 1.0)

@@ -134,7 +134,7 @@ class TestRunRom:
         a_red = np.diag([2.0, 3.0])
         a_red[1, 0] = bad          # a triangle dpotrf does not read
         ops = ReducedOperators(a_red, np.eye(2), rng.standard_normal((5, 2)))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NotSpdError, match="non-finite"):
             run_rom(ops, rng.standard_normal(5), ContinuationConfig())
 
     def test_max_steps_returns_unconverged(self, runs):

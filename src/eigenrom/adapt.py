@@ -159,13 +159,13 @@ def next_mesh(theta: float, level: Level, dofmap: DofMap, M) -> Mesh | None:
 
 def adaptive_solve(initial_mesh: Mesh, fe_degree: int, theta: float,
                    n_refinements: int, continuation_config: ContinuationConfig,
-                   pod_eps: float = 1e-7) -> Mesh:
+                   stride: int, pod_eps: float = 1e-7) -> Mesh:
     """Solve-estimate-mark-refine: ``rom.solve_levels`` with ``next_mesh``
-    at the configured snapshot stride.  Returns the last solved level's mesh;
+    at snapshot stride ``stride``.  Returns the last solved level's mesh;
     raises what the loop raises (NonconvergenceError, NotSpdError)."""
     mesh = initial_mesh
     for level in solve_levels(initial_mesh, fe_degree, continuation_config,
-                              (continuation_config.snapshot_stride,), pod_eps,
-                              n_refinements, partial(next_mesh, theta)):
+                              (stride,), pod_eps, n_refinements,
+                              partial(next_mesh, theta)):
         mesh = level.mesh
     return mesh

@@ -2,13 +2,13 @@
 steady state is the first eigenpair of the generalized problem A U = lam M U.
 
 Each step solves (A + M/dt) U' = (lam + 1/dt) M U with lam the Rayleigh
-quotient of the current state, and records every ``snapshot_stride``-th state
+quotient of the current state; ``run_fom`` records every ``stride``-th state
 as a column of the snapshot array.  That loop (``_iterate``) also runs the
-reduced model (``rom.run_rom``).  Here the step operator A + M/dt is factored
-once with SuperLU (through scipy); each step is one pair of triangular solves
-and one product with the stacked operator [A; M], whose A U' and M U' check
-the solve's residual and give the next step's Rayleigh quotient and
-right-hand side.
+reduced model (``rom.run_rom``), which samples nothing.  Here the step
+operator A + M/dt is factored once with SuperLU (through scipy); each step is
+one pair of triangular solves and one product with the stacked operator
+[A; M], whose A U' and M U' check the solve's residual and give the next
+step's Rayleigh quotient and right-hand side.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class ContinuationConfig:
     dt: float = 0.1
     stop_tol: float = 1e-8
     max_steps: int = 100_000
-    snapshot_stride: int = 4
     initial_guess: str = "ones"          # "ones" or "random"
     seed: int = 0
 
@@ -52,7 +51,6 @@ class ContinuationConfig:
             raise ValueError("dt must be positive, with 1/dt finite")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
-        check_strides((self.snapshot_stride,))
         if self.initial_guess not in ("ones", "random"):
             raise ValueError("initial_guess must be 'ones' or 'random'")
         if self.seed < 0:
@@ -60,11 +58,13 @@ class ContinuationConfig:
 
 
 def check_strides(strides) -> None:
-    """Positive, and multiples of the smallest: ``rom.solve_level`` samples
-    every stride from one run at the smallest."""
+    """Positive, distinct, and multiples of the smallest: ``rom.solve_level``
+    samples every stride from one run at the smallest."""
     if not strides or min(strides) < 1:
         raise ValueError("strides must be positive")
     for stride in strides:
+        if strides.count(stride) > 1:
+            raise ValueError(f"stride {stride} is repeated")
         if stride % min(strides):
             raise ValueError(f"stride {stride} is not a multiple of the "
                              f"smallest stride {min(strides)}")
@@ -154,29 +154,29 @@ def check_eigen_residual(residual: float, lam: float, what: str) -> None:
             "be too small for stop_tol", residual=residual)
 
 
-def _iterate(U, solve, products, config: ContinuationConfig, t_start: float):
+def _iterate(U, solve, products, config, t_start: float, stride=None):
     """The fictitious-time loop of the full-order and the reduced run, from
     the nonzero state U.  ``solve(b)`` returns ``(x, A x, M x)`` for
     (A + M/dt) x = b and ``products(U)`` returns ``(A U, M U)``.  A state
     whose norm leaves (1e-150, 1e150) is rescaled to unit norm.
 
-    Returns the trace (timed from ``t_start``), the list of snapshot
-    columns and the products A U, M U of the final state.
+    Returns the trace (timed from ``t_start``), the list of every
+    ``stride``-th state (None if no stride) and A U, M U of the final state.
     """
     if not np.any(U):
         raise ValueError("initial state is the zero vector")
     AU, MU = products(U)
     lam_history = []
-    snapshots = []
+    snapshots = [] if stride else None
     converged = False
     steps = 0
-    shift, stride = 1.0 / config.dt, config.snapshot_stride
+    shift = 1.0 / config.dt
     for k in range(config.max_steps):
         lam = rayleigh_from_products(U, AU, MU)
         lam_history.append(lam)
         U_new, AU, MU = solve((lam + shift) * MU)
         steps = k + 1
-        if steps % stride == 0:
+        if stride and steps % stride == 0:
             snapshots.append(U_new)
         norm = norm2(U_new)
         rel_change = norm2(U_new - U) / norm
@@ -193,21 +193,22 @@ def _iterate(U, solve, products, config: ContinuationConfig, t_start: float):
     return trace, snapshots, AU, MU
 
 
-def run_fom(A, M, config: ContinuationConfig, u0=None
+def run_fom(A, M, config: ContinuationConfig, stride: int, u0=None
             ) -> tuple[SolveTrace, np.ndarray]:
     """Iterate to the steady state and collect snapshots.
 
-    Returns the trace and the (n, k) array of every ``snapshot_stride``-th
-    state.  Stops when ||U_new - U|| / ||U_new|| <= stop_tol (Euclidean
-    coefficient norm).  ``u0`` overrides the configured initial guess.
-    Raises no error on hitting max_steps; the returned trace has
-    ``converged=False``.  A step solve that misses its residual check raises
-    NonconvergenceError, and so does a run that stops away from an eigenpair
-    (``check_eigen_residual``: with a tiny dt a step barely moves the state,
-    so the stopping rule can fire far from the eigenpair).
+    Returns the trace and the (n, k) array of every ``stride``-th state (a
+    stride below 1 is a ValueError).  Stops when ||U_new - U|| / ||U_new|| <=
+    stop_tol (Euclidean coefficient norm); ``u0`` overrides the configured
+    initial guess.  Raises no error on hitting max_steps; the returned trace
+    has ``converged=False``.  A step solve that misses its residual check
+    raises NonconvergenceError, and so does a run that stops away from an
+    eigenpair (``check_eigen_residual``: with a tiny dt a step barely moves
+    the state, so the stopping rule can fire far from the eigenpair).
     """
     n = A.shape[0]
     check_unknowns(n)
+    check_strides((stride,))
     # the first import of the factorization's module takes ~0.1 s, which is
     # no part of the solve: it happens here, not inside the timed step_solver
     import scipy.sparse.linalg  # noqa: F401
@@ -219,7 +220,7 @@ def run_fom(A, M, config: ContinuationConfig, u0=None
 
     trace, snapshots, AU, MU = _iterate(
         U0, step_solver(A, M, config.dt), lambda U: (A @ U, M @ U), config,
-        t_start)
+        t_start, stride)
     if trace.converged:
         check_eigen_residual(residual_from_products(AU, MU, trace.eigenvalue),
                              trace.eigenvalue, f"full-order run on {n} dofs")

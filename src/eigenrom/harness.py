@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -210,8 +211,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         for stride, basis, _, _ in last.per_stride:
             path = cfg.singvals_path
             if len(cfg.strides) > 1:
-                stem, dot_, ext = path.rpartition(".")
-                path = f"{stem}_s{stride}{dot_}{ext}" if stem else f"{path}_s{stride}"
+                stem, ext = os.path.splitext(path)
+                path = f"{stem}_s{stride}{ext}"
             write_singular_values(basis.singular_values, path)
     return _rows(cfg, table, sizes, lam_ref)
 

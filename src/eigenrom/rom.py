@@ -2,10 +2,10 @@
 and the level pipeline that feeds it.
 
 The reduced operators are the dense congruences V^T A V and V^T M V; the
-reduced run is the full-order loop (``continuation._iterate``) on them.  Its
-N x N step matrix a_red + m_red/dt is Cholesky-factored once per run with
-LAPACK ``dpotrf``, each step is one ``dpotrs`` solve plus two small dense
-products, and the final state is lifted back as V U_N.
+reduced run is the full-order loop (``continuation._iterate``) on them, with
+no snapshots.  Its N x N step matrix a_red + m_red/dt is Cholesky-factored
+once per run with LAPACK ``dpotrf``, each step is one ``dpotrs`` solve plus
+two small dense products, and the final state is lifted back as V U_N.
 ``solve_levels`` is the one level loop of uniform and adaptive schedules;
 ``solve_level`` is its per-mesh pipeline.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -100,8 +100,8 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
                 ) -> tuple[SolveTrace, list]:
     """Full-order run once, then one basis and reduced run per stride.
 
-    The full-order run samples every ``min(strides)``-th step from the
-    configured initial guess; each stride's basis takes every
+    The full-order run (``run_fom`` at stride ``min(strides)``) starts from
+    the configured initial guess; each stride's basis takes every
     ``stride // min(strides)``-th of those snapshot columns (``check_strides``
     and ``check_unknowns`` run before the full-order run; SnapshotStrideError
     if a stride is longer than the run), with N chosen by the energy
@@ -121,7 +121,7 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
     check_unknowns(n)
     check_strides(strides)
     base = min(strides)
-    trace, snaps = run_fom(A, M, replace(cont, snapshot_stride=base))
+    trace, snaps = run_fom(A, M, cont, base)
     for warning in trace.warnings:
         log.warning("full-order run on %d dofs: %s", n, warning)
     if not trace.converged:

@@ -144,7 +144,7 @@ def rom_loop_cho(a_red, m_red, y0, dt, stop_tol, max_steps):
     return np.array(history), y
 
 
-def fom_loop_dense(A, M, u0, dt, stop_tol, snapshot_stride, max_steps):
+def fom_loop_dense(A, M, u0, dt, stop_tol, stride, max_steps):
     """The full-order fictitious-time loop on dense matrices (the reference
     for ``continuation.run_fom``'s factored sparse steps).
 
@@ -152,7 +152,7 @@ def fom_loop_dense(A, M, u0, dt, stop_tol, snapshot_stride, max_steps):
     factor and takes the Rayleigh quotient from fresh products; there is no
     overflow guard, which starts of moderate norm never reach.  Returns the
     Rayleigh-quotient history, the step count and the snapshot matrix of
-    every ``snapshot_stride``-th state.
+    every ``stride``-th state.
     """
     A, M = A.toarray(), M.toarray()
     system = scipy.linalg.cho_factor(A + M / dt)
@@ -164,7 +164,7 @@ def fom_loop_dense(A, M, u0, dt, stop_tol, snapshot_stride, max_steps):
         history.append(lam)
         U_new = scipy.linalg.cho_solve(system, (lam + 1.0 / dt) * (M @ U))
         steps += 1
-        if steps % snapshot_stride == 0:
+        if steps % stride == 0:
             snapshots.append(U_new)
         rel_change = np.linalg.norm(U_new - U) / np.linalg.norm(U_new)
         U = U_new

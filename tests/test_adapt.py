@@ -199,13 +199,13 @@ class TestMark:
 
 class TestAdaptiveSolve:
     def test_lshape_records_and_conformity(self):
-        cfg = ContinuationConfig(initial_guess="random", snapshot_stride=4)
+        cfg = ContinuationConfig(initial_guess="random")
         levels = list(solve_levels(generate_lshape("crisscross", 4), 2, cfg,
                                    (4,), 1e-7, 5, partial(next_mesh, 0.5)))
         # five levels: the estimate never vanished, so every level refined
         assert [level.index for level in levels] == list(range(5))
         final_mesh = adaptive_solve(generate_lshape("crisscross", 4),
-                                    2, 0.5, 5, cfg)
+                                    2, 0.5, 5, cfg, 4)
         validate_mesh(final_mesh)
         assert np.array_equal(final_mesh.triangles, levels[-1].mesh.triangles)
         assert np.array_equal(final_mesh.nodes, levels[-1].mesh.nodes)
@@ -230,9 +230,9 @@ class TestAdaptiveSolve:
             prop = cached_property(counted)
             prop.__set_name__(Mesh, name)
             monkeypatch.setattr(Mesh, name, prop)
-        cfg = ContinuationConfig(initial_guess="random", snapshot_stride=4)
+        cfg = ContinuationConfig(initial_guess="random")
         final_mesh = adaptive_solve(generate_lshape("crisscross", 2),
-                                    2, 0.5, 3, cfg)
+                                    2, 0.5, 3, cfg, 4)
         mesh_stats(final_mesh)
         for calls in built.values():
             # one call per mesh of the three levels, each a distinct mesh
@@ -243,5 +243,6 @@ class TestAdaptiveSolve:
     def test_unconverged_fom_raises(self):
         cfg = ContinuationConfig(max_steps=3)
         with pytest.raises(NonconvergenceError) as info:
-            adaptive_solve(generate_lshape("crisscross", 2), 2, 0.5, 2, cfg)
+            adaptive_solve(generate_lshape("crisscross", 2), 2, 0.5, 2, cfg,
+                           4)
         assert info.value.residual > 0

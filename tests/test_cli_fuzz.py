@@ -6,6 +6,9 @@ exits 0 writes one row per level and stride.  The exit code says where a
 failure came from: 2 exactly when a solve failed with a ``SolverError``, and
 1 only for an input refused before the first full-order solve, or for the
 one input error that shows only once a run ends (``SnapshotStrideError``).
+Most examples of the first property are refused before any solve; the second
+draws valid arguments only, with stop tolerances loose enough, or steps short
+enough, that many runs stop away from an eigenpair and exit 2.
 """
 
 import contextlib
@@ -63,14 +66,11 @@ def argvs(draw):
     return argv, adaptive, levels * len(strides), dump
 
 
-@given(case=argvs())
-@settings(max_examples=100, deadline=None)
-def test_exit_code_and_rows(tmp_path_factory, case):
-    argv, adaptive, rows, dump = case
-    folder = tmp_path_factory.mktemp("fuzz")
+def run_checked(folder, argv):
+    """``eigenrom`` on argv with its CSV in folder; asserts the exit-code
+    contract and returns the exit code, the CSV path and the cause of a
+    failed schedule (None if there is none)."""
     out = folder / "t.csv"
-    if dump:
-        argv = [*argv, f"{dump}={folder / 'missing' / 'dump.txt'}"]
     solves, raised = [], []
 
     def counted_run_fom(*args, **kwargs):
@@ -96,5 +96,46 @@ def test_exit_code_and_rows(tmp_path_factory, case):
     if code == 1:
         assert not solves or isinstance(cause, SnapshotStrideError), \
             stderr.getvalue()
+    return code, out, cause
+
+
+@given(case=argvs())
+@settings(max_examples=100, deadline=None)
+def test_exit_code_and_rows(tmp_path_factory, case):
+    argv, adaptive, rows, dump = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    if dump:
+        argv = [*argv, f"{dump}={folder / 'missing' / 'dump.txt'}"]
+    code, out, _ = run_checked(folder, argv)
     if code == 0 and not adaptive:
         assert len(read_csv(out)) == rows
+
+
+@st.composite
+def solvable_argvs(draw):
+    """Valid arguments on meshes of at most 4 x 4 cells and one or two
+    levels.  The stop tolerance is log-uniform in [1e-8, 1]; one run in five
+    takes steps of 1e-12, too short to move the state, so it stops at once.
+    No draw runs to the step cap (a --dt of about 1e-10 to 1e-5 would)."""
+    domain, mesh = draw(st.sampled_from(MESHES))
+    strides = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=1,
+                            max_size=2, unique=True))
+    adaptive = len(strides) == 1 and draw(st.booleans())
+    stop_tol = 10.0 ** draw(st.floats(min_value=-8, max_value=0))
+    dt = draw(st.sampled_from(["0.1", "0.5", "1"] * 4 + ["1e-12"] * 3))
+    return ["run", f"--domain={domain}", f"--mesh={mesh}",
+            f"--fe={draw(st.sampled_from([1, 2]))}",
+            f"--n-start={draw(st.integers(min_value=2, max_value=4))}",
+            f"--levels={draw(st.sampled_from([1, 2]))}",
+            f"--dt={dt}", f"--stop-tol={stop_tol!r}",
+            f"--strides={','.join(map(str, strides))}",
+            f"--init={draw(st.sampled_from(['ones', 'random']))}",
+            *(["--adaptive"] if adaptive else [])]
+
+
+@given(argv=solvable_argvs())
+@settings(max_examples=100, deadline=None)
+def test_exit_code_of_valid_runs(tmp_path_factory, argv):
+    code, _, cause = run_checked(tmp_path_factory.mktemp("fuzz"), argv)
+    # no valid input is refused: exit 1 is a stride longer than the run
+    assert code != 1 or isinstance(cause, SnapshotStrideError)

@@ -26,7 +26,6 @@ class TestConfig:
         assert cfg.dt == 0.1
         assert cfg.stop_tol == 1e-8
         assert cfg.max_steps == 100_000
-        assert cfg.snapshot_stride == 4
         assert cfg.initial_guess == "ones"
 
     def test_validation(self):
@@ -35,14 +34,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             ContinuationConfig(stop_tol=-1.0)
         with pytest.raises(ValueError):
-            ContinuationConfig(snapshot_stride=0)
-        with pytest.raises(ValueError):
             ContinuationConfig(initial_guess="zeros")
         with pytest.raises(ValueError):
             ContinuationConfig(seed=-1)
         # 1/dt overflows: the step operator A + M/dt cannot be formed
         with pytest.raises(ValueError, match="1/dt finite"):
             ContinuationConfig(dt=5e-324)
+
+    def test_stride_is_no_config_field(self):
+        # the snapshot stride is an argument of run_fom, never a setting
+        with pytest.raises(TypeError):
+            ContinuationConfig(snapshot_stride=8)
 
 
 def rayleigh(A, M, U):
@@ -168,9 +170,8 @@ class TestRunFom:
         mesh = generate_square("crisscross", 8, PI)
         dm = build_dofmap(mesh, 1)
         A, M = assemble(mesh, dm)
-        cfg = ContinuationConfig(initial_guess="random", seed=3,
-                                 snapshot_stride=4)
-        trace, snaps = run_fom(A, M, cfg)
+        cfg, stride = ContinuationConfig(initial_guess="random", seed=3), 4
+        trace, snaps = run_fom(A, M, cfg, stride)
         # replay the iteration by hand and compare at the snapshot steps
         solve = step_solver(A, M, cfg.dt)
         U = np.random.default_rng(3).standard_normal(A.shape[0])
@@ -178,10 +179,10 @@ class TestRunFom:
         for k in range(trace.n_steps):
             lam = rayleigh(A, M, U)
             U = solve((lam + 1.0 / cfg.dt) * (M @ U))[0]
-            if (k + 1) % cfg.snapshot_stride == 0:
+            if (k + 1) % stride == 0:
                 assert np.array_equal(U, snaps[:, col])
                 col += 1
-        assert col == snaps.shape[1] == trace.n_steps // cfg.snapshot_stride
+        assert col == snaps.shape[1] == trace.n_steps // stride
 
     @pytest.mark.parametrize("domain,n,degree", [("square", 8, 1),
                                                   ("lshape", 4, 2)])
@@ -192,12 +193,11 @@ class TestRunFom:
         mesh = (generate_square("crisscross", n, PI) if domain == "square"
                 else generate_lshape("crisscross", n))
         A, M = assemble(mesh, build_dofmap(mesh, degree))
-        cfg = ContinuationConfig(initial_guess="random", seed=3,
-                                 snapshot_stride=4)
-        trace, snaps = run_fom(A, M, cfg)
+        cfg = ContinuationConfig(initial_guess="random", seed=3)
+        trace, snaps = run_fom(A, M, cfg, 4)
         u0 = np.random.default_rng(3).standard_normal(A.shape[0])
         history, steps, S = fom_loop_dense(A, M, u0, cfg.dt, cfg.stop_tol,
-                                           cfg.snapshot_stride, cfg.max_steps)
+                                           4, cfg.max_steps)
         assert trace.converged and trace.n_steps == steps
         assert np.allclose(trace.lambda_history, history, rtol=1e-12, atol=0)
         assert snaps.shape == S.shape
@@ -209,7 +209,7 @@ class TestRunFom:
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         monkeypatch.setattr(continuation, "_SOLVE_RTOL", 1e-30)
         with pytest.raises(NonconvergenceError) as info:
-            run_fom(A, M, ContinuationConfig(initial_guess="random"))
+            run_fom(A, M, ContinuationConfig(initial_guess="random"), 4)
         assert 0 < info.value.residual < 1e-12
 
     def test_renormalised_run_matches_unscaled_run(self):
@@ -218,8 +218,8 @@ class TestRunFom:
         mesh = generate_square("crisscross", 8, PI)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         u0 = np.random.default_rng(5).standard_normal(A.shape[0])
-        ref, _ = run_fom(A, M, ContinuationConfig(), u0=u0)
-        tiny, _ = run_fom(A, M, ContinuationConfig(), u0=1e-152 * u0)
+        ref, _ = run_fom(A, M, ContinuationConfig(), 4, u0=u0)
+        tiny, _ = run_fom(A, M, ContinuationConfig(), 4, u0=1e-152 * u0)
         assert tiny.converged and 0.1 < np.linalg.norm(tiny.final_vector) < 10
         assert tiny.eigenvalue == pytest.approx(ref.eigenvalue, rel=1e-12)
         assert eigen_residual(A, M, tiny.final_vector, tiny.eigenvalue) <= 1e-6
@@ -228,15 +228,20 @@ class TestRunFom:
         mesh = generate_square("right", 4, PI)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         cfg = ContinuationConfig(max_steps=3, initial_guess="random")
-        trace, _ = run_fom(A, M, cfg)
+        trace, _ = run_fom(A, M, cfg, 4)
         assert not trace.converged
         assert trace.n_steps == 3
+
+    def test_stride_below_one_rejected(self):
+        A = diag_csr([2.0, 4.0])
+        with pytest.raises(ValueError, match="strides must be positive"):
+            run_fom(A, A, ContinuationConfig(), 0)
 
     def test_empty_system_rejected(self):
         mesh = generate_square("right", 1, 1.0)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         with pytest.raises(ValueError):
-            run_fom(A, M, ContinuationConfig())
+            run_fom(A, M, ContinuationConfig(), 4)
 
     def test_singular_step_operator_is_a_solver_error(self):
         # SuperLU's "Factor is exactly singular" is a numerical failure
@@ -247,7 +252,7 @@ class TestRunFom:
     def test_u0_length_mismatch_rejected(self):
         A = diag_csr([2.0, 4.0, 4.5])
         with pytest.raises(ValueError, match="u0"):
-            run_fom(A, A, ContinuationConfig(), u0=np.ones(2))
+            run_fom(A, A, ContinuationConfig(), 4, u0=np.ones(2))
 
     def test_orthogonal_start_warning(self):
         # start dominated by a middle mode, with a 1e-15 trace of the lowest:
@@ -256,14 +261,15 @@ class TestRunFom:
         A = diag_csr([2.0, 4.0, 4.5])
         M = diag_csr([1.0, 1.0, 1.0])
         u0 = np.array([1e-15, 1.0, 1.0])
-        trace, _ = run_fom(A, M, ContinuationConfig(), u0=u0)
+        trace, _ = run_fom(A, M, ContinuationConfig(), 4, u0=u0)
         assert trace.eigenvalue == pytest.approx(2.0, abs=1e-6)
         assert any("orthogonal" in w for w in trace.warnings)
 
     def test_higher_mode_sign_warning(self):
         A = sp.csr_array([[3.0, -1.0], [-1.0, 3.0]])
         M = diag_csr([1.0, 1.0])
-        trace, _ = run_fom(A, M, ContinuationConfig(), u0=np.array([1.0, -1.0]))
+        trace, _ = run_fom(A, M, ContinuationConfig(), 4,
+                           u0=np.array([1.0, -1.0]))
         assert trace.eigenvalue == pytest.approx(4.0, abs=1e-9)
         assert any("sign" in w for w in trace.warnings)
 
@@ -274,8 +280,9 @@ class TestRunFom:
 
 class TestSnapshotMatrix:
     def test_column_count_floor(self, runs):
-        _, _, A, _, cfg, trace, snaps = runs.fom("square", "crisscross", 16, 1)
-        assert snaps.shape == (A.shape[0], trace.n_steps // cfg.snapshot_stride)
+        _, _, A, _, _, trace, snaps = runs.fom("square", "crisscross", 16, 1,
+                                               stride=2)
+        assert snaps.shape == (A.shape[0], trace.n_steps // 2)
 
     def test_columns_nonzero(self, runs):
         _, _, _, _, _, _, snaps = runs.fom("square", "crisscross", 16, 1)

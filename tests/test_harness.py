@@ -184,9 +184,10 @@ class TestRunExperiment:
         # the M-orthogonal start of the continuation tests, built from each
         # level's own pencil: two higher modes plus a 1e-15 trace of the
         # lowest, which the slow transient lets take over
-        def orthogonal_start_fom(A, M, cfg):
+        def orthogonal_start_fom(A, M, cfg, stride):
             _, V = scipy.linalg.eigh(A.toarray(), M.toarray())
-            return run_fom(A, M, cfg, u0=V[:, 1] + V[:, 2] + 1e-15 * V[:, 0])
+            return run_fom(A, M, cfg, stride,
+                           u0=V[:, 1] + V[:, 2] + 1e-15 * V[:, 0])
 
         monkeypatch.setattr(rom, "run_fom", orthogonal_start_fom)
         cfg = ExperimentConfig(domain="lshape", mesh="crisscross", n_start=2,
@@ -212,6 +213,19 @@ class TestRunExperiment:
         values = [float(v) for v in path.read_text().split()]
         assert values == sorted(values, reverse=True)
         assert all(v > 0 for v in values)
+
+    def test_full_order_run_samples_at_the_smallest_stride(self, monkeypatch):
+        sampled = []
+
+        def recording_run_fom(A, M, cont, stride):
+            sampled.append(stride)
+            return run_fom(A, M, cont, stride)
+
+        monkeypatch.setattr(rom, "run_fom", recording_run_fom)
+        rows = run_experiment(small_config(levels=2, strides=(16, 8)))
+        assert sampled == [8, 8]
+        assert [r.mesh for r in rows] == ["crisscross-s16"] * 2 + [
+            "crisscross-s8"] * 2
 
     def test_singular_value_dump_multi_stride(self, tmp_path):
         path = tmp_path / "sv.txt"
@@ -263,6 +277,17 @@ class TestCli:
         values = [float(v) for v in dump.read_text().split()]
         assert values == sorted(values, reverse=True) and values[-1] > 0
         assert len(values) >= read_csv(out)[-1].n_pod
+
+    def test_stride_suffix_ignores_a_dot_in_a_directory(self, tmp_path):
+        folder = tmp_path / "run.1"
+        folder.mkdir()
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "8", "--strides", "2,4",
+                         "--out", str(folder / "t.csv"),
+                         "--dump-singvals", str(folder / "sv")])
+        assert code == 0
+        assert sorted(p.name for p in folder.iterdir()) == ["sv_s2", "sv_s4",
+                                                            "t.csv"]
 
     def test_config_error_exit_code(self, tmp_path):
         code = cli_main(["run", "--domain", "square", "--mesh", "mixed",
@@ -334,6 +359,7 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", [
         ["--strides", "2,3"],
+        ["--strides", "4,4"],                      # one basis twice
         ["--adaptive", "--strides", "2,4"],
         ["--adaptive", "--pod-eps", "exact"],
         ["--dt", "5e-324"],
@@ -365,11 +391,11 @@ class TestCli:
                                                            monkeypatch):
         calls = []
 
-        def failing_from_third_level(A, M, cfg):
+        def failing_from_third_level(A, M, cfg, stride):
             calls.append(A.shape[0])
             if len(calls) >= 3:
                 cfg = replace(cfg, max_steps=3)
-            return run_fom(A, M, cfg)
+            return run_fom(A, M, cfg, stride)
 
         monkeypatch.setattr(rom, "run_fom", failing_from_third_level)
         out = tmp_path / "t.csv"

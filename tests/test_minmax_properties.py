@@ -41,8 +41,8 @@ def test_both_runs_stay_above_the_discrete_eigenvalue(start, degree, dt, data,
             max_size=mesh.n_triangles)))
     A, M = assemble(mesh, build_dofmap(mesh, degree))
     lam_h, _ = smallest_pencil_eigenpair(A, M)
-    cfg = ContinuationConfig(dt=dt, snapshot_stride=1, initial_guess="random")
-    trace, snapshots = run_fom(A, M, cfg)
+    cfg = ContinuationConfig(dt=dt, initial_guess="random")
+    trace, snapshots = run_fom(A, M, cfg, 1)
     basis = build_pod(snapshots, eps=1e-7)
     rom_trace, _ = run_rom(reduce(A, M, basis.V), np.ones(A.shape[0]), cfg)
     assert trace.converged and rom_trace.converged
@@ -59,7 +59,7 @@ def test_reduced_run_on_the_identity_basis_is_the_full_run(domain, n, degree):
     A, M = assemble(mesh, build_dofmap(mesh, degree))
     u0 = np.random.default_rng(7).standard_normal(A.shape[0])
     cfg = ContinuationConfig()
-    fom, _ = run_fom(A, M, cfg, u0)
+    fom, _ = run_fom(A, M, cfg, 4, u0)
     rom, _ = run_rom(reduce(A, M, np.eye(A.shape[0])), u0, cfg)
     assert fom.converged and rom.n_steps == fom.n_steps
     assert np.allclose(rom.lambda_history, fom.lambda_history,

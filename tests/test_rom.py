@@ -1,12 +1,12 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import eigenrom.rom as rom
-from eigenrom.continuation import ContinuationConfig, initial_state, run_fom
+from eigenrom.continuation import (ContinuationConfig, _iterate,
+                                   initial_state, run_fom)
 from eigenrom.fem import assemble, build_dofmap
 from eigenrom.linalg import NotSpdError
 from eigenrom.mesh import generate_square
@@ -145,6 +145,20 @@ class TestRunRom:
                            initial_state(A.shape[0], cfg), short)
         assert not trace.converged
 
+    def test_reduced_run_keeps_no_snapshots(self, monkeypatch, runs):
+        _, _, A, M, cfg, _, snaps = runs.fom("square", "crisscross", 16, 1)
+        kept = []
+
+        def recording_iterate(*args, **kwargs):
+            result = _iterate(*args, **kwargs)
+            kept.append(result[1])
+            return result
+
+        monkeypatch.setattr(rom, "_iterate", recording_iterate)
+        trace, _ = run_rom(reduce(A, M, build_pod(snaps, 4).V),
+                           np.ones(A.shape[0]), cfg)
+        assert trace.n_steps > 4 and kept == [None]
+
     def test_zero_projection_rejected(self):
         ops = ReducedOperators(np.eye(1), np.eye(1), np.eye(3)[:, :1])
         with pytest.raises(ValueError):
@@ -172,7 +186,7 @@ class TestSolveLevel:
         rom.solve_level(A, M, cont, (2, 4, 8), 1e-7)
         assert len(seen) == 3
         for stride, S in zip((2, 4, 8), seen):
-            own = run_fom(A, M, replace(cont, snapshot_stride=stride))[1]
+            own = run_fom(A, M, cont, stride)[1]
             assert S.shape[1] >= 1 and np.array_equal(S, own)
 
     def test_stride_not_a_multiple_rejected_before_the_run(self, monkeypatch,

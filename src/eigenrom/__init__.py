@@ -2,8 +2,7 @@
 finite elements, plus a POD reduced-order model built from time snapshots."""
 
 from .continuation import ContinuationConfig, SolveTrace, run_fom, step_solver
-from .fem import (DofMap, assemble, assemble_full, build_dofmap,
-                  eigen_residual)
+from .fem import DofMap, assemble, build_dofmap, eigen_residual
 from .harness import (ExperimentConfig, ExperimentError, ResultRow,
                       compute_rate, emit_csv, run_experiment)
 from .linalg import (NonconvergenceError, NotSpdError, SolverError, spd_solve,
@@ -22,7 +21,7 @@ __all__ = [
     "ExperimentError", "Mesh", "MeshError", "MeshStats",
     "NonconvergenceError", "NotSpdError", "PodBasis", "ReducedOperators",
     "ResultRow", "SnapshotStrideError", "SolveTrace", "SolverError",
-    "adaptive_solve", "assemble", "assemble_full", "bisect_refine",
+    "adaptive_solve", "assemble", "bisect_refine",
     "build_dofmap", "build_pod", "compute_rate", "eigen_residual", "emit_csv",
     "estimate", "generate_lshape", "generate_square", "mark",
     "mesh_stats", "read_mesh", "reduce",

@@ -73,15 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pod-eps", type=pod_eps, default=1e-7,
                      help="energy tolerance, or 'exact' for uniform levels on "
                           "the square (default: 1e-7)")
-    run.add_argument("--init", default="random",
-                     help="initial iterate of the full-order run, ones or "
-                          "random (the reduced run always starts from the "
-                          "all-ones vector)")
     run.add_argument("--adaptive", action="store_true",
                      help="adaptive bisection refinement instead of uniform levels")
     run.add_argument("--theta", type=float, default=0.5,
                      help="bulk marking fraction for adaptive runs")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int, default=0,
+                     help="seed of the full-order run's random start")
     run.add_argument("--out", required=True, help="output CSV path")
     run.add_argument("--dump-singvals", default=None,
                      help="write the finest level's singular values here")
@@ -97,7 +94,7 @@ def _config_from_args(args) -> ExperimentConfig:
         mesh_file = mesh[len("file:"):]
         mesh = "file"
     cont = ContinuationConfig(dt=args.dt, stop_tol=args.stop_tol,
-                              initial_guess=args.init, seed=args.seed)
+                              seed=args.seed)
     return ExperimentConfig(
         domain=args.domain, mesh=mesh, mesh_file=mesh_file,
         n_start=args.n_start, levels=args.levels, fe_degree=args.fe,

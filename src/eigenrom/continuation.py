@@ -42,8 +42,7 @@ class ContinuationConfig:
     dt: float = 0.1
     stop_tol: float = 1e-8
     max_steps: int = 100_000
-    initial_guess: str = "ones"          # "ones" or "random"
-    seed: int = 0
+    seed: int = 0                 # of the full-order run's random start
 
     def __post_init__(self):
         # 1/dt is the shift of every step operator
@@ -51,8 +50,6 @@ class ContinuationConfig:
             raise ValueError("dt must be positive, with 1/dt finite")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
-        if self.initial_guess not in ("ones", "random"):
-            raise ValueError("initial_guess must be 'ones' or 'random'")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -89,12 +86,6 @@ class SolveTrace:
     @property
     def eigenvalue(self) -> float:
         return float(self.lambda_history[-1])
-
-
-def initial_state(n: int, config: ContinuationConfig) -> np.ndarray:
-    if config.initial_guess == "ones":
-        return np.ones(n)
-    return np.random.default_rng(config.seed).standard_normal(n)
 
 
 def step_solver(A, M, dt: float):
@@ -156,15 +147,15 @@ def check_eigen_residual(residual: float, lam: float, what: str) -> None:
 
 def _iterate(U, solve, products, config, t_start: float, stride=None):
     """The fictitious-time loop of the full-order and the reduced run, from
-    the nonzero state U.  ``solve(b)`` returns ``(x, A x, M x)`` for
+    the finite, nonzero state U.  ``solve(b)`` returns ``(x, A x, M x)`` for
     (A + M/dt) x = b and ``products(U)`` returns ``(A U, M U)``.  A state
     whose norm leaves (1e-150, 1e150) is rescaled to unit norm.
 
     Returns the trace (timed from ``t_start``), the list of every
     ``stride``-th state (None if no stride) and A U, M U of the final state.
     """
-    if not np.any(U):
-        raise ValueError("initial state is the zero vector")
+    if not (np.any(U) and np.isfinite(U).all()):
+        raise ValueError("initial state must be finite and nonzero")
     AU, MU = products(U)
     lam_history = []
     snapshots = [] if stride else None
@@ -198,13 +189,16 @@ def run_fom(A, M, config: ContinuationConfig, stride: int, u0=None
     """Iterate to the steady state and collect snapshots.
 
     Returns the trace and the (n, k) array of every ``stride``-th state (a
-    stride below 1 is a ValueError).  Stops when ||U_new - U|| / ||U_new|| <=
-    stop_tol (Euclidean coefficient norm); ``u0`` overrides the configured
-    initial guess.  Raises no error on hitting max_steps; the returned trace
-    has ``converged=False``.  A step solve that misses its residual check
-    raises NonconvergenceError, and so does a run that stops away from an
-    eigenpair (``check_eigen_residual``: with a tiny dt a step barely moves
-    the state, so the stopping rule can fire far from the eigenpair).
+    stride below 1 is a ValueError).  The run starts from ``u0`` if given,
+    else from ``np.random.default_rng(config.seed).standard_normal(n)``,
+    whose odd-even modes give the transient the length the stride study
+    needs; a zero or non-finite start is a ValueError.  Stops when
+    ||U_new - U|| / ||U_new|| <= stop_tol (Euclidean coefficient norm).
+    Raises no error on hitting max_steps; the trace has ``converged=False``.
+    A step solve that misses its residual check raises NonconvergenceError,
+    and so does a run that stops away from an eigenpair
+    (``check_eigen_residual``: with a tiny dt a step barely moves the state,
+    so the stopping rule can fire far from the eigenpair).
     """
     n = A.shape[0]
     check_unknowns(n)
@@ -214,7 +208,8 @@ def run_fom(A, M, config: ContinuationConfig, stride: int, u0=None
     import scipy.sparse.linalg  # noqa: F401
     t_start = time.perf_counter()
 
-    U0 = np.array(u0, dtype=np.float64) if u0 is not None else initial_state(n, config)
+    U0 = (np.array(u0, dtype=np.float64) if u0 is not None
+          else np.random.default_rng(config.seed).standard_normal(n))
     if U0.shape != (n,):
         raise ValueError(f"u0 has shape {U0.shape}, the system has {n} unknowns")
 

@@ -4,9 +4,9 @@ Dirichlet conditions on the whole boundary are imposed by elimination: the
 assembled operators act on the free (non-Dirichlet) degrees of freedom only,
 which keeps both matrices symmetric positive definite.  ``assemble`` drops
 the Dirichlet rows and columns from the element triplets before the one
-sparse conversion per matrix; ``assemble_full`` keeps every dof.  The
-triangle areas and barycentric gradients are the mesh's cached properties
-(``mesh.areas``, ``mesh.gradients``), shared with the error estimator.
+sparse conversion per matrix.  The triangle areas and barycentric gradients
+are the mesh's cached properties (``mesh.areas``, ``mesh.gradients``), shared
+with the error estimator.
 
 Element integrals: P1 uses the exact closed-form triangle formulas; P2 uses
 a six-point symmetric quadrature rule that is exact for quartics, so both
@@ -127,36 +127,21 @@ _P2_STIFFNESS = np.einsum("q,qik,qjl->ijkl", QUAD_WEIGHTS,
                           p2_dlambda(QUAD_POINTS), p2_dlambda(QUAD_POINTS))
 
 
-def assemble_full(mesh: Mesh, dofmap: DofMap
-                  ) -> tuple[sp.csr_array, sp.csr_array]:
-    """Stiffness and mass matrices over all dofs (no Dirichlet elimination)."""
-    return _assemble(mesh, dofmap.degree, dofmap.cell_dofs, dofmap.n_dof_total)
-
-
 def assemble(mesh: Mesh, dofmap: DofMap
              ) -> tuple[sp.csr_array, sp.csr_array]:
     """Stiffness and mass matrices restricted to the free dofs.
 
-    The restriction of ``assemble_full`` to the free rows and columns,
-    built without assembling the Dirichlet rows and columns.
+    Free dof ``dofmap.free_dofs[i]`` is row and column i; element entries at
+    a Dirichlet dof are dropped before the sparse conversion.  A dofmap whose
+    free dofs are all dofs gives the operators without Dirichlet elimination.
     """
-    free_index = np.full(dofmap.n_dof_total, -1, dtype=np.int64)
-    free_index[dofmap.free_dofs] = np.arange(dofmap.n_free)
-    return _assemble(mesh, dofmap.degree, free_index[dofmap.cell_dofs],
-                     dofmap.n_free)
-
-
-def _assemble(mesh: Mesh, degree: int, cell_index, n: int):
-    """The n x n stiffness and mass matrices from the element matrices, with
-    local dof k of triangle t at row/column ``cell_index[t, k]``; entries
-    with a negative index are dropped."""
     # imported here, like splu in continuation.step_solver: scipy.sparse is
     # slow to import, and `import eigenrom.cli` should not pay for it
     import scipy.sparse as sp
 
     area = mesh.areas
     _, gram = mesh.gradients
-    if degree == 1:
+    if dofmap.degree == 1:
         # exact closed form: K_ij = area * grad_i . grad_j
         ke = gram * area[:, None, None]
         me = area[:, None, None] * _P1_MASS
@@ -165,9 +150,12 @@ def _assemble(mesh: Mesh, degree: int, cell_index, n: int):
         me = area[:, None, None] * _P2_MASS
     n_loc = ke.shape[1]
 
+    n = dofmap.n_free
+    free_index = np.full(dofmap.n_dof_total, -1, dtype=np.int64)
+    free_index[dofmap.free_dofs] = np.arange(n)
     # int32 indices where they fit, as scipy's sparse matrices choose them:
     # half the index memory, and SuperLU takes them without a copy
-    idx = cell_index.astype(sp.get_index_dtype(maxval=n))
+    idx = free_index[dofmap.cell_dofs].astype(sp.get_index_dtype(maxval=n))
     valid = idx >= 0
     keep = (valid[:, :, None] & valid[:, None, :]).reshape(-1)
     rows = np.repeat(idx, n_loc, axis=1).reshape(-1)[keep]

@@ -1,6 +1,7 @@
 """Experiment orchestration: config validation, the schedule of meshes fed
 to the one level loop (``rom.solve_levels``), table rows with convergence
-rates, the mesh and singular-value dumps, and CSV export.
+rates, the mesh and singular-value dumps, and CSV export.  A config fixes
+every input of a run, its start vectors included.
 
 Reference eigenvalues for error and rate reporting: 2 on the square
 (0, pi)^2 and 9.6397238440219 on the L-shaped domain.
@@ -35,22 +36,11 @@ CSV_HEADER = ["mesh", "n", "dof", "lambda_fom", "lambda_rom",
               "rate_fom", "rate_rom", "n_pod", "fom_s", "rom_s"]
 
 
-def default_continuation() -> ContinuationConfig:
-    """Experiment-level iteration defaults.
-
-    The full-order initial guess is seeded-random: a nonsymmetric start
-    excites the odd-even modes too, which lengthens the transient to the step
-    counts the snapshot-stride comparison needs (the all-ones vector is
-    symmetric and converges in a third of the steps, leaving too few
-    snapshots at the coarsest stride).  The reduced run always starts from
-    the all-ones vector (``rom.solve_level``).
-    """
-    return ContinuationConfig(initial_guess="random")
-
-
 @dataclass
 class ExperimentConfig:
-    """One experiment schedule (a sequence of meshes, or an adaptive run)."""
+    """One experiment schedule (a sequence of meshes, or an adaptive run).
+    Its full-order runs start from the random vector of ``continuation.seed``
+    (``--seed``), its reduced runs from the all-ones vector."""
 
     domain: str                       # "square" | "lshape"
     mesh: str                         # crisscross|right|left|mixed|file
@@ -59,7 +49,7 @@ class ExperimentConfig:
     fe_degree: int = 1
     adaptive: bool = False
     theta: float = 0.5
-    continuation: ContinuationConfig = field(default_factory=default_continuation)
+    continuation: ContinuationConfig = field(default_factory=ContinuationConfig)
     strides: tuple = (4,)
     pod_eps: object = 1e-7            # float, or "exact"
     mesh_file: str | None = None

@@ -101,7 +101,7 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
     """Full-order run once, then one basis and reduced run per stride.
 
     The full-order run (``run_fom`` at stride ``min(strides)``) starts from
-    the configured initial guess; each stride's basis takes every
+    the random vector of ``cont.seed``; each stride's basis takes every
     ``stride // min(strides)``-th of those snapshot columns (``check_strides``
     and ``check_unknowns`` run before the full-order run; SnapshotStrideError
     if a stride is longer than the run), with N chosen by the energy

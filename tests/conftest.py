@@ -27,7 +27,7 @@ class RunCache:
                 mesh = generate_lshape(pattern, n)
             dofmap = build_dofmap(mesh, degree)
             A, M = assemble(mesh, dofmap)
-            cfg = ContinuationConfig(initial_guess="random", seed=0)
+            cfg = ContinuationConfig(seed=0)
             trace, snaps = run_fom(A, M, cfg, stride)
             self._store[key] = (mesh, dofmap, A, M, cfg, trace, snaps)
         return self._store[key]

@@ -199,7 +199,7 @@ class TestMark:
 
 class TestAdaptiveSolve:
     def test_lshape_records_and_conformity(self):
-        cfg = ContinuationConfig(initial_guess="random")
+        cfg = ContinuationConfig()
         levels = list(solve_levels(generate_lshape("crisscross", 4), 2, cfg,
                                    (4,), 1e-7, 5, partial(next_mesh, 0.5)))
         # five levels: the estimate never vanished, so every level refined
@@ -230,7 +230,7 @@ class TestAdaptiveSolve:
             prop = cached_property(counted)
             prop.__set_name__(Mesh, name)
             monkeypatch.setattr(Mesh, name, prop)
-        cfg = ContinuationConfig(initial_guess="random")
+        cfg = ContinuationConfig()
         final_mesh = adaptive_solve(generate_lshape("crisscross", 2),
                                     2, 0.5, 3, cfg, 4)
         mesh_stats(final_mesh)

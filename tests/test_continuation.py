@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,15 +27,16 @@ class TestConfig:
         assert cfg.dt == 0.1
         assert cfg.stop_tol == 1e-8
         assert cfg.max_steps == 100_000
-        assert cfg.initial_guess == "ones"
+        assert cfg.seed == 0
+        # the start is no setting: run_fom's u0, else the seeded random vector
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "dt", "stop_tol", "max_steps", "seed"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ContinuationConfig(dt=0.0)
         with pytest.raises(ValueError):
             ContinuationConfig(stop_tol=-1.0)
-        with pytest.raises(ValueError):
-            ContinuationConfig(initial_guess="zeros")
         with pytest.raises(ValueError):
             ContinuationConfig(seed=-1)
         # 1/dt overflows: the step operator A + M/dt cannot be formed
@@ -170,7 +172,7 @@ class TestRunFom:
         mesh = generate_square("crisscross", 8, PI)
         dm = build_dofmap(mesh, 1)
         A, M = assemble(mesh, dm)
-        cfg, stride = ContinuationConfig(initial_guess="random", seed=3), 4
+        cfg, stride = ContinuationConfig(seed=3), 4
         trace, snaps = run_fom(A, M, cfg, stride)
         # replay the iteration by hand and compare at the snapshot steps
         solve = step_solver(A, M, cfg.dt)
@@ -193,7 +195,7 @@ class TestRunFom:
         mesh = (generate_square("crisscross", n, PI) if domain == "square"
                 else generate_lshape("crisscross", n))
         A, M = assemble(mesh, build_dofmap(mesh, degree))
-        cfg = ContinuationConfig(initial_guess="random", seed=3)
+        cfg = ContinuationConfig(seed=3)
         trace, snaps = run_fom(A, M, cfg, 4)
         u0 = np.random.default_rng(3).standard_normal(A.shape[0])
         history, steps, S = fom_loop_dense(A, M, u0, cfg.dt, cfg.stop_tol,
@@ -209,7 +211,7 @@ class TestRunFom:
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         monkeypatch.setattr(continuation, "_SOLVE_RTOL", 1e-30)
         with pytest.raises(NonconvergenceError) as info:
-            run_fom(A, M, ContinuationConfig(initial_guess="random"), 4)
+            run_fom(A, M, ContinuationConfig(), 4)
         assert 0 < info.value.residual < 1e-12
 
     def test_renormalised_run_matches_unscaled_run(self):
@@ -227,7 +229,7 @@ class TestRunFom:
     def test_max_steps_returns_unconverged(self):
         mesh = generate_square("right", 4, PI)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
-        cfg = ContinuationConfig(max_steps=3, initial_guess="random")
+        cfg = ContinuationConfig(max_steps=3)
         trace, _ = run_fom(A, M, cfg, 4)
         assert not trace.converged
         assert trace.n_steps == 3
@@ -248,6 +250,13 @@ class TestRunFom:
         zero = sp.csr_array((2, 2))
         with pytest.raises(SolverError, match="cannot factor"):
             step_solver(zero, zero, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, bad):
+        A = diag_csr([2.0, 4.0, 4.5])
+        with pytest.raises(ValueError, match="finite"):
+            run_fom(A, A, ContinuationConfig(), 4,
+                    u0=np.array([1.0, bad, 1.0]))
 
     def test_u0_length_mismatch_rejected(self):
         A = diag_csr([2.0, 4.0, 4.5])

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from eigenrom.fem import (assemble, assemble_full, build_dofmap,
-                          eigen_residual, interpolate, interpolate_free,
+from eigenrom.fem import (assemble, build_dofmap, eigen_residual,
+                          interpolate, interpolate_free,
                           rayleigh_from_products)
 from eigenrom.linalg import SYMMETRY_RTOL
 from eigenrom.mesh import bisect_refine, generate_lshape, generate_square
@@ -56,21 +57,27 @@ class TestDofmap:
             build_dofmap(generate_square("right", 2, 1.0), 3)
 
 
+def assemble_all_dofs(mesh, dm):
+    """``assemble`` with every dof free (no Dirichlet elimination)."""
+    return assemble(mesh, dataclasses.replace(
+        dm, free_dofs=np.arange(dm.n_dof_total)))
+
+
 class TestAssembly:
     def test_mass_sum_is_domain_area(self):
         # sum of all P1 mass entries = integral of 1 (partition of unity)
         mesh = generate_square("crisscross", 8, PI)
-        _, M = assemble_full(mesh, build_dofmap(mesh, 1))
+        _, M = assemble_all_dofs(mesh, build_dofmap(mesh, 1))
         assert M.sum() == pytest.approx(PI ** 2, rel=1e-13)
 
     def test_p2_mass_sum_is_domain_area(self):
         mesh = generate_lshape("mixed", 3)
-        _, M = assemble_full(mesh, build_dofmap(mesh, 2))
+        _, M = assemble_all_dofs(mesh, build_dofmap(mesh, 2))
         assert M.sum() == pytest.approx(3.0, rel=1e-12)
 
     def test_stiffness_annihilates_constants(self):
         mesh = generate_square("crisscross", 6, PI)
-        A, _ = assemble_full(mesh, build_dofmap(mesh, 1))
+        A, _ = assemble_all_dofs(mesh, build_dofmap(mesh, 1))
         ones = np.ones(A.shape[0])
         assert np.abs(A @ ones).max() <= 1e-13
 
@@ -95,7 +102,7 @@ class TestAssembly:
         # Dirichlet entries dropped from the row
         dm = build_dofmap(mesh, degree)
         free = dm.free_dofs
-        for X, full in zip(assemble(mesh, dm), assemble_full(mesh, dm)):
+        for X, full in zip(assemble(mesh, dm), assemble_all_dofs(mesh, dm)):
             Y = full[free][:, free]
             assert np.array_equal(X.indptr, Y.indptr)
             assert np.array_equal(X.indices, Y.indices)
@@ -117,7 +124,7 @@ class TestAssembly:
         # the P1 interpolant of f = x is exact: int |grad f|^2 = area
         mesh = generate_square("left", 5, PI)
         dm = build_dofmap(mesh, 1)
-        A, _ = assemble_full(mesh, dm)
+        A, _ = assemble_all_dofs(mesh, dm)
         f = interpolate(dm, lambda x, y: x)
         assert f @ (A @ f) == pytest.approx(PI ** 2, rel=1e-12)
 
@@ -125,7 +132,7 @@ class TestAssembly:
         # the P2 interpolant of f = x^2 is exact: int |grad f|^2 = 4 pi^4 / 3
         mesh = generate_square("crisscross", 4, PI)
         dm = build_dofmap(mesh, 2)
-        A, _ = assemble_full(mesh, dm)
+        A, _ = assemble_all_dofs(mesh, dm)
         f = interpolate(dm, lambda x, y: x ** 2)
         assert f @ (A @ f) == pytest.approx(4 * PI ** 4 / 3, rel=1e-12)
 
@@ -133,7 +140,7 @@ class TestAssembly:
         # int x^2 y^2 over (0, pi)^2 = pi^6 / 9, quartic, exact for the rule
         mesh = generate_square("right", 3, PI)
         dm = build_dofmap(mesh, 2)
-        _, M = assemble_full(mesh, dm)
+        _, M = assemble_all_dofs(mesh, dm)
         fx = interpolate(dm, lambda x, y: x * y)
         assert fx @ (M @ fx) == pytest.approx(PI ** 6 / 9, rel=1e-12)
 
@@ -157,8 +164,8 @@ class TestAssembly:
         perm = rng.permutation(mesh.n_triangles)
         shuffled = Mesh(mesh.nodes.copy(), mesh.triangles[perm],
                         mesh.refinement_edge[perm])
-        A1, M1 = assemble_full(mesh, build_dofmap(mesh, 1))
-        A2, M2 = assemble_full(shuffled, build_dofmap(shuffled, 1))
+        A1, M1 = assemble_all_dofs(mesh, build_dofmap(mesh, 1))
+        A2, M2 = assemble_all_dofs(shuffled, build_dofmap(shuffled, 1))
         for X1, X2 in ((A1, A2), (M1, M2)):
             diff = abs(X1 - X2).max()
             assert diff <= 1e-15 * abs(X1).max()

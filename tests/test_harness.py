@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import eigenrom.rom as rom
-from eigenrom.cli import main as cli_main
+from eigenrom.cli import build_parser, main as cli_main
 from eigenrom.continuation import ContinuationConfig, run_fom
 from eigenrom.harness import (CSV_HEADER, ExperimentConfig, ExperimentError,
                               ResultRow, compute_rate, emit_csv, read_csv,
@@ -144,7 +145,7 @@ class TestRunExperiment:
 
     def test_uniform_and_adaptive_levels_agree(self):
         # both paths run one square level through the same solve_level
-        cont = ContinuationConfig(initial_guess="random", seed=3)
+        cont = ContinuationConfig(seed=3)
         uniform = run_experiment(small_config(continuation=cont))
         adaptive = run_experiment(small_config(continuation=cont,
                                                adaptive=True))
@@ -152,9 +153,20 @@ class TestRunExperiment:
         for field_ in ("lambda_fom", "lambda_rom", "n_pod"):
             assert getattr(uniform[0], field_) == getattr(adaptive[0], field_)
 
+    def test_explicit_default_continuation_is_the_default(self):
+        # the start of the full-order run is no setting: spelling out the
+        # default iteration settings changes no row
+        cfg = small_config(n_start=16, levels=2, strides=(2, 4, 8))
+        default = run_experiment(cfg)
+        explicit = run_experiment(replace(
+            cfg, continuation=ContinuationConfig(dt=0.1)))
+        for a, b in zip(default, explicit, strict=True):
+            assert (a.lambda_fom, a.lambda_rom, a.n_pod) == (
+                b.lambda_fom, b.lambda_rom, b.n_pod)
+
     def test_continuation_seed_is_the_cli_seed(self, tmp_path):
         # the configured seed is the one the run uses, as --seed on the CLI
-        cont = ContinuationConfig(initial_guess="random", seed=5)
+        cont = ContinuationConfig(seed=5)
         rows = run_experiment(small_config(continuation=cont))
         out = tmp_path / "t.csv"
         assert cli_main(["run", "--domain", "square", "--mesh", "crisscross",
@@ -172,7 +184,7 @@ class TestRunExperiment:
         assert rows[1].rate_fom == pytest.approx(2.0, abs=0.2)
 
     def test_nonconvergence_aborts_with_partial_rows(self):
-        cont = ContinuationConfig(initial_guess="random", max_steps=5)
+        cont = ContinuationConfig(max_steps=5)
         cfg = small_config(levels=2, continuation=cont)
         with pytest.raises(ExperimentError) as info:
             run_experiment(cfg)
@@ -235,6 +247,35 @@ class TestRunExperiment:
 
 
 class TestCli:
+    def test_option_defaults_are_the_config_defaults(self):
+        # each run option with a value sets one config field, and its parser
+        # default is that field's default, so leaving an option out of a
+        # CLI call and out of a library config mean the same
+        fields = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
+                  for cls in (ExperimentConfig, ContinuationConfig)}
+        target = {"dt": (ContinuationConfig, "dt"),
+                  "stop_tol": (ContinuationConfig, "stop_tol"),
+                  "seed": (ContinuationConfig, "seed"),
+                  "n_start": (ExperimentConfig, "n_start"),
+                  "levels": (ExperimentConfig, "levels"),
+                  "fe": (ExperimentConfig, "fe_degree"),
+                  "adaptive": (ExperimentConfig, "adaptive"),
+                  "theta": (ExperimentConfig, "theta"),
+                  "strides": (ExperimentConfig, "strides"),
+                  "pod_eps": (ExperimentConfig, "pod_eps"),
+                  "dump_singvals": (ExperimentConfig, "singvals_path"),
+                  "dump_mesh": (ExperimentConfig, "mesh_dump_path")}
+        args = vars(build_parser().parse_args(
+            ["run", "--domain", "square", "--mesh", "crisscross",
+             "--out", "t.csv"]))
+        # the command and the required options have no default to compare
+        for dest in ("command", "domain", "mesh", "out"):
+            del args[dest]
+        assert sorted(args) == sorted(target)
+        for dest, default in args.items():
+            cls, name = target[dest]
+            assert default == fields[cls][name], dest
+
     def test_run_writes_table(self, tmp_path):
         out = tmp_path / "table.csv"
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
@@ -365,7 +406,7 @@ class TestCli:
         ["--dt", "5e-324"],
         ["--seed=-1"],
         ["--fe", "3"],
-        ["--init", "zeros"],
+        ["--init", "ones"],                        # no such option
         ["--mesh", "mixed"],
         ["--n-start", "0"],
         ["--levels=-1"],

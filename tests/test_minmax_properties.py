@@ -41,7 +41,7 @@ def test_both_runs_stay_above_the_discrete_eigenvalue(start, degree, dt, data,
             max_size=mesh.n_triangles)))
     A, M = assemble(mesh, build_dofmap(mesh, degree))
     lam_h, _ = smallest_pencil_eigenpair(A, M)
-    cfg = ContinuationConfig(dt=dt, initial_guess="random")
+    cfg = ContinuationConfig(dt=dt)
     trace, snapshots = run_fom(A, M, cfg, 1)
     basis = build_pod(snapshots, eps=1e-7)
     rom_trace, _ = run_rom(reduce(A, M, basis.V), np.ones(A.shape[0]), cfg)

@@ -5,14 +5,18 @@ import pytest
 import scipy.sparse as sp
 
 import eigenrom.rom as rom
-from eigenrom.continuation import (ContinuationConfig, _iterate,
-                                   initial_state, run_fom)
+from eigenrom.continuation import ContinuationConfig, _iterate, run_fom
 from eigenrom.fem import assemble, build_dofmap
 from eigenrom.linalg import NotSpdError
 from eigenrom.mesh import generate_square
 from eigenrom.pod import build_pod
 from eigenrom.rom import ReducedOperators, reduce, run_rom
 from oracles import rom_loop_cho
+
+
+def fom_start(A, cfg):
+    """The start of ``run_fom(A, M, cfg, stride)``, which is given no u0."""
+    return np.random.default_rng(cfg.seed).standard_normal(A.shape[0])
 
 
 def embed_coordinates(n, cols):
@@ -83,7 +87,7 @@ class TestRunRom:
         _, _, A, M, cfg, trace, snaps = runs.fom("square", "crisscross", 16, 1)
         basis = build_pod(snaps, len(singular_values(snaps)))
         ops = reduce(A, M, basis.V)
-        u0 = initial_state(A.shape[0], cfg)
+        u0 = fom_start(A, cfg)
         rom_trace, lifted = run_rom(ops, u0, cfg)
         fom_dir = trace.final_vector / np.linalg.norm(trace.final_vector)
         rom_dir = lifted / np.linalg.norm(lifted)
@@ -96,7 +100,7 @@ class TestRunRom:
         _, _, A, M, cfg, _, snaps = runs.fom("square", "crisscross", 16, 1)
         basis = build_pod(snaps, 4)
         ops = reduce(A, M, basis.V)
-        rom_trace, lifted = run_rom(ops, initial_state(A.shape[0], cfg), cfg)
+        rom_trace, lifted = run_rom(ops, fom_start(A, cfg), cfg)
         assert rom_trace.eigenvalue == pytest.approx(
             rayleigh_from_products(lifted, A @ lifted, M @ lifted), rel=1e-12)
 
@@ -104,7 +108,7 @@ class TestRunRom:
         _, _, A, M, cfg, _, snaps = runs.fom("square", "crisscross", 16, 1)
         basis = build_pod(snaps, 5)
         rom_trace, _ = run_rom(reduce(A, M, basis.V),
-                               initial_state(A.shape[0], cfg), cfg)
+                               fom_start(A, cfg), cfg)
         assert np.all(rom_trace.lambda_history >= 2.0)
 
     def test_non_spd_reduced_system_rejected(self, rng):
@@ -140,9 +144,9 @@ class TestRunRom:
     def test_max_steps_returns_unconverged(self, runs):
         _, _, A, M, cfg, _, snaps = runs.fom("square", "crisscross", 16, 1)
         basis = build_pod(snaps, 4)
-        short = ContinuationConfig(max_steps=2, initial_guess="random")
+        short = ContinuationConfig(max_steps=2)
         trace, _ = run_rom(reduce(A, M, basis.V),
-                           initial_state(A.shape[0], cfg), short)
+                           fom_start(A, cfg), short)
         assert not trace.converged
 
     def test_reduced_run_keeps_no_snapshots(self, monkeypatch, runs):
@@ -164,6 +168,12 @@ class TestRunRom:
         with pytest.raises(ValueError):
             run_rom(ops, np.array([0.0, 1.0, 0.0]) * 0.0, ContinuationConfig())
 
+    def test_non_finite_start_rejected(self):
+        # an input error, not a run of max_steps steps that never converges
+        ops = ReducedOperators(np.diag([2.0, 3.0]), np.eye(2), np.eye(3)[:, :2])
+        with pytest.raises(ValueError, match="finite"):
+            run_rom(ops, np.array([1.0, np.nan, 1.0]), ContinuationConfig())
+
 
 class TestSolveLevel:
     @pytest.fixture()
@@ -175,7 +185,7 @@ class TestSolveLevel:
         # each stride's basis is built from the columns of the one full-order
         # snapshot array that a run at that stride records on its own
         A, M = pencil
-        cont = ContinuationConfig(initial_guess="random", seed=3)
+        cont = ContinuationConfig(seed=3)
         seen = []
 
         def recording_build_pod(S, **kwargs):

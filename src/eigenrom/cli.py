@@ -88,15 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    mesh = args.mesh
-    mesh_file = None
-    if mesh.startswith("file:"):
-        mesh_file = mesh[len("file:"):]
-        mesh = "file"
     cont = ContinuationConfig(dt=args.dt, stop_tol=args.stop_tol,
                               seed=args.seed)
     return ExperimentConfig(
-        domain=args.domain, mesh=mesh, mesh_file=mesh_file,
+        domain=args.domain, mesh=args.mesh,
         n_start=args.n_start, levels=args.levels, fe_degree=args.fe,
         adaptive=args.adaptive, theta=args.theta, continuation=cont,
         strides=args.strides, pod_eps=args.pod_eps,

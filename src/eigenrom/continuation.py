@@ -72,6 +72,11 @@ def check_unknowns(n: int) -> None:
         raise ValueError("the system has no free degrees of freedom")
 
 
+def check_start(U) -> None:
+    if not (np.any(U) and np.isfinite(U).all()):
+        raise ValueError("initial state must be finite and nonzero")
+
+
 @dataclass(eq=False)
 class SolveTrace:
     """History of one continuation run (shared by full and reduced solvers)."""
@@ -154,8 +159,7 @@ def _iterate(U, solve, products, config, t_start: float, stride=None):
     Returns the trace (timed from ``t_start``), the list of every
     ``stride``-th state (None if no stride) and A U, M U of the final state.
     """
-    if not (np.any(U) and np.isfinite(U).all()):
-        raise ValueError("initial state must be finite and nonzero")
+    check_start(U)
     AU, MU = products(U)
     lam_history = []
     snapshots = [] if stride else None

@@ -13,7 +13,7 @@ import csv
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -32,10 +32,6 @@ SQUARE_SIDE = math.pi
 LAMBDA_SQUARE = 2.0
 LAMBDA_LSHAPE = 9.6397238440219
 
-CSV_HEADER = ["mesh", "n", "dof", "lambda_fom", "lambda_rom",
-              "rate_fom", "rate_rom", "n_pod", "fom_s", "rom_s"]
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment schedule (a sequence of meshes, or an adaptive run).
@@ -43,7 +39,7 @@ class ExperimentConfig:
     (``--seed``), its reduced runs from the all-ones vector."""
 
     domain: str                       # "square" | "lshape"
-    mesh: str                         # crisscross|right|left|mixed|file
+    mesh: str                         # crisscross|right|left|mixed|file:<path>
     n_start: int = 16
     levels: int = 1
     fe_degree: int = 1
@@ -52,7 +48,6 @@ class ExperimentConfig:
     continuation: ContinuationConfig = field(default_factory=ContinuationConfig)
     strides: tuple = (4,)
     pod_eps: object = 1e-7            # float, or "exact"
-    mesh_file: str | None = None
     singvals_path: str | None = None
     mesh_dump_path: str | None = None
 
@@ -71,6 +66,12 @@ class ResultRow:
     rom_s: float
 
 
+CSV_HEADER = [f.name for f in fields(ResultRow)]
+# read_csv's parser of a column, by the type of its ResultRow field
+_PARSE = {"str": str, "int": int, "float": float,
+          "float | None": lambda s: None if s == "" else float(s)}
+
+
 class ExperimentError(RuntimeError):
     """A schedule aborted mid-way; carries the rows completed so far, and
     the failure as its ``__cause__``."""
@@ -84,9 +85,10 @@ def _validate(cfg: ExperimentConfig):
     """Refuse a bad config before the first solve, by each stage's checks."""
     if cfg.domain not in PATTERNS:
         raise ValueError(f"unknown domain {cfg.domain!r}")
-    if cfg.mesh != "file":
+    path = _mesh_file(cfg)
+    if path is None:
         check_generator(cfg.domain, cfg.mesh, cfg.n_start)
-    elif not cfg.mesh_file:
+    elif not path:
         raise ValueError("mesh 'file' requires a mesh file path")
     check_degree(cfg.fe_degree)
     if cfg.levels < 0:
@@ -109,10 +111,16 @@ def reference_eigenvalue(domain: str) -> float:
     return LAMBDA_SQUARE if domain == "square" else LAMBDA_LSHAPE
 
 
+def _mesh_file(cfg: ExperimentConfig) -> str | None:
+    """The path of a ``file:<path>`` mesh; None for a generated one."""
+    kind, _, path = cfg.mesh.partition(":")
+    return path if kind == "file" else None
+
+
 def _mesh(cfg: ExperimentConfig, n: int) -> Mesh:
     """The configured mesh with n subintervals per side (a file ignores n)."""
-    if cfg.mesh == "file":
-        return read_mesh(cfg.mesh_file)
+    if (path := _mesh_file(cfg)) is not None:
+        return read_mesh(path)
     if cfg.domain == "square":
         return generate_square(cfg.mesh, n, SQUARE_SIDE)
     return generate_lshape(cfg.mesh, n)
@@ -129,7 +137,7 @@ def _label(cfg: ExperimentConfig, index: int) -> int:
     level number from 1 on adaptive runs."""
     if cfg.adaptive:
         return index + 1
-    return index if cfg.mesh == "file" else cfg.n_start * 2 ** index
+    return index if _mesh_file(cfg) is not None else cfg.n_start * 2 ** index
 
 
 def compute_rate(errors, sizes, mode: str) -> list:
@@ -170,12 +178,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     eps = _exact_eps if cfg.pod_eps == "exact" else float(cfg.pod_eps)
 
     def uniform(level, dofmap, M):
-        if cfg.mesh == "file":
+        if _mesh_file(cfg) is not None:
             return uniform_refine(level.mesh)
         return _mesh(cfg, 2 * _label(cfg, level.index))
 
-    labels = ([cfg.mesh] if len(cfg.strides) == 1
-              else [f"{cfg.mesh}-s{stride}" for stride in cfg.strides])
+    kind = cfg.mesh if _mesh_file(cfg) is None else "file"
+    labels = ([kind] if len(cfg.strides) == 1
+              else [f"{kind}-s{stride}" for stride in cfg.strides])
     sizes, table, last = [], [], None
     levels = solve_levels(
         _mesh(cfg, cfg.n_start), cfg.fe_degree, cfg.continuation, cfg.strides,
@@ -233,27 +242,17 @@ def emit_csv(rows: list[ResultRow], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([r.mesh, r.n, r.dof, _fmt(r.lambda_fom),
-                             _fmt(r.lambda_rom), _fmt(r.rate_fom),
-                             _fmt(r.rate_rom), r.n_pod, _fmt(r.fom_s),
-                             _fmt(r.rom_s)])
+        writer.writerows(map(_fmt, astuple(r)) for r in rows)
 
 
 def read_csv(path) -> list[ResultRow]:
-    """Parse a table written by emit_csv (round-trip exact)."""
-    def opt_float(s):
-        return None if s == "" else float(s)
-
-    rows = []
+    """Parse a table written by emit_csv (round-trip exact); a record with
+    the wrong number of columns is a ValueError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
+        if next(reader) != CSV_HEADER:
             raise ValueError(f"{path}: unexpected CSV header")
-        for rec in reader:
-            rows.append(ResultRow(rec[0], int(rec[1]), int(rec[2]),
-                                  float(rec[3]), float(rec[4]),
-                                  opt_float(rec[5]), opt_float(rec[6]),
-                                  int(rec[7]), float(rec[8]), float(rec[9])))
-    return rows
+        parsers = [_PARSE[f.type] for f in fields(ResultRow)]
+        return [ResultRow(*(parse(v) for parse, v in
+                            zip(parsers, rec, strict=True)))
+                for rec in reader]

@@ -363,6 +363,10 @@ def validate_mesh(mesh: Mesh) -> None:
     ref = mesh.refinement_edge
     if ref.shape != (mesh.n_triangles,) or np.any((ref < 0) | (ref > 2)):
         raise MeshError("refinement edge must be one local edge (0-2) per triangle")
+    # an unused node would be a free dof with a zero row in every operator
+    uses = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_nodes)
+    if not uses.all():
+        raise MeshError(f"node {int(np.argmin(uses))} belongs to no triangle")
     mesh.edge_table        # raises if an edge has more than two triangles
 
 
@@ -379,19 +383,19 @@ def mesh_stats(mesh: Mesh) -> MeshStats:
     )
 
 
+# the text format, one section per entry: (keyword, values per line, type);
+# the boundary section is optional
+SECTIONS = (("nodes", 2, float), ("triangles", 3, int), ("boundary", 1, int))
+
+
 def write_mesh(mesh: Mesh, path) -> None:
-    """Write the line-oriented text format (nodes, triangles, boundary)."""
+    """Write the line-oriented text format of ``SECTIONS``."""
+    arrays = (mesh.nodes, mesh.triangles, np.flatnonzero(mesh.boundary_node))
     with open(path, "w") as fh:
-        fh.write(f"nodes {mesh.n_nodes}\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        fh.write(f"triangles {mesh.n_triangles}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
-        boundary = np.flatnonzero(mesh.boundary_node)
-        fh.write(f"boundary {len(boundary)}\n")
-        for i in boundary:
-            fh.write(f"{i}\n")
+        for (word, width, _), values in zip(SECTIONS, arrays):
+            fh.write(f"{word} {len(values)}\n")
+            for entry in values.reshape(-1, width).tolist():
+                fh.write(" ".join(map(repr, entry)) + "\n")
 
 
 def read_mesh(path) -> Mesh:
@@ -403,45 +407,31 @@ def read_mesh(path) -> Mesh:
     """
     with open(path) as fh:
         tokens = fh.read().split()
-    pos = 0
-
-    def take(n=1):
-        nonlocal pos
-        if pos + n > len(tokens):
-            raise MeshError("truncated mesh file")
-        out = tokens[pos:pos + n]
-        pos += n
-        return out
-
-    def expect(word):
-        got = take()[0]
-        if got != word:
-            raise MeshError(f"expected {word!r}, found {got!r}")
-
+    arrays, pos = [], 0
     try:
-        expect("nodes")
-        n_nodes = int(take()[0])
-        if n_nodes < 0:
-            raise MeshError("negative node count")
-        coords = np.array([float(v) for v in take(2 * n_nodes)]).reshape(n_nodes, 2)
-        expect("triangles")
-        n_tris = int(take()[0])
-        if n_tris < 0:
-            raise MeshError("negative triangle count")
-        tris = np.array([int(v) for v in take(3 * n_tris)], dtype=np.int64).reshape(n_tris, 3)
-        stored_boundary = None
-        if pos < len(tokens):
-            expect("boundary")
-            n_b = int(take()[0])
-            stored_boundary = np.array([int(v) for v in take(n_b)], dtype=np.int64)
+        for word, width, kind in SECTIONS:
+            if word == "boundary" and pos == len(tokens):
+                break
+            if pos < len(tokens) and tokens[pos] != word:
+                raise MeshError(f"expected {word!r}, found {tokens[pos]!r}")
+            if pos + 2 > len(tokens):
+                raise MeshError("truncated mesh file")
+            count = int(tokens[pos + 1])
+            if count < 0:
+                raise MeshError(f"negative {word.removesuffix('s')} count")
+            start, pos = pos + 2, pos + 2 + width * count
+            if pos > len(tokens):
+                raise MeshError("truncated mesh file")
+            arrays.append(np.array([kind(v) for v in tokens[start:pos]],
+                                   dtype=kind).reshape(count, width))
         if pos != len(tokens):
             raise MeshError("trailing data after boundary section")
-        mesh = Mesh(coords, tris)
-        if stored_boundary is not None and not np.array_equal(
-                np.sort(stored_boundary), np.flatnonzero(mesh.boundary_node)):
+        mesh = Mesh(*arrays[:2])
+        if len(arrays) == 3 and not np.array_equal(
+                np.sort(arrays[2].ravel()), np.flatnonzero(mesh.boundary_node)):
             raise MeshError("stored boundary flags disagree with connectivity")
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise MeshError(f"{path}: malformed value ({exc})") from exc
     return mesh

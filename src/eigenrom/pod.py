@@ -25,7 +25,6 @@ class PodBasis:
     V: np.ndarray                  # (n_rows, N), orthonormal columns
     singular_values: np.ndarray    # all r positive values, descending
     N: int
-    rank: int
 
 
 def _thin_svd(S) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +70,7 @@ def build_pod(S, N: int | None = None, *, eps: float | None = None) -> PodBasis:
     V = U[:, :N].copy()
     flip = np.sign(V[np.abs(V).argmax(axis=0), np.arange(N)])
     V *= np.where(flip == 0, 1.0, flip)
-    return PodBasis(V, sigma, N, rank)
+    return PodBasis(V, sigma, N)
 
 
 def check_eps(eps) -> None:

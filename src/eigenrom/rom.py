@@ -20,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from .continuation import (ContinuationConfig, SolveTrace, _iterate,
-                           check_eigen_residual, check_strides, check_unknowns,
-                           run_fom)
+                           check_eigen_residual, check_start, check_strides,
+                           check_unknowns, run_fom)
 from .fem import assemble, build_dofmap, eigen_residual
 from .linalg import NonconvergenceError, NotSpdError, SolverError
 from .mesh import Mesh
@@ -42,10 +42,6 @@ class ReducedOperators:
     a_red: np.ndarray
     m_red: np.ndarray
     basis: np.ndarray        # (n_full, N), orthonormal columns
-
-    @property
-    def dim(self) -> int:
-        return self.a_red.shape[0]
 
 
 def reduce(A, M, V) -> ReducedOperators:
@@ -76,6 +72,7 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.shape != (ops.basis.shape[0],):
         raise ValueError("u0 must be a full-space vector")
+    check_start(u0)         # before the projection turns an inf into NaN
     t_start = time.perf_counter()
 
     system = ops.a_red + ops.m_red / config.dt

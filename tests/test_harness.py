@@ -80,6 +80,24 @@ class TestCsv:
         back = read_csv(path)
         assert back == rows
 
+    def test_header_is_the_column_contract(self):
+        # the header is derived from ResultRow, so a new field would change
+        # the table's columns; this pins them
+        assert CSV_HEADER == ["mesh", "n", "dof", "lambda_fom", "lambda_rom",
+                              "rate_fom", "rate_rom", "n_pod", "fom_s",
+                              "rom_s"]
+
+    @pytest.mark.parametrize("cut", [-1, 10])
+    def test_record_with_wrong_column_count_rejected(self, tmp_path, cut):
+        path = tmp_path / "table.csv"
+        emit_csv(self.rows(), path)
+        header, first, _ = path.read_text().splitlines()
+        fields = first.split(",")
+        fields = fields[:cut] if cut < 0 else fields + ["1.0"]
+        path.write_text(f"{header}\n{','.join(fields)}\n")
+        with pytest.raises(ValueError):
+            read_csv(path)
+
     def test_unwritable_path_reports_context(self):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_csv([], "/no/such/dir/table.csv")
@@ -175,12 +193,20 @@ class TestRunExperiment:
         untimed = [replace(r, fom_s=0.0, rom_s=0.0) for r in read_csv(out)]
         assert untimed == [replace(r, fom_s=0.0, rom_s=0.0) for r in rows]
 
+    def test_config_fields(self):
+        # a file mesh is the one value "file:<path>" of the mesh field
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "domain", "mesh", "n_start", "levels", "fe_degree", "adaptive",
+            "theta", "continuation", "strides", "pod_eps", "singvals_path",
+            "mesh_dump_path"]
+
     def test_file_mesh_schedule(self, tmp_path):
         path = tmp_path / "imported.mesh"
         write_mesh(generate_square("right", 4, PI), path)
-        cfg = small_config(mesh="file", mesh_file=str(path), levels=2)
+        cfg = small_config(mesh=f"file:{path}", levels=2)
         rows = run_experiment(cfg)
         assert [r.dof for r in rows] == [25, 81]
+        assert [(r.mesh, r.n) for r in rows] == [("file", 0), ("file", 1)]
         assert rows[1].rate_fom == pytest.approx(2.0, abs=0.2)
 
     def test_nonconvergence_aborts_with_partial_rows(self):
@@ -414,6 +440,7 @@ class TestCli:
         ["--pod-eps", "1"],
         ["--adaptive", "--theta", "0"],
         ["--mesh", "right", "--n-start", "1"],     # no free dof
+        ["--mesh", "file:"],                       # no path
     ])
     def test_bad_config_rejected_before_any_solve(self, tmp_path, monkeypatch,
                                                   capsys, bad):
@@ -471,7 +498,7 @@ class TestCli:
         calls = []
 
         def failing_at_third_level(ops, u0, cfg):
-            calls.append(ops.dim)
+            calls.append(ops.a_red.shape[0])
             if len(calls) >= 3:
                 raise NotSpdError("reduced system is not SPD: dpotrf info=1")
             return run_rom(ops, u0, cfg)
@@ -519,6 +546,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("eigenrom: error: ")
         assert str(missing) in err
+
+    @pytest.mark.parametrize("unusable", ["unused node", "no triangles"])
+    def test_unusable_mesh_file_is_an_input_error(self, tmp_path, monkeypatch,
+                                                  capsys, unusable):
+        # a node that belongs to no triangle is a free dof with a zero row,
+        # which once reached the solver as a singular step operator (exit 2)
+        mesh = generate_square("crisscross", 4, PI)
+        nodes, tris = mesh.nodes, mesh.triangles
+        if unusable == "unused node":
+            nodes = np.vstack([nodes, [[1.0, 1.0]]])
+        else:
+            tris = tris[:0]
+        path = tmp_path / "unusable.mesh"
+        path.write_text(
+            f"nodes {len(nodes)}\n"
+            + "".join(f"{x!r} {y!r}\n" for x, y in nodes.tolist())
+            + f"triangles {len(tris)}\n"
+            + "".join(f"{i} {j} {k}\n" for i, j, k in tris.tolist()))
+        calls = []
+        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
+        code = cli_main(["run", "--domain", "square", "--mesh", f"file:{path}",
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert calls == []
+        unused = mesh.n_nodes if unusable == "unused node" else 0
+        assert (f"{path}: node {unused} belongs to no triangle"
+                in capsys.readouterr().err)
 
     def test_unwritable_out_path_is_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"

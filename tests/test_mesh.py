@@ -278,6 +278,23 @@ class TestMeshIO:
             read_mesh(path)
         assert str(info.value) == f"{path}: negative node count"
 
+    def test_negative_boundary_count_rejected(self, tmp_path):
+        # used to read as "trailing data after boundary section"
+        path = tmp_path / "negative.mesh"
+        path.write_text("nodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                        "triangles 1\n0 1 2\nboundary -1\n")
+        with pytest.raises(MeshError) as info:
+            read_mesh(path)
+        assert str(info.value) == f"{path}: negative boundary count"
+
+    def test_index_beyond_int64_rejected(self, tmp_path):
+        # a MeshError, not an OverflowError that escapes the CLI's handling
+        path = tmp_path / "overflow.mesh"
+        path.write_text("nodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                        "triangles 1\n0 1 99999999999999999999\n")
+        with pytest.raises(MeshError, match=re.escape(f"{path}: malformed value")):
+            read_mesh(path)
+
     def test_stale_boundary_flags_rejected(self, tmp_path):
         m = generate_square("right", 2, 1.0)
         path = tmp_path / "stale.mesh"
@@ -350,6 +367,16 @@ class TestConstruction:
     ])
     def test_bad_array_shapes(self, nodes, tris):
         with pytest.raises(MeshError, match="shape"):
+            Mesh(nodes, tris)
+
+    @pytest.mark.parametrize("nodes,tris,unused", [
+        (NODES + [[1.0, 1.0]], [[0, 1, 2]], 3),
+        (NODES, np.zeros((0, 3), dtype=np.int64), 0),
+    ])
+    def test_node_outside_every_triangle(self, nodes, tris, unused):
+        # an unused node would be a free dof with a zero row in A and M
+        with pytest.raises(MeshError,
+                           match=f"node {unused} belongs to no triangle"):
             Mesh(nodes, tris)
 
 

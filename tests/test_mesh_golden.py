@@ -8,8 +8,9 @@ were recorded with the loop-based generators and the recursive bisection
 that the array code replaced; any change to a mesh shows here.  The adaptive
 digest hashes the ``--dump-mesh`` file of a whole adaptive run, so a rounding
 change anywhere upstream of the marking that flips a marked triangle shows
-here too.  The cached triangle geometry of every golden mesh must equal the
-direct formulas bit for bit.
+here too.  The ``write_mesh`` text of every golden mesh, hashed in key
+order, pins the file format byte for byte.  The cached triangle geometry of
+every golden mesh must equal the direct formulas bit for bit.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ import pytest
 
 from eigenrom.cli import main as cli_main
 from eigenrom.mesh import (bisect_refine, generate_lshape, generate_square,
-                           uniform_refine)
+                           uniform_refine, write_mesh)
 
 FIELDS = ("nodes", "triangles", "boundary_node", "refinement_edge")
 PATTERNS = (("square", "crisscross"), ("square", "right"), ("square", "left"),
@@ -122,6 +123,8 @@ ADAPTIVE_ARGV = ("--domain", "lshape", "--mesh", "crisscross", "--fe", "2",
                  "--n-start", "4", "--adaptive", "--theta", "0.5",
                  "--levels", "24", "--seed", "0")
 ADAPTIVE_GOLDEN = "ca1fef9f552dd7d5052bd7a86f3aa0972e71ceab74f84ebdc42ee5582207ada4"
+# every GOLDEN key, then the write_mesh text of its mesh, in keys() order
+TEXT_GOLDEN = "a9a34ee20c4f57f054ebe77305bd5a96c21ad58783f587189bb24a2a9df28731"
 
 
 def digest(mesh) -> str:
@@ -174,6 +177,16 @@ def test_adaptive_mesh_sequence_matches_golden_digest(tmp_path):
     assert cli_main(["run", *ADAPTIVE_ARGV, "--out", str(tmp_path / "t.csv"),
                      "--dump-mesh", str(dump)]) == 0
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == ADAPTIVE_GOLDEN
+
+
+def test_mesh_text_matches_golden_digest(tmp_path):
+    h = hashlib.sha256()
+    path = tmp_path / "golden.mesh"
+    for key in keys():
+        write_mesh(build(key), path)
+        h.update(key.encode() + b"\n")
+        h.update(path.read_bytes())
+    assert h.hexdigest() == TEXT_GOLDEN
 
 
 @pytest.mark.parametrize("key", list(keys()))

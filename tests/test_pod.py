@@ -30,7 +30,7 @@ class TestBuildPod:
         S = rng.standard_normal((50, 20))
         sig_ref, left_ref, _ = power_svd(S)
         basis = build_pod(S, 20)
-        assert np.allclose(basis.singular_values, sig_ref[:basis.rank], rtol=1e-8)
+        assert np.allclose(basis.singular_values, sig_ref[:len(basis.singular_values)], rtol=1e-8)
         for j in range(8):      # dominant, well-separated directions
             dot = abs(float(basis.V[:, j] @ left_ref[:, j]))
             assert dot == pytest.approx(1.0, abs=1e-8)
@@ -96,7 +96,7 @@ class TestBuildPod:
         Q1, _ = np.linalg.qr(rng.standard_normal((40, 14)))
         Q2, _ = np.linalg.qr(rng.standard_normal((300, 14)))
         basis = build_pod((Q1 * sigma) @ Q2.T, eps=3e-7)
-        assert basis.rank == 14
+        assert len(basis.singular_values) == 14
         assert basis.N == select_dim(sigma, 3e-7) == 7
         assert np.abs(basis.singular_values - sigma).max() <= 1e-12 * sigma[0]
         assert np.abs(basis.V.T @ basis.V - np.eye(7)).max() <= 1e-12
@@ -113,7 +113,7 @@ class TestBuildPod:
         assert len(sv) <= min(n, k)
         n_keep = int(rng.integers(1, len(sv) + 1))
         basis = build_pod(S, n_keep)
-        assert basis.rank == len(sv)
+        assert len(basis.singular_values) == len(sv)
         assert np.abs(basis.V.T @ basis.V - np.eye(n_keep)).max() <= 1e-12
         tail = float(np.sum(sv[n_keep:] ** 2))
         assert projection_error_sq(S, basis.V) == pytest.approx(

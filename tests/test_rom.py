@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ class TestRunRom:
         trace, lifted = run_rom(ops, u0, cfg)
         history, y = rom_loop_cho(ops.a_red, ops.m_red, ops.basis.T @ u0,
                                   cfg.dt, cfg.stop_tol, cfg.max_steps)
-        assert ops.dim >= 4 and trace.converged
+        assert ops.a_red.shape[0] >= 4 and trace.converged
         assert np.array_equal(trace.lambda_history, history)
         assert np.array_equal(trace.final_vector, y)
         assert np.array_equal(lifted, ops.basis @ y)
@@ -173,6 +174,15 @@ class TestRunRom:
         ops = ReducedOperators(np.diag([2.0, 3.0]), np.eye(2), np.eye(3)[:, :2])
         with pytest.raises(ValueError, match="finite"):
             run_rom(ops, np.array([1.0, np.nan, 1.0]), ContinuationConfig())
+
+    def test_infinite_start_rejected_without_a_warning(self):
+        # refused before the projection, which would turn the inf into NaN
+        # with a "RuntimeWarning: invalid value encountered in matmul"
+        ops = ReducedOperators(np.diag([2.0, 3.0]), np.eye(2), np.eye(3)[:, :2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                run_rom(ops, np.array([1.0, np.inf, 1.0]), ContinuationConfig())
 
 
 class TestSolveLevel:

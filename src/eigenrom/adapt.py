@@ -151,7 +151,7 @@ def next_mesh(theta: float, level: Level, dofmap: DofMap, M) -> Mesh | None:
                     level.trace.eigenvalue)
     log.info("level %d: dof=%d lambda=%.12f eta=%.3e pod=%d", level.index,
              level.n_dof, level.trace.eigenvalue, etas.total,
-             level.per_stride[0][1].N)
+             level.per_stride[0].basis.N)
     if etas.total <= 1e-14:
         return None
     return bisect_refine(level.mesh, mark(etas, theta))

@@ -183,8 +183,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         return _mesh(cfg, 2 * _label(cfg, level.index))
 
     kind = cfg.mesh if _mesh_file(cfg) is None else "file"
-    labels = ([kind] if len(cfg.strides) == 1
-              else [f"{kind}-s{stride}" for stride in cfg.strides])
     sizes, table, last = [], [], None
     levels = solve_levels(
         _mesh(cfg, cfg.n_start), cfg.fe_degree, cfg.continuation, cfg.strides,
@@ -194,11 +192,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             sizes.append(last.n_dof if cfg.adaptive
                          else float(last.mesh.edge_lengths.max()))
             table.append([
-                ResultRow(label, _label(cfg, last.index), last.n_dof,
-                          last.trace.eigenvalue, rom_trace.eigenvalue, None,
-                          None, basis.N, last.trace.wall_time, rom_time)
-                for label, (_, basis, rom_trace, rom_time)
-                in zip(labels, last.per_stride)])
+                ResultRow(f"{kind}-s{run.stride}" if len(cfg.strides) > 1
+                          else kind, _label(cfg, last.index), last.n_dof,
+                          last.trace.eigenvalue, run.trace.eigenvalue, None,
+                          None, run.basis.N, last.trace.wall_time, run.rom_s)
+                for run in last.per_stride])
     except Exception as exc:
         raise ExperimentError(
             f"schedule aborted at n={_label(cfg, len(table))}: {exc}",
@@ -207,12 +205,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     if last is not None and cfg.mesh_dump_path:
         write_mesh(last.mesh, cfg.mesh_dump_path)
     if last is not None and cfg.singvals_path:
-        for stride, basis, _, _ in last.per_stride:
+        for run in last.per_stride:
             path = cfg.singvals_path
             if len(cfg.strides) > 1:
                 stem, ext = os.path.splitext(path)
-                path = f"{stem}_s{stride}{ext}"
-            write_singular_values(basis.singular_values, path)
+                path = f"{stem}_s{run.stride}{ext}"
+            write_singular_values(run.basis.singular_values, path)
     return _rows(cfg, table, sizes, lam_ref)
 
 

@@ -153,6 +153,13 @@ class Mesh:
         edge_tris[:, 0] = first // 3
         second = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
         edge_tris[inverse[second], 1] = second // 3
+        # the two triangles of an edge traverse it in opposite directions;
+        # the same direction is a fold or a repeated triangle
+        forward = raw[:, 0] < raw[:, 1]
+        fold = second[forward[second] == forward[first[inverse[second]]]]
+        if fold.size:
+            raise MeshError(f"triangles {first[inverse[fold[0]]] // 3} and "
+                            f"{fold[0] // 3} overlap across a shared edge")
         return _read_only(edges), _read_only(tri_edges), _read_only(edge_tris)
 
     @cached_property
@@ -367,7 +374,7 @@ def validate_mesh(mesh: Mesh) -> None:
     uses = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_nodes)
     if not uses.all():
         raise MeshError(f"node {int(np.argmin(uses))} belongs to no triangle")
-    mesh.edge_table        # raises if an edge has more than two triangles
+    mesh.edge_table        # raises on an edge of three or overlapping triangles
 
 
 def mesh_stats(mesh: Mesh) -> MeshStats:
@@ -396,6 +403,43 @@ def write_mesh(mesh: Mesh, path) -> None:
             fh.write(f"{word} {len(values)}\n")
             for entry in values.reshape(-1, width).tolist():
                 fh.write(" ".join(map(repr, entry)) + "\n")
+
+
+# a node hangs on an edge ab if it lies within HANGING_RTOL |ab| of the line
+# ab and projects into ab more than HANGING_RTOL |ab| away from both ends
+HANGING_RTOL = 1e-9
+
+
+def _check_no_hanging_node(mesh: Mesh) -> None:
+    """No boundary node lies inside a boundary edge: it would be a vertex of
+    the triangles on one side of that edge only.  The candidates of an edge
+    are the boundary nodes strictly inside its longer coordinate extent,
+    found by sorting the boundary nodes along that coordinate."""
+    edges, _, edge_tris = mesh.edge_table
+    edges = edges[edge_tris[:, 1] < 0]
+    a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+    d = b - a
+    ids = np.flatnonzero(mesh.boundary_node)
+    long_axis = np.abs(d[:, 1]) > np.abs(d[:, 0])
+    for k in (0, 1):
+        e = np.flatnonzero(long_axis == k)
+        order = ids[np.argsort(mesh.nodes[ids, k])]
+        coord = mesh.nodes[order, k]
+        lo = np.searchsorted(coord, np.minimum(a[e, k], b[e, k]), "right")
+        counts = np.searchsorted(coord, np.maximum(a[e, k], b[e, k])) - lo
+        e = np.repeat(e, counts)
+        node = order[np.repeat(lo - np.cumsum(counts) + counts, counts)
+                     + np.arange(counts.sum())]
+        v, de = mesh.nodes[node] - a[e], d[e]
+        cross = de[:, 0] * v[:, 1] - de[:, 1] * v[:, 0]
+        dot, length2 = (de * v).sum(axis=1), (de * de).sum(axis=1)
+        tol = HANGING_RTOL * length2
+        hang = np.flatnonzero((np.abs(cross) <= tol) & (dot > tol)
+                              & (dot < length2 - tol))
+        if hang.size:
+            i, j = edges[e[hang[0]]]
+            raise MeshError(f"node {node[hang[0]]} hangs on boundary edge "
+                            f"({i}, {j}); the triangulation is not conforming")
 
 
 def read_mesh(path) -> Mesh:
@@ -430,6 +474,7 @@ def read_mesh(path) -> Mesh:
         if len(arrays) == 3 and not np.array_equal(
                 np.sort(arrays[2].ravel()), np.flatnonzero(mesh.boundary_node)):
             raise MeshError("stored boundary flags disagree with connectivity")
+        _check_no_hanging_node(mesh)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
     except (ValueError, OverflowError) as exc:

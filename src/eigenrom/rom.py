@@ -25,7 +25,7 @@ from .continuation import (ContinuationConfig, SolveTrace, _iterate,
 from .fem import assemble, build_dofmap, eigen_residual
 from .linalg import NonconvergenceError, NotSpdError, SolverError
 from .mesh import Mesh
-from .pod import build_pod
+from .pod import PodBasis, build_pod
 
 log = logging.getLogger(__name__)
 
@@ -93,8 +93,18 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     return trace, ops.basis @ trace.final_vector
 
 
+@dataclass(eq=False)
+class ReducedRun:
+    """One stride's basis and reduced run; ``rom_s`` times reduce + run_rom."""
+
+    stride: int
+    basis: PodBasis
+    trace: SolveTrace
+    rom_s: float
+
+
 def solve_level(A, M, cont: ContinuationConfig, strides, eps
-                ) -> tuple[SolveTrace, list]:
+                ) -> tuple[SolveTrace, list[ReducedRun]]:
     """Full-order run once, then one basis and reduced run per stride.
 
     The full-order run (``run_fom`` at stride ``min(strides)``) starts from
@@ -107,12 +117,10 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
     vector, which is positive and so never M-orthogonal to the positive first
     eigenfunction.
 
-    Returns the full-order trace and one ``(stride, basis, rom_trace,
-    rom_time)`` per stride, where ``rom_time`` covers projection plus reduced
-    iteration.  Raises NonconvergenceError if the full-order run or a reduced
-    run stops at its step cap, or stops away from an eigenpair (the lifted
-    reduced vector is checked by ``check_eigen_residual``, outside
-    ``rom_time``).
+    Returns the full-order trace and one ``ReducedRun`` per stride.  Raises
+    NonconvergenceError if the full-order run or a reduced run stops at its
+    step cap, or stops away from an eigenpair (the lifted reduced vector is
+    checked by ``check_eigen_residual``, outside ``rom_s``).
     """
     n = A.shape[0]
     check_unknowns(n)
@@ -141,19 +149,16 @@ def solve_level(A, M, cont: ContinuationConfig, strides, eps
         t_offline = time.perf_counter() - t0
         t0 = time.perf_counter()
         rom_trace, lifted = run_rom(reduce(A, M, basis.V), np.ones(n), cont)
-        rom_time = time.perf_counter() - t0
+        run = ReducedRun(stride, basis, rom_trace, time.perf_counter() - t0)
+        residual = eigen_residual(A, M, lifted, rom_trace.eigenvalue)
+        what = f"reduced run (stride {stride}, N={basis.N}) on {n} dofs"
         if not rom_trace.converged:
-            raise NonconvergenceError(
-                f"reduced run (stride {stride}, N={basis.N}) did not converge "
-                f"on {n} dofs",
-                residual=eigen_residual(A, M, lifted, rom_trace.eigenvalue))
-        check_eigen_residual(
-            eigen_residual(A, M, lifted, rom_trace.eigenvalue),
-            rom_trace.eigenvalue, f"reduced run (stride {stride}, N={basis.N}) "
-                                  f"on {n} dofs")
+            raise NonconvergenceError(f"{what} did not converge",
+                                      residual=residual)
+        check_eigen_residual(residual, rom_trace.eigenvalue, what)
         log.debug("%d dofs, stride %d: eps=%.3e N=%d offline=%.3fs online=%.3fs",
-                  n, stride, eps, basis.N, t_offline, rom_time)
-        per_stride.append((stride, basis, rom_trace, rom_time))
+                  n, stride, eps, basis.N, t_offline, run.rom_s)
+        per_stride.append(run)
     return trace, per_stride
 
 
@@ -165,7 +170,7 @@ class Level:
     mesh: Mesh
     n_dof: int
     trace: SolveTrace
-    per_stride: list         # (stride, basis, rom_trace, rom_time)
+    per_stride: list[ReducedRun]
 
 
 def solve_levels(mesh: Mesh, degree: int, cont: ContinuationConfig, strides,

@@ -215,8 +215,8 @@ class TestAdaptiveSolve:
         assert all(l2 <= l1 + 1e-10 for l1, l2 in zip(lams, lams[1:]))
         assert all(lam >= LSHAPE_REF - 1e-12 for lam in lams)
         for level in levels:
-            [(_, _, rom_trace, _)] = level.per_stride
-            assert abs(rom_trace.eigenvalue - level.trace.eigenvalue) <= 1e-8
+            [run] = level.per_stride
+            assert abs(run.trace.eigenvalue - level.trace.eigenvalue) <= 1e-8
 
     def test_geometry_built_once_per_mesh(self, monkeypatch):
         # validation, assembly, estimation and the stats all read one cache:

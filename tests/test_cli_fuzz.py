@@ -8,12 +8,15 @@ failure came from: 2 exactly when a solve failed with a ``SolverError``, and
 one input error that shows only once a run ends (``SnapshotStrideError``).
 Most examples of the first property are refused before any solve; the second
 draws valid arguments only, with stop tolerances loose enough, or steps short
-enough, that many runs stop away from an eigenpair and exit 2.
+enough, that many runs stop away from an eigenpair and exit 2.  The third
+runs generated meshes written to a file with one mutation that breaks
+conformity; each is refused as a ``MeshError`` before any solve.
 """
 
 import contextlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +25,10 @@ import eigenrom.rom as rom
 from eigenrom.continuation import run_fom
 from eigenrom.harness import read_csv, run_experiment
 from eigenrom.linalg import SolverError
+from eigenrom.mesh import MeshError, generate_lshape, generate_square
 from eigenrom.rom import SnapshotStrideError
+from mesh_files import (duplicate_triangle, mesh_text, reverse_triangle,
+                        split_one_side)
 
 BAD = ["0", "-0.1", "nan", "inf", "-inf"]
 MESHES = [("square", "crisscross"), ("square", "right"), ("square", "left"),
@@ -139,3 +145,31 @@ def test_exit_code_of_valid_runs(tmp_path_factory, argv):
     code, _, cause = run_checked(tmp_path_factory.mktemp("fuzz"), argv)
     # no valid input is refused: exit 1 is a stride longer than the run
     assert code != 1 or isinstance(cause, SnapshotStrideError)
+
+
+MUTATIONS = {"duplicate": duplicate_triangle, "reverse": reverse_triangle,
+             "split": split_one_side}
+
+
+@given(data=st.data(), mesh=st.sampled_from(MESHES),
+       n=st.integers(min_value=1, max_value=4),
+       mutation=st.sampled_from(sorted(MUTATIONS)))
+@settings(max_examples=60, deadline=None)
+def test_mutated_mesh_file_is_refused(tmp_path_factory, data, mesh, n,
+                                      mutation):
+    domain, pattern = mesh
+    generated = (generate_square(pattern, n, 1.0) if domain == "square"
+                 else generate_lshape(pattern, n))
+    if mutation == "split":     # an interior edge, split on one side only
+        _, _, edge_tris = generated.edge_table
+        interior = np.flatnonzero(edge_tris[:, 1] >= 0)
+        item = int(data.draw(st.sampled_from(interior)))
+    else:
+        item = data.draw(st.integers(min_value=0,
+                                     max_value=generated.n_triangles - 1))
+    folder = tmp_path_factory.mktemp("mutated")
+    path = folder / f"{mutation}.mesh"
+    path.write_text(mesh_text(*MUTATIONS[mutation](generated, item)))
+    code, _, cause = run_checked(folder, ["run", f"--domain={domain}",
+                                          f"--mesh=file:{path}"])
+    assert code == 1 and isinstance(cause, MeshError)

@@ -20,6 +20,7 @@ from eigenrom.harness import (CSV_HEADER, ExperimentConfig, ExperimentError,
 from eigenrom.linalg import NonconvergenceError, NotSpdError
 from eigenrom.mesh import generate_square, read_mesh, write_mesh
 from eigenrom.rom import SnapshotStrideError, run_rom
+from mesh_files import FOLD, hanging_square, mesh_text
 
 PI = math.pi
 
@@ -559,11 +560,7 @@ class TestCli:
         else:
             tris = tris[:0]
         path = tmp_path / "unusable.mesh"
-        path.write_text(
-            f"nodes {len(nodes)}\n"
-            + "".join(f"{x!r} {y!r}\n" for x, y in nodes.tolist())
-            + f"triangles {len(tris)}\n"
-            + "".join(f"{i} {j} {k}\n" for i, j, k in tris.tolist()))
+        path.write_text(mesh_text(nodes, tris))
         calls = []
         monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
         code = cli_main(["run", "--domain", "square", "--mesh", f"file:{path}",
@@ -573,6 +570,28 @@ class TestCli:
         unused = mesh.n_nodes if unusable == "unused node" else 0
         assert (f"{path}: node {unused} belongs to no triangle"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("case", ["fold", "repeated", "hanging"])
+    def test_nonconforming_mesh_file_is_an_input_error(
+            self, tmp_path, monkeypatch, capsys, case):
+        # a repeated triangle left no boundary node, so the solve failed on
+        # 3 free dofs (exit 2); the hanging square was read as two Dirichlet
+        # rectangles (exit 0, lambda_fom 5.1065)
+        nodes, tris = {"fold": FOLD,
+                       "repeated": (FOLD[0][:3], [[0, 1, 2], [0, 1, 2]]),
+                       "hanging": hanging_square()}[case]
+        message = ("hangs on boundary edge" if case == "hanging"
+                   else "triangles 0 and 1 overlap across a shared edge")
+        path = tmp_path / f"{case}.mesh"
+        path.write_text(mesh_text(nodes, tris))
+        calls = []
+        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
+        code = cli_main(["run", "--domain", "square", "--mesh", f"file:{path}",
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"eigenrom: error: {path}: ") and message in err
 
     def test_unwritable_out_path_is_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"

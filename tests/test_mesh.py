@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mesh_files import FOLD, hanging_square, mesh_text
 from oracles import bisect_recursive
 
 from eigenrom.mesh import (Mesh, MeshError, bisect_refine, generate_lshape,
@@ -295,6 +296,16 @@ class TestMeshIO:
         with pytest.raises(MeshError, match=re.escape(f"{path}: malformed value")):
             read_mesh(path)
 
+    def test_hanging_node_rejected(self, tmp_path):
+        # read as two Dirichlet rectangles, this square's lambda_fom was
+        # 5.1065, not the 2.0193 of its conforming fine mesh
+        nodes, tris = hanging_square()
+        path = tmp_path / "hanging.mesh"
+        path.write_text(mesh_text(nodes, tris))
+        with pytest.raises(MeshError, match=re.escape(f"{path}: node ")
+                           + r"\d+ hangs on boundary edge"):
+            read_mesh(path)
+
     def test_stale_boundary_flags_rejected(self, tmp_path):
         m = generate_square("right", 2, 1.0)
         path = tmp_path / "stale.mesh"
@@ -379,6 +390,15 @@ class TestConstruction:
                            match=f"node {unused} belongs to no triangle"):
             Mesh(nodes, tris)
 
+    @pytest.mark.parametrize("tris", [FOLD[1], [[0, 1, 2], [0, 1, 2]],
+                                      [[0, 1, 2], [1, 2, 0]]])
+    def test_overlapping_triangles(self, tris):
+        # both traverse their shared edge 0 -> 1: a fold, or one triangle
+        # listed twice (which left no boundary node at all)
+        with pytest.raises(MeshError,
+                           match="triangles 0 and 1 overlap across a shared edge"):
+            Mesh(FOLD[0][:np.max(tris) + 1], tris)
+
 
 def geometric_boundary(domain, nodes):
     """Nodes on the boundary of the unit square or of the L-shape."""
@@ -426,3 +446,20 @@ class TestBisectionProperties:
             n_edges = len(refined.edge_table[0])
             assert n_edges == refined.n_nodes + refined.n_triangles - 1
             mesh = refined
+
+    @given(start=st.sampled_from(sorted(STARTS)), data=st.data(),
+           rounds=st.integers(min_value=0, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_bisected_meshes_read_back(self, tmp_path_factory, start, data,
+                                       rounds):
+        # bisection conforms by construction: no node of a written result
+        # hangs on a boundary edge when it is read back
+        mesh = self.STARTS[start]()
+        for _ in range(rounds):
+            mesh = bisect_refine(mesh, data.draw(st.lists(
+                st.integers(min_value=0, max_value=mesh.n_triangles - 1),
+                min_size=1, max_size=mesh.n_triangles)))
+        path = tmp_path_factory.mktemp("bisected") / "m.mesh"
+        write_mesh(mesh, path)
+        back = read_mesh(path)
+        assert np.array_equal(back.triangles, mesh.triangles)

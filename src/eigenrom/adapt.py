@@ -8,9 +8,9 @@ equation with the normal-derivative jumps across interior edges:
 
 Boundary edges carry no jump (homogeneous Dirichlet data).  The field is
 normalized to unit M-norm before estimation so that totals are comparable
-across refinement levels.  Areas, element sizes, barycentric gradients and
-their Gram matrices come from the mesh's cached geometry, and the edge Gauss
-points are given by their barycentric coordinates on each side.
+across refinement levels.  The geometry is the mesh's cache; the basis values,
+derivatives and Laplacians at barycentric points (the edge Gauss points on
+each side too) come from ``fem.local_basis`` and ``fem.ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from functools import partial
 import numpy as np
 
 from .continuation import ContinuationConfig
-from .fem import DofMap, QUAD_POINTS, QUAD_WEIGHTS, p2_dlambda, p2_values
+from .fem import ELEMENTS, DofMap, QUAD_POINTS, QUAD_WEIGHTS, local_basis
 from .mesh import Mesh, bisect_refine
 from .rom import Level, solve_levels
 
 log = logging.getLogger(__name__)
 
-# two-point Gauss rule on [-1, 1], exact for cubics
-_EDGE_T = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+# two-point Gauss rule, exact for cubics, as positions s in [0, 1] along an edge
+_EDGE_S = 0.5 * (np.array([-1.0, 1.0]) / np.sqrt(3.0) + 1.0)
 
 
 @dataclass(eq=False)
@@ -40,26 +40,13 @@ class EtaField:
     total: float
 
 
-def _gradients_at(u_loc, grads, lam_pts, degree):
-    """Gradient of the local field at barycentric points.
-
-    u_loc: (m, n_loc) local coefficients; grads: (m, 3, 2) barycentric
-    gradients; lam_pts: (m, 3).  Returns (m, 2).
-    """
-    if degree == 1:
-        return np.einsum("mi,mid->md", u_loc, grads)
-    dl = p2_dlambda(lam_pts)                    # (m, 6, 3)
-    coef = np.einsum("mi,mik->mk", u_loc, dl)   # d(u)/d(lambda_k)
-    return np.einsum("mk,mkd->md", coef, grads)
-
-
 def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
     """Residual indicators for an (approximate) eigenpair.
 
     ``u_h`` holds the free-dof coefficients (ValueError on a wrong length)
     and is expected M-normalized; the indicator itself is scale-covariant
-    so marking is unaffected either way.  The elementwise Laplacian vanishes
-    for P1 and is constant for P2; element and edge integrals use quadrature
+    so marking is unaffected either way.  The basis Laplacians are constant
+    per element (zero for P1); element and edge integrals use quadrature
     exact for the polynomial degrees present.
     """
     area = mesh.areas
@@ -67,19 +54,9 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
     h_k = mesh.edge_lengths.max(axis=1)
     u_loc = dofmap.full_vector(u_h)[dofmap.cell_dofs]     # (T, n_loc)
 
-    if dofmap.degree == 1:
-        lap = np.zeros(mesh.n_triangles)
-        uq = u_loc @ QUAD_POINTS.T                        # (T, Q)
-    else:
-        # laplacians of the P2 basis are constant per element:
-        # vertex i: 4 |g_i|^2, edge opposite i: 8 g_{i+1}.g_{i+2}
-        lap_basis = np.empty((mesh.n_triangles, 6))
-        for i in range(3):
-            lap_basis[:, i] = 4.0 * gram[:, i, i]
-            lap_basis[:, 3 + i] = 8.0 * gram[:, (i + 1) % 3, (i + 2) % 3]
-        lap = np.einsum("ti,ti->t", u_loc, lap_basis)
-        uq = u_loc @ p2_values(QUAD_POINTS).T             # (T, Q)
-
+    lap_basis = np.einsum("ikl,tkl->ti", ELEMENTS[dofmap.degree].hessian, gram)
+    lap = np.einsum("ti,ti->t", u_loc, lap_basis)
+    uq = u_loc @ local_basis(dofmap.degree, QUAD_POINTS)[0].T   # (T, Q)
     rq = lap[:, None] + lambda_h * uq
     eta_sq = h_k ** 2 * area * (rq ** 2 @ QUAD_WEIGHTS)
 
@@ -95,19 +72,17 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
         # the Gauss point at s in [0, 1] along the edge has barycentric
         # coordinates 1 - s at the edge's first node, s at its second, and
         # 0 at the vertex opposite the edge, on either side
-        flux = np.empty((2, len(_EDGE_T), interior.size))
+        flux = np.empty((2, len(_EDGE_S), interior.size))
         for side, tris in enumerate(sides.T):
-            tri_nodes = mesh.triangles[tris]
-            first = tri_nodes == e_nodes[:, :1]
-            second = tri_nodes == e_nodes[:, 1:]
-            u_side, g_side = u_loc[tris], grads[tris]
-            for q, t_gauss in enumerate(_EDGE_T):
-                s = 0.5 * (t_gauss + 1.0)
+            tri_nodes, u_side, g_side = mesh.triangles[tris], u_loc[tris], grads[tris]
+            first, second = tri_nodes == e_nodes[:, :1], tri_nodes == e_nodes[:, 1:]
+            for q, s in enumerate(_EDGE_S):
                 lam_pts = np.zeros(tri_nodes.shape)
-                lam_pts[first] = 1.0 - s
-                lam_pts[second] = s
-                g = _gradients_at(u_side, g_side, lam_pts, dofmap.degree)
-                flux[side, q] = np.einsum("md,md->m", g, normal)
+                lam_pts[first], lam_pts[second] = 1.0 - s, s
+                dlam = local_basis(dofmap.degree, lam_pts)[1]   # (m, n_loc, 3)
+                coef = np.einsum("mi,mik->mk", u_side, dlam)     # du/dlam_k
+                grad = np.einsum("mk,mkd->md", coef, g_side)
+                flux[side, q] = np.einsum("md,md->m", grad, normal)
         jump_sq = ((flux[0] - flux[1]) ** 2).sum(axis=0)
         edge_norm_sq = 0.5 * h_e * jump_sq                # (h_e/2) sum w_q J_q^2
         contrib = 0.5 * h_e * edge_norm_sq

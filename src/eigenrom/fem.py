@@ -1,4 +1,10 @@
-"""P1/P2 Lagrange assembly of mass and stiffness matrices on triangles.
+"""P1/P2 Lagrange elements on triangles: the local basis, and the assembly
+of the mass and stiffness matrices.
+
+``local_basis`` holds the basis formulas and ``ELEMENTS`` each degree's
+reference tables; assembly and ``adapt.estimate`` read them with no degree
+branch of their own.  P1's tables are exact closed forms; P2's mass and
+stiffness use a six-point rule exact for quartics, so exact up to roundoff.
 
 Dirichlet conditions on the whole boundary are imposed by elimination: the
 assembled operators act on the free (non-Dirichlet) degrees of freedom only,
@@ -7,11 +13,6 @@ the Dirichlet rows and columns from the element triplets before the one
 sparse conversion per matrix.  The triangle areas and barycentric gradients
 are the mesh's cached properties (``mesh.areas``, ``mesh.gradients``), shared
 with the error estimator.
-
-Element integrals: P1 uses the exact closed-form triangle formulas; P2 uses
-a six-point symmetric quadrature rule that is exact for quartics, so both
-the mass (degree-4 integrand) and stiffness (degree-2 integrand) entries are
-exact up to roundoff.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # six-point symmetric triangle rule, exact for polynomials of degree 4;
-# barycentric points and weights (weights sum to one)
+# barycentric points and weights (weights sum to one within 1e-15)
 _QA1, _QW1 = 0.445948490915965, 0.223381589678011
 _QA2, _QW2 = 0.091576213509771, 0.109951743655322
 QUAD_POINTS = np.array([
@@ -95,36 +96,49 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
                   cell_dofs, coords)
 
 
-def p2_values(lam: np.ndarray) -> np.ndarray:
-    """P2 basis values at barycentric points; shape (..., 6) for input (..., 3)."""
+def local_basis(degree: int, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Values (..., n_loc) and lambda-derivatives (..., n_loc, 3) of the
+    P``degree`` basis at barycentric points (..., 3): P1 is lambda_i; P2 is
+    lambda_i (2 lambda_i - 1) at vertex i and 4 lambda_{i+1} lambda_{i+2} on
+    the edge opposite it."""
     lam = np.asarray(lam, dtype=np.float64)
-    vals = np.empty(lam.shape[:-1] + (6,))
-    for i in range(3):
+    if degree == 1:
+        return lam, np.broadcast_to(np.eye(3), lam.shape + (3,))
+    vals, dlam = np.empty(lam.shape[:-1] + (6,)), np.zeros(lam.shape[:-1] + (6, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         vals[..., i] = lam[..., i] * (2 * lam[..., i] - 1)
-        vals[..., 3 + i] = 4 * lam[..., (i + 1) % 3] * lam[..., (i + 2) % 3]
-    return vals
+        vals[..., 3 + i] = 4 * lam[..., j] * lam[..., k]
+        dlam[..., i, i] = 4 * lam[..., i] - 1
+        dlam[..., 3 + i, j] = 4 * lam[..., k]
+        dlam[..., 3 + i, k] = 4 * lam[..., j]
+    return vals, dlam
 
 
-def p2_dlambda(lam: np.ndarray) -> np.ndarray:
-    """Derivatives d(phi_i)/d(lambda_k) of the P2 basis, shape (..., 6, 3)."""
-    lam = np.asarray(lam, dtype=np.float64)
-    out = np.zeros(lam.shape[:-1] + (6, 3))
-    for i in range(3):
-        out[..., i, i] = 4 * lam[..., i] - 1
-        out[..., 3 + i, (i + 1) % 3] = 4 * lam[..., (i + 2) % 3]
-        out[..., 3 + i, (i + 2) % 3] = 4 * lam[..., (i + 1) % 3]
-    return out
+@dataclass(frozen=True, eq=False)
+class ReferenceElement:
+    """One degree's tables per unit area: ``mass`` (phi_i, phi_j); ``stiffness``
+    W, with K_ij = sum_kl W[i,j,k,l] grad lam_k . grad lam_l; and the constant
+    ``hessian`` d2 phi_i/dlam_k dlam_l, whose same sum is the Laplacian of phi_i."""
+
+    mass: np.ndarray
+    stiffness: np.ndarray
+    hessian: np.ndarray
 
 
-# element matrices per unit area, independent of the triangle:
-# P1 mass area/12 (1 + I); P2 mass sum_q w_q phi_i phi_j; P2 stiffness
-# sum_kl W[i,j,k,l] grad lam_k . grad lam_l with
-# W[i,j,k,l] = sum_q w_q dphi_i/dlam_k dphi_j/dlam_l
-_P1_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
-_P2_MASS = np.einsum("q,qi,qj->ij", QUAD_WEIGHTS, p2_values(QUAD_POINTS),
-                     p2_values(QUAD_POINTS))
-_P2_STIFFNESS = np.einsum("q,qik,qjl->ijkl", QUAD_WEIGHTS,
-                          p2_dlambda(QUAD_POINTS), p2_dlambda(QUAD_POINTS))
+_P2_VALS, _P2_DLAM = local_basis(2, QUAD_POINTS)
+# vertex i: 4 at (i, i); the edge opposite i: 4 at (i+1, i+2) and (i+2, i+1)
+_P2_HESSIAN = np.zeros((6, 3, 3))
+_P2_HESSIAN[[0, 1, 2, 3, 3, 4, 4, 5, 5], [0, 1, 2, 1, 2, 2, 0, 0, 1],
+            [0, 1, 2, 2, 1, 0, 2, 1, 0]] = 4.0
+# P1 in closed form: the six weights sum to one only within 1e-15
+ELEMENTS = {
+    1: ReferenceElement((np.ones((3, 3)) + np.eye(3)) / 12.0,
+                        np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3)),
+                        np.zeros((3, 3, 3))),
+    2: ReferenceElement(np.einsum("q,qi,qj->ij", QUAD_WEIGHTS, _P2_VALS, _P2_VALS),
+                        np.einsum("q,qik,qjl->ijkl", QUAD_WEIGHTS, _P2_DLAM, _P2_DLAM),
+                        _P2_HESSIAN),
+}
 
 
 def assemble(mesh: Mesh, dofmap: DofMap
@@ -139,15 +153,11 @@ def assemble(mesh: Mesh, dofmap: DofMap
     # slow to import, and `import eigenrom.cli` should not pay for it
     import scipy.sparse as sp
 
-    area = mesh.areas
+    element = ELEMENTS[dofmap.degree]
+    area = mesh.areas[:, None, None]
     _, gram = mesh.gradients
-    if dofmap.degree == 1:
-        # exact closed form: K_ij = area * grad_i . grad_j
-        ke = gram * area[:, None, None]
-        me = area[:, None, None] * _P1_MASS
-    else:
-        ke = np.einsum("ijkl,tkl->tij", _P2_STIFFNESS, gram) * area[:, None, None]
-        me = area[:, None, None] * _P2_MASS
+    ke = np.einsum("ijkl,tkl->tij", element.stiffness, gram) * area
+    me = area * element.mass
     n_loc = ke.shape[1]
 
     n = dofmap.n_free

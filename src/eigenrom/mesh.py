@@ -466,8 +466,7 @@ def read_mesh(path) -> Mesh:
             start, pos = pos + 2, pos + 2 + width * count
             if pos > len(tokens):
                 raise MeshError("truncated mesh file")
-            arrays.append(np.array([kind(v) for v in tokens[start:pos]],
-                                   dtype=kind).reshape(count, width))
+            arrays.append(np.array(tokens[start:pos], dtype=kind).reshape(count, width))
         if pos != len(tokens):
             raise MeshError("trailing data after boundary section")
         mesh = Mesh(*arrays[:2])

@@ -195,7 +195,7 @@ def estimate_by_point_location(mesh, dofmap, u_full, lam):
     pairs found by a dictionary, and each edge Gauss point is located in its
     two triangles by solving for its barycentric coordinates.
     """
-    from eigenrom.fem import QUAD_POINTS, QUAD_WEIGHTS, p2_dlambda, p2_values
+    from eigenrom.fem import QUAD_POINTS, QUAD_WEIGHTS, local_basis
 
     u_full = np.asarray(u_full, dtype=np.float64)
     n_tri = mesh.n_triangles
@@ -211,7 +211,7 @@ def estimate_by_point_location(mesh, dofmap, u_full, lam):
         u_loc = u_full[dofmap.cell_dofs[t]]
         if dofmap.degree == 1:
             return u_loc @ grads
-        return (u_loc @ p2_dlambda(lam_pt)) @ grads
+        return (u_loc @ local_basis(2, lam_pt)[1]) @ grads
 
     eta_sq = np.zeros(n_tri)
     for t, tri in enumerate(mesh.triangles):
@@ -229,7 +229,7 @@ def estimate_by_point_location(mesh, dofmap, u_full, lam):
                 j, k = (i + 1) % 3, (i + 2) % 3
                 lap += u_loc[i] * 4.0 * gram[i, i]
                 lap += u_loc[3 + i] * 8.0 * gram[j, k]
-            uq = p2_values(QUAD_POINTS) @ u_loc
+            uq = local_basis(2, QUAD_POINTS)[0] @ u_loc
         eta_sq[t] = h_k ** 2 * area[t] * (QUAD_WEIGHTS @ (lap + lam * uq) ** 2)
 
     sides = {}

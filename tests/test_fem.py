@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from eigenrom.fem import (assemble, build_dofmap, eigen_residual,
-                          interpolate, interpolate_free,
+from eigenrom.fem import (ELEMENTS, QUAD_POINTS, QUAD_WEIGHTS, assemble,
+                          build_dofmap, eigen_residual, interpolate,
+                          interpolate_free, local_basis,
                           rayleigh_from_products)
 from eigenrom.linalg import SYMMETRY_RTOL
 from eigenrom.mesh import bisect_refine, generate_lshape, generate_square
@@ -55,6 +56,48 @@ class TestDofmap:
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
             build_dofmap(generate_square("right", 2, 1.0), 3)
+
+
+class TestReferenceElement:
+    """The basis and the element tables against definitions, not formulas."""
+
+    @pytest.mark.parametrize("degree", (1, 2))
+    def test_values_are_a_partition_of_unity(self, degree, rng):
+        lam = rng.dirichlet(np.ones(3), size=(4, 50))
+        vals, dlam = local_basis(degree, lam)
+        assert vals.shape == (4, 50, 3 * degree) and dlam.shape == vals.shape + (3,)
+        assert np.allclose(vals.sum(axis=-1), 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("degree", (1, 2))
+    def test_derivatives_are_difference_quotients_of_the_values(self, degree,
+                                                                 rng):
+        # the values are at most quadratic in lambda, so the central
+        # difference is exact up to rounding
+        lam = rng.uniform(-1.0, 2.0, size=(50, 3))
+        _, dlam = local_basis(degree, lam)
+        for k, step in enumerate(np.eye(3)):
+            quotient = (local_basis(degree, lam + step)[0]
+                        - local_basis(degree, lam - step)[0]) / 2.0
+            assert np.allclose(dlam[..., k], quotient, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("degree", (1, 2))
+    def test_hessian_is_the_difference_quotient_of_the_derivatives(self, degree,
+                                                                   rng):
+        # the derivatives are affine in lambda, so the quotient is exact up
+        # to rounding
+        lam = rng.uniform(-1.0, 2.0, size=(50, 3))
+        _, dlam = local_basis(degree, lam)
+        for l, step in enumerate(np.eye(3)):
+            quotient = local_basis(degree, lam + step)[1] - dlam
+            assert np.allclose(quotient, ELEMENTS[degree].hessian[:, :, l],
+                               rtol=0, atol=1e-13)
+
+    def test_p1_closed_forms_match_the_quadrature_definitions(self):
+        vals, dlam = local_basis(1, QUAD_POINTS)
+        mass = np.einsum("q,qi,qj->ij", QUAD_WEIGHTS, vals, vals)
+        stiffness = np.einsum("q,qik,qjl->ijkl", QUAD_WEIGHTS, dlam, dlam)
+        assert np.allclose(ELEMENTS[1].mass, mass, rtol=0, atol=1e-14)
+        assert np.allclose(ELEMENTS[1].stiffness, stiffness, rtol=0, atol=1e-14)
 
 
 def assemble_all_dofs(mesh, dm):

@@ -701,6 +701,33 @@ class TestCli:
         assert first.dof == 545 and second.dof == 2113
         assert first.fom_s < second.fom_s
 
+    def test_fom_warning_reaches_stderr_at_the_default_log_level(self, tmp_path):
+        # two disjoint squares: lambda_1 is double, so the full-order vector
+        # may change sign; the warning is a false alarm and the row is right.
+        # A fresh interpreter, since pytest's log capture takes the records
+        # that basicConfig would send to stderr in-process.
+        square = generate_square("crisscross", 8, PI)
+        path = tmp_path / "two.mesh"
+        path.write_text(mesh_text(
+            np.vstack([square.nodes, square.nodes + [2 * PI, 0.0]]),
+            np.vstack([square.triangles, square.triangles + square.n_nodes])))
+        argv = ["run", "--domain", "square", "--mesh", f"file:{path}"]
+        src = os.path.dirname(os.path.dirname(rom.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "EIGENROM_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenrom.cli", *argv,
+             "--out", str(tmp_path / "child.csv")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert ("WARNING eigenrom.rom: full-order run on 226 dofs: computed "
+                "eigenvector changes sign" in proc.stderr), proc.stderr
+        assert cli_main([*argv, "--out", str(tmp_path / "t.csv")]) == 0
+        untimed = [replace(r, fom_s=0.0, rom_s=0.0)
+                   for name in ("child.csv", "t.csv")
+                   for r in read_csv(tmp_path / name)]
+        assert len(untimed) == 2 and untimed[0] == untimed[1]
+
     def test_bad_log_level_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EIGENROM_LOG", "chatty")
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import partial
+from itertools import permutations
 
 import numpy as np
 
@@ -30,6 +31,23 @@ log = logging.getLogger(__name__)
 
 # two-point Gauss rule, exact for cubics, as positions s in [0, 1] along an edge
 _EDGE_S = 0.5 * (np.array([-1.0, 1.0]) / np.sqrt(3.0) + 1.0)
+
+
+def _edge_derivatives(degree: int) -> np.ndarray:
+    """Basis lambda-derivatives at the edge Gauss points, (q, a, b, n_loc, 3).
+
+    The Gauss point at s has barycentric coordinates 1 - s at the edge's
+    first node (local vertex a), s at its second (b) and 0 at the vertex
+    opposite the edge, on either side; so six (a, b) pairs per point cover
+    every interior edge of every mesh.
+    """
+    lam = np.zeros((len(_EDGE_S), 3, 3, 3))
+    for a, b in permutations(range(3), 2):
+        lam[:, a, b, a], lam[:, a, b, b] = 1.0 - _EDGE_S, _EDGE_S
+    return local_basis(degree, lam)[1]
+
+
+_EDGE_DLAM = {degree: _edge_derivatives(degree) for degree in ELEMENTS}
 
 
 @dataclass(eq=False)
@@ -54,7 +72,10 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
     h_k = mesh.edge_lengths.max(axis=1)
     u_loc = dofmap.full_vector(u_h)[dofmap.cell_dofs]     # (T, n_loc)
 
-    lap_basis = np.einsum("ikl,tkl->ti", ELEMENTS[dofmap.degree].hessian, gram)
+    hessian = ELEMENTS[dofmap.degree].hessian
+    # one matmul, not einsum's generic loop; bit-identical, since every
+    # partial sum of the constant Hessian entries is exact
+    lap_basis = gram.reshape(-1, 9) @ hessian.reshape(-1, 9).T   # (T, n_loc)
     lap = np.einsum("ti,ti->t", u_loc, lap_basis)
     uq = u_loc @ local_basis(dofmap.degree, QUAD_POINTS)[0].T   # (T, Q)
     rq = lap[:, None] + lambda_h * uq
@@ -69,17 +90,15 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
         h_e = np.hypot(tangent[:, 0], tangent[:, 1])
         normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / h_e[:, None]
 
-        # the Gauss point at s in [0, 1] along the edge has barycentric
-        # coordinates 1 - s at the edge's first node, s at its second, and
-        # 0 at the vertex opposite the edge, on either side
+        edge_dlam = _EDGE_DLAM[dofmap.degree]
         flux = np.empty((2, len(_EDGE_S), interior.size))
         for side, tris in enumerate(sides.T):
             tri_nodes, u_side, g_side = mesh.triangles[tris], u_loc[tris], grads[tris]
-            first, second = tri_nodes == e_nodes[:, :1], tri_nodes == e_nodes[:, 1:]
-            for q, s in enumerate(_EDGE_S):
-                lam_pts = np.zeros(tri_nodes.shape)
-                lam_pts[first], lam_pts[second] = 1.0 - s, s
-                dlam = local_basis(dofmap.degree, lam_pts)[1]   # (m, n_loc, 3)
+            # local vertex (0, 1 or 2) of the edge's first and second node
+            first, second = ((tri_nodes[:, 1] == v) + 2 * (tri_nodes[:, 2] == v)
+                             for v in e_nodes.T)
+            for q in range(len(_EDGE_S)):
+                dlam = edge_dlam[q, first, second]              # (m, n_loc, 3)
                 coef = np.einsum("mi,mik->mk", u_side, dlam)     # du/dlam_k
                 grad = np.einsum("mk,mkd->md", coef, g_side)
                 flux[side, q] = np.einsum("md,md->m", grad, normal)

@@ -176,10 +176,10 @@ def assemble(mesh: Mesh, dofmap: DofMap
 
 def rayleigh_from_products(U, AU, MU) -> float:
     """The Rayleigh quotient of U from the products A U and M U."""
-    denom = float(U @ MU)
+    denom = float(U.dot(MU))
     if denom <= 0:
         raise ValueError("U^T M U <= 0: zero vector or mass matrix not SPD")
-    return float(U @ AU) / denom
+    return float(U.dot(AU)) / denom
 
 
 def eigen_residual(A, M, U, lam: float) -> float:

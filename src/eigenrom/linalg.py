@@ -40,11 +40,11 @@ class NonconvergenceError(SolverError):
 def norm2(v) -> float:
     """Euclidean norm of a 1-D float64 array.
 
-    The arithmetic of ``numpy.linalg.norm`` for such arrays (one dot product
-    and a square root), so the result is the same bit for bit, without its
-    argument handling, which the step loops would pay on every step.
+    ``math.sqrt(v.dot(v))`` is the call ``numpy.linalg.norm`` itself makes
+    for a 1-D float array, so the result is the same bit for bit, without
+    its argument handling, which the step loops would pay on every step.
     """
-    return math.sqrt(v @ v)
+    return math.sqrt(v.dot(v))
 
 
 def spd_solve(K, b, rel_tol: float = 1e-12, x0=None) -> np.ndarray:

@@ -5,7 +5,10 @@ The reduced operators are the dense congruences V^T A V and V^T M V; the
 reduced run is the full-order loop (``continuation._iterate``) on them, with
 no snapshots.  Its N x N step matrix a_red + m_red/dt is Cholesky-factored
 once per run with LAPACK ``dpotrf``, each step is one ``dpotrs`` solve plus
-two small dense products, and the final state is lifted back as V U_N.
+two small dense products, and the final state is lifted back as V U_N.  The
+dense products go through ``ndarray.dot``, one per operator: a single
+product with the stacked [a_red; m_red] is blocked differently by BLAS and
+is not bit-identical to the two for N >= 9 not a multiple of 4.
 ``solve_levels`` is the one level loop of uniform and adaptive schedules;
 ``solve_level`` is its per-mesh pipeline.
 """
@@ -75,22 +78,25 @@ def run_rom(ops: ReducedOperators, u0, config: ContinuationConfig
     check_start(u0)         # before the projection turns an inf into NaN
     t_start = time.perf_counter()
 
-    system = ops.a_red + ops.m_red / config.dt
+    a_red, m_red = ops.a_red, ops.m_red
+    system = a_red + m_red / config.dt
     if not np.isfinite(system).all():
         raise NotSpdError("reduced system has non-finite entries")
     factor, info = dpotrf(system)
     if info != 0:
         raise NotSpdError(f"reduced system is not SPD: dpotrf info={info}")
 
+    # ndarray.dot, not @: the same BLAS call without the matmul ufunc's
+    # dispatch, which costs more than the arithmetic at these sizes
     def solve(b):
         x, info = dpotrs(factor, b)
         if info != 0:
             raise SolverError(f"reduced step solve failed: dpotrs info={info}")
-        return x, ops.a_red @ x, ops.m_red @ x
+        return x, a_red.dot(x), m_red.dot(x)
 
-    trace = _iterate(ops.basis.T @ u0, solve,
-                     lambda y: (ops.a_red @ y, ops.m_red @ y), config, t_start)[0]
-    return trace, ops.basis @ trace.final_vector
+    trace = _iterate(ops.basis.T.dot(u0), solve,
+                     lambda y: (a_red.dot(y), m_red.dot(y)), config, t_start)[0]
+    return trace, ops.basis.dot(trace.final_vector)
 
 
 @dataclass(eq=False)

@@ -250,6 +250,14 @@ class TestRayleighQuotient:
         with pytest.raises(ValueError):
             rayleigh_quotient(A, A, np.zeros(2))
 
+    def test_products_quotient_is_matmul_quotient_bit_for_bit(self, rng):
+        # every length up to 64, and two of the order of the workloads' systems
+        for n in list(range(1, 65)) + [503, 8011]:
+            u, au = rng.standard_normal(n), rng.standard_normal(n)
+            mu = u * rng.uniform(0.5, 2.0, n)
+            assert rayleigh_from_products(u, au, mu) == (
+                float(u @ au) / float(u @ mu)), n
+
 
 class TestEigenResidual:
     def test_perturbation_bound(self):

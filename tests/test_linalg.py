@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from eigenrom.linalg import (NonconvergenceError, NotSpdError, SolverError,
-                             spd_solve, sym_eig_desc)
+                             norm2, spd_solve, sym_eig_desc)
 from oracles import power_svd
 
 
@@ -22,6 +22,17 @@ def test_solver_errors_share_one_base_and_are_not_input_errors(error):
     # the CLI exits 2 exactly for a SolverError, 1 for a ValueError
     assert issubclass(error, SolverError)
     assert not issubclass(error, ValueError)
+
+
+# every length up to 64, and two of the order of the workloads' systems
+BIT_LENGTHS = list(range(1, 65)) + [503, 8011]
+
+
+def test_norm2_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in BIT_LENGTHS:
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        assert norm2(v) == np.linalg.norm(v), n
 
 
 class TestSpdSolve:

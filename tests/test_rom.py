@@ -134,6 +134,29 @@ class TestRunRom:
         assert np.array_equal(trace.final_vector, y)
         assert np.array_equal(lifted, ops.basis @ y)
 
+    @pytest.mark.parametrize("N", [1, 5, 9, 12, 13, 17])
+    def test_matches_cholesky_oracle_on_synthetic_pencils(self, N):
+        # beyond the workloads' N <= 8: BLAS blocks a product with the
+        # stacked [a_red; m_red] differently from one with each operator
+        # for N >= 9 not a multiple of 4, which the history would show
+        rng = np.random.default_rng(N)
+        L = np.eye(N) + 0.3 * rng.standard_normal((N, N)) / math.sqrt(N)
+        m_red = L @ L.T
+        a_red = L @ np.diag(2.0 * np.arange(N) + 1.0) @ L.T  # eigenvalues 1, 3, ...
+        basis = np.linalg.qr(rng.standard_normal((4 * N + 3, N)))[0]
+        ops = ReducedOperators(0.5 * (a_red + a_red.T), 0.5 * (m_red + m_red.T),
+                               basis)
+        cfg = ContinuationConfig(dt=1.0, stop_tol=1e-10)
+        u0 = rng.standard_normal(basis.shape[0])
+        trace, lifted = run_rom(ops, u0, cfg)
+        history, y = rom_loop_cho(ops.a_red, ops.m_red, basis.T @ u0,
+                                  cfg.dt, cfg.stop_tol, cfg.max_steps)
+        assert trace.converged
+        assert trace.eigenvalue == pytest.approx(1.0, rel=1e-8)
+        assert np.array_equal(trace.lambda_history, history)
+        assert np.array_equal(trace.final_vector, y)
+        assert np.array_equal(lifted, basis @ y)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_reduced_operator_rejected(self, rng, bad):
         a_red = np.diag([2.0, 3.0])

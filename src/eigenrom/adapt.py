@@ -8,9 +8,12 @@ equation with the normal-derivative jumps across interior edges:
 
 Boundary edges carry no jump (homogeneous Dirichlet data).  The field is
 normalized to unit M-norm before estimation so that totals are comparable
-across refinement levels.  The geometry is the mesh's cache; the basis values,
-derivatives and Laplacians at barycentric points (the edge Gauss points on
-each side too) come from ``fem.local_basis`` and ``fem.ELEMENTS``.
+across refinement levels.  For P1 and P2 the gradient of u is affine on each
+triangle, so its values at the three vertices carry everything the indicator
+reads: the Laplacian is sum_v grad lambda_v . grad u(v), and the jump is
+linear along an edge, so its squared L2 norm is exact from the two end
+values, h_e (J_0^2 + J_0 J_1 + J_1^2) / 3.  The geometry is the mesh's cache
+and the basis derivatives at the vertices come from ``fem.local_basis``.
 """
 
 from __future__ import annotations
@@ -18,36 +21,15 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
 
 import numpy as np
 
 from .continuation import ContinuationConfig
-from .fem import ELEMENTS, DofMap, QUAD_POINTS, QUAD_WEIGHTS, local_basis
+from .fem import DofMap, QUAD_POINTS, QUAD_WEIGHTS, local_basis
 from .mesh import Mesh, bisect_refine
 from .rom import Level, solve_levels
 
 log = logging.getLogger(__name__)
-
-# two-point Gauss rule, exact for cubics, as positions s in [0, 1] along an edge
-_EDGE_S = 0.5 * (np.array([-1.0, 1.0]) / np.sqrt(3.0) + 1.0)
-
-
-def _edge_derivatives(degree: int) -> np.ndarray:
-    """Basis lambda-derivatives at the edge Gauss points, (q, a, b, n_loc, 3).
-
-    The Gauss point at s has barycentric coordinates 1 - s at the edge's
-    first node (local vertex a), s at its second (b) and 0 at the vertex
-    opposite the edge, on either side; so six (a, b) pairs per point cover
-    every interior edge of every mesh.
-    """
-    lam = np.zeros((len(_EDGE_S), 3, 3, 3))
-    for a, b in permutations(range(3), 2):
-        lam[:, a, b, a], lam[:, a, b, b] = 1.0 - _EDGE_S, _EDGE_S
-    return local_basis(degree, lam)[1]
-
-
-_EDGE_DLAM = {degree: _edge_derivatives(degree) for degree in ELEMENTS}
 
 
 @dataclass(eq=False)
@@ -63,52 +45,39 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
 
     ``u_h`` holds the free-dof coefficients (ValueError on a wrong length)
     and is expected M-normalized; the indicator itself is scale-covariant
-    so marking is unaffected either way.  The basis Laplacians are constant
-    per element (zero for P1); element and edge integrals use quadrature
-    exact for the polynomial degrees present.
+    so marking is unaffected either way.  Everything is read from the
+    gradient of u at the triangle vertices: the constant Laplacian (for P1
+    zero up to rounding) and the two end values of each edge's linear jump.
+    The element integral uses quadrature exact for quartics.
     """
-    area = mesh.areas
-    grads, gram = mesh.gradients
-    h_k = mesh.edge_lengths.max(axis=1)
+    grads = mesh.gradients
     u_loc = dofmap.full_vector(u_h)[dofmap.cell_dofs]     # (T, n_loc)
+    # du/dlam_k at local vertex v, then grad u there: (T, 3, 2)
+    dlam = local_basis(dofmap.degree, np.eye(3))[1]        # (v, n_loc, k)
+    coef = u_loc @ dlam.transpose(1, 0, 2).reshape(-1, 9)
+    grad_u = coef.reshape(-1, 3, 3) @ grads
 
-    hessian = ELEMENTS[dofmap.degree].hessian
-    # one matmul, not einsum's generic loop; bit-identical, since every
-    # partial sum of the constant Hessian entries is exact
-    lap_basis = gram.reshape(-1, 9) @ hessian.reshape(-1, 9).T   # (T, n_loc)
-    lap = np.einsum("ti,ti->t", u_loc, lap_basis)
+    lap = (grads * grad_u).sum(axis=(1, 2))
     uq = u_loc @ local_basis(dofmap.degree, QUAD_POINTS)[0].T   # (T, Q)
     rq = lap[:, None] + lambda_h * uq
-    eta_sq = h_k ** 2 * area * (rq ** 2 @ QUAD_WEIGHTS)
+    h_k = mesh.edge_lengths.max(axis=1)
+    eta_sq = h_k ** 2 * mesh.areas * (rq ** 2 @ QUAD_WEIGHTS)
 
     edges, _, edge_tris = mesh.edge_table
     interior = np.flatnonzero(edge_tris[:, 1] >= 0)
-    if interior.size:
-        e_nodes = edges[interior]
-        sides = edge_tris[interior]                       # (m, 2)
-        tangent = mesh.nodes[e_nodes[:, 1]] - mesh.nodes[e_nodes[:, 0]]
-        h_e = np.hypot(tangent[:, 0], tangent[:, 1])
-        normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / h_e[:, None]
-
-        edge_dlam = _EDGE_DLAM[dofmap.degree]
-        flux = np.empty((2, len(_EDGE_S), interior.size))
-        for side, tris in enumerate(sides.T):
-            tri_nodes, u_side, g_side = mesh.triangles[tris], u_loc[tris], grads[tris]
-            # local vertex (0, 1 or 2) of the edge's first and second node
-            first, second = ((tri_nodes[:, 1] == v) + 2 * (tri_nodes[:, 2] == v)
-                             for v in e_nodes.T)
-            for q in range(len(_EDGE_S)):
-                dlam = edge_dlam[q, first, second]              # (m, n_loc, 3)
-                coef = np.einsum("mi,mik->mk", u_side, dlam)     # du/dlam_k
-                grad = np.einsum("mk,mkd->md", coef, g_side)
-                flux[side, q] = np.einsum("md,md->m", grad, normal)
-        jump_sq = ((flux[0] - flux[1]) ** 2).sum(axis=0)
-        edge_norm_sq = 0.5 * h_e * jump_sq                # (h_e/2) sum w_q J_q^2
-        contrib = 0.5 * h_e * edge_norm_sq
-        eta_sq += np.bincount(sides.reshape(-1), np.repeat(contrib, 2),
-                              minlength=mesh.n_triangles)
-
-    eta_sq = np.maximum(eta_sq, 0.0)
+    e_nodes, sides = edges[interior], edge_tris[interior]      # (m, 2) each
+    tangent = mesh.nodes[e_nodes[:, 1]] - mesh.nodes[e_nodes[:, 0]]
+    h_e = np.hypot(tangent[:, 0], tangent[:, 1])
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / h_e[:, None]
+    # the local vertex (0, 1 or 2) of each end node in each side's triangle
+    tri_nodes = mesh.triangles[sides]                           # (m, side, 3)
+    local = ((tri_nodes[:, :, 1, None] == e_nodes[:, None])
+             + 2 * (tri_nodes[:, :, 2, None] == e_nodes[:, None]))
+    flux = np.einsum("msed,md->mse", grad_u[sides[:, :, None], local], normal)
+    j0, j1 = (flux[:, 0] - flux[:, 1]).T                        # jump at each end
+    contrib = 0.5 * h_e * (h_e * (j0 * j0 + j0 * j1 + j1 * j1) / 3.0)
+    eta_sq += np.bincount(sides.reshape(-1), np.repeat(contrib, 2),
+                          minlength=mesh.n_triangles)
     return EtaField(np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum())))
 
 

@@ -3,8 +3,9 @@
 Exit codes: 0 success; 2 exactly when a solve failed with a
 ``linalg.SolverError``; 1 for an input refused before the first solve, and
 for ``rom.SnapshotStrideError`` (a snapshot stride longer than the run, known
-only once it ends).  The EIGENROM_LOG environment variable (error|info|debug)
-controls diagnostics on stderr; unset, warnings and errors are shown.
+only once it ends).  The EIGENROM_LOG environment variable
+(error|warning|info|debug, in any case) sets the level of diagnostics on
+stderr; unset, it is warning: warnings and errors are shown.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _configure_logging():
-    level = os.environ.get("EIGENROM_LOG")
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG,
-              None: logging.WARNING}
-    if level is not None and (level := level.lower()) not in levels:
-        raise UsageError(f"EIGENROM_LOG must be error|info|debug, got {level!r}")
+    level = os.environ.get("EIGENROM_LOG", "warning").lower()
+    levels = {"error": logging.ERROR, "warning": logging.WARNING,
+              "info": logging.INFO, "debug": logging.DEBUG}
+    if level not in levels:
+        raise UsageError(f"EIGENROM_LOG must be error|warning|info|debug, "
+                         f"got {level!r}")
     logging.basicConfig(stream=sys.stderr, level=levels[level],
                         format="%(levelname)s %(name)s: %(message)s")
 

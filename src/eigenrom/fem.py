@@ -1,18 +1,18 @@
 """P1/P2 Lagrange elements on triangles: the local basis, and the assembly
 of the mass and stiffness matrices.
 
-``local_basis`` holds the basis formulas and ``ELEMENTS`` each degree's
-reference tables; assembly and ``adapt.estimate`` read them with no degree
-branch of their own.  P1's tables are exact closed forms; P2's mass and
-stiffness use a six-point rule exact for quartics, so exact up to roundoff.
+``local_basis`` holds the basis formulas and ``ELEMENTS`` each degree's mass
+and stiffness tables; assembly reads the tables and ``adapt.estimate`` the
+basis, with no degree branch of their own.  P1's tables are exact closed
+forms; P2's use a six-point rule exact for quartics, so exact up to roundoff.
 
 Dirichlet conditions on the whole boundary are imposed by elimination: the
 assembled operators act on the free (non-Dirichlet) degrees of freedom only,
 which keeps both matrices symmetric positive definite.  ``assemble`` drops
 the Dirichlet rows and columns from the element triplets before the one
 sparse conversion per matrix.  The triangle areas and barycentric gradients
-are the mesh's cached properties (``mesh.areas``, ``mesh.gradients``), shared
-with the error estimator.
+are the mesh's cached properties (``mesh.areas``, ``mesh.gradients``); the
+gradients' Gram matrices are formed here, their one use.
 """
 
 from __future__ import annotations
@@ -116,28 +116,20 @@ def local_basis(degree: int, lam) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceElement:
-    """One degree's tables per unit area: ``mass`` (phi_i, phi_j); ``stiffness``
-    W, with K_ij = sum_kl W[i,j,k,l] grad lam_k . grad lam_l; and the constant
-    ``hessian`` d2 phi_i/dlam_k dlam_l, whose same sum is the Laplacian of phi_i."""
+    """One degree's tables per unit area: ``mass`` (phi_i, phi_j), and
+    ``stiffness`` W, with K_ij = sum_kl W[i,j,k,l] grad lam_k . grad lam_l."""
 
     mass: np.ndarray
     stiffness: np.ndarray
-    hessian: np.ndarray
 
 
 _P2_VALS, _P2_DLAM = local_basis(2, QUAD_POINTS)
-# vertex i: 4 at (i, i); the edge opposite i: 4 at (i+1, i+2) and (i+2, i+1)
-_P2_HESSIAN = np.zeros((6, 3, 3))
-_P2_HESSIAN[[0, 1, 2, 3, 3, 4, 4, 5, 5], [0, 1, 2, 1, 2, 2, 0, 0, 1],
-            [0, 1, 2, 2, 1, 0, 2, 1, 0]] = 4.0
 # P1 in closed form: the six weights sum to one only within 1e-15
 ELEMENTS = {
     1: ReferenceElement((np.ones((3, 3)) + np.eye(3)) / 12.0,
-                        np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3)),
-                        np.zeros((3, 3, 3))),
+                        np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))),
     2: ReferenceElement(np.einsum("q,qi,qj->ij", QUAD_WEIGHTS, _P2_VALS, _P2_VALS),
-                        np.einsum("q,qik,qjl->ijkl", QUAD_WEIGHTS, _P2_DLAM, _P2_DLAM),
-                        _P2_HESSIAN),
+                        np.einsum("q,qik,qjl->ijkl", QUAD_WEIGHTS, _P2_DLAM, _P2_DLAM)),
 }
 
 
@@ -155,7 +147,11 @@ def assemble(mesh: Mesh, dofmap: DofMap
 
     element = ELEMENTS[dofmap.degree]
     area = mesh.areas[:, None, None]
-    _, gram = mesh.gradients
+    gx, gy = mesh.gradients[..., 0], mesh.gradients[..., 1]
+    gram = np.empty((mesh.n_triangles, 3, 3))      # grad lam_i . grad lam_j
+    for i in range(3):
+        for j in range(3):
+            gram[:, i, j] = gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]
     ke = np.einsum("ijkl,tkl->tij", element.stiffness, gram) * area
     me = area * element.mass
     n_loc = ke.shape[1]

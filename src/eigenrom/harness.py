@@ -21,8 +21,9 @@ import numpy as np
 from .adapt import check_theta, next_mesh
 from .continuation import ContinuationConfig, check_strides
 from .fem import check_degree, interpolate_free
-from .mesh import (PATTERNS, Mesh, check_generator, generate_lshape,
-                   generate_square, read_mesh, uniform_refine, write_mesh)
+from .mesh import (PATTERNS, Mesh, check_generator, check_subintervals,
+                   generate_lshape, generate_square, read_mesh, uniform_refine,
+                   write_mesh)
 from .pod import check_eps, exact_reference_eps, write_singular_values
 from .rom import solve_levels
 
@@ -90,6 +91,8 @@ def _validate(cfg: ExperimentConfig):
         check_generator(cfg.domain, cfg.mesh, cfg.n_start)
     elif not path:
         raise ValueError("mesh 'file' requires a mesh file path")
+    else:
+        check_subintervals(cfg.n_start)
     check_degree(cfg.fe_degree)
     if cfg.levels < 0:
         raise ValueError("levels must be >= 0")
@@ -103,8 +106,7 @@ def _validate(cfg: ExperimentConfig):
                              "eigenfunction is known")
     else:
         check_eps(float(cfg.pod_eps))
-    if cfg.adaptive:
-        check_theta(cfg.theta)
+    check_theta(cfg.theta)
 
 
 def reference_eigenvalue(domain: str) -> float:

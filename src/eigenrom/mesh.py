@@ -18,8 +18,7 @@ Conventions
   ``edge_table``, ``boundary_node`` (a boundary edge belongs to exactly one
   triangle, and a boundary node lies on a boundary edge), and the triangle
   geometry that validation, assembly and error estimation share: ``areas``
-  (signed), local ``edge_lengths`` and barycentric ``gradients`` with their
-  Gram matrices.
+  (signed), local ``edge_lengths`` and barycentric ``gradients``.
 """
 
 from __future__ import annotations
@@ -95,16 +94,9 @@ class Mesh:
         return _read_only(np.hypot(d[..., 0], d[..., 1]))
 
     @cached_property
-    def gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of the barycentric coordinates and their Gram matrices.
-
-        Returns
-        -------
-        grads : ndarray, shape (T, 3, 2)
-            ``grads[t, i]`` is the gradient of lambda_i on triangle ``t``.
-        gram : ndarray, shape (T, 3, 3)
-            ``gram[t, i, j] = grads[t, i] . grads[t, j]``.
-        """
+    def gradients(self) -> np.ndarray:
+        """Gradients of the barycentric coordinates, shape (T, 3, 2):
+        ``gradients[t, i]`` is the gradient of lambda_i on triangle ``t``."""
         p = self.nodes[self.triangles]
         grads = np.empty((self.n_triangles, 3, 2))
         for i in range(3):
@@ -114,12 +106,7 @@ class Mesh:
             grads[:, i, 0] = -d[:, 1]
             grads[:, i, 1] = d[:, 0]
         grads /= (2.0 * self.areas)[:, None, None]
-        gx, gy = grads[..., 0], grads[..., 1]
-        gram = np.empty((self.n_triangles, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                gram[:, i, j] = gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]
-        return _read_only(grads), _read_only(gram)
+        return _read_only(grads)
 
     @cached_property
     def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,6 +217,10 @@ def check_generator(domain: str, pattern: str, n: int) -> None:
     if pattern not in PATTERNS[domain]:
         raise ValueError(f"no {pattern!r} mesh on the {domain} domain; "
                          f"patterns: {', '.join(PATTERNS[domain])}")
+    check_subintervals(n)
+
+
+def check_subintervals(n: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
 

@@ -14,6 +14,7 @@ from eigenrom.mesh import (Mesh, bisect_refine, generate_lshape,
                            generate_square, mesh_stats, validate_mesh)
 from eigenrom.rom import solve_levels
 from oracles import estimate_by_point_location
+from test_mesh_golden import BISECTION_STARTS, generate
 
 PI = math.pi
 LSHAPE_REF = 9.6397238440219
@@ -113,6 +114,32 @@ class TestEstimate:
                                   mark(EtaField(want, 0.0), 0.5))
             mesh = bisect_refine(mesh, rng.choice(
                 mesh.n_triangles, mesh.n_triangles // 4, replace=False))
+
+    @given(start=st.sampled_from(BISECTION_STARTS),
+           degree=st.sampled_from((1, 2)), rounds=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.5, 50.0),
+           c=st.floats(0.1, 10.0), sign=st.sampled_from((1.0, -1.0)))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_covariant(self, start, degree, rounds, seed, lam, c, sign):
+        # eta(c u) = |c| eta(u): bit for bit where c is a power of two or -1,
+        # whose products and sums round exactly like those of u
+        rng = np.random.default_rng(seed)
+        mesh = generate(*start)
+        for _ in range(rounds):
+            mesh = bisect_refine(mesh, rng.choice(
+                mesh.n_triangles, mesh.n_triangles // 5, replace=False))
+        dm = build_dofmap(mesh, degree)
+        u = rng.standard_normal(dm.n_free)
+        eta = estimate(mesh, dm, u, lam)
+        marked = mark(eta, 0.5)
+        for scale in (-1.0, *(2.0 ** k for k in range(-3, 4))):
+            scaled = estimate(mesh, dm, scale * u, lam)
+            assert np.array_equal(scaled.per_triangle, abs(scale) * eta.per_triangle)
+            assert scaled.total == abs(scale) * eta.total
+            assert np.array_equal(mark(scaled, 0.5), marked)
+        scaled = estimate(mesh, dm, sign * c * u, lam)
+        assert np.allclose(scaled.per_triangle, c * eta.per_triangle,
+                           rtol=1e-13, atol=0)
 
     def test_total_consistent_with_components(self, runs):
         mesh, dm, A, M, _, trace, _ = runs.fom("lshape", "crisscross", 8, 1)

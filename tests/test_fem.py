@@ -80,18 +80,6 @@ class TestReferenceElement:
                         - local_basis(degree, lam - step)[0]) / 2.0
             assert np.allclose(dlam[..., k], quotient, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("degree", (1, 2))
-    def test_hessian_is_the_difference_quotient_of_the_derivatives(self, degree,
-                                                                   rng):
-        # the derivatives are affine in lambda, so the quotient is exact up
-        # to rounding
-        lam = rng.uniform(-1.0, 2.0, size=(50, 3))
-        _, dlam = local_basis(degree, lam)
-        for l, step in enumerate(np.eye(3)):
-            quotient = local_basis(degree, lam + step)[1] - dlam
-            assert np.allclose(quotient, ELEMENTS[degree].hessian[:, :, l],
-                               rtol=0, atol=1e-13)
-
     def test_p1_closed_forms_match_the_quadrature_definitions(self):
         vals, dlam = local_basis(1, QUAD_POINTS)
         mass = np.einsum("q,qi,qj->ij", QUAD_WEIGHTS, vals, vals)

@@ -32,6 +32,33 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def run_cli_child(argv, log_level=None):
+    """``python -m eigenrom.cli argv`` in a fresh interpreter, with
+    EIGENROM_LOG set to ``log_level`` (None: unset).  The child imports the
+    same package as this suite, however the suite found it (installed,
+    PYTHONPATH, or pytest's pythonpath).  Only a child shows what reaches
+    stderr: pytest's log capture takes the records that basicConfig would
+    send there in-process."""
+    src = os.path.dirname(os.path.dirname(rom.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "EIGENROM_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if log_level is not None:
+        env["EIGENROM_LOG"] = log_level
+    return subprocess.run([sys.executable, "-m", "eigenrom.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def two_squares_argv(tmp_path):
+    """A run on two disjoint squares: lambda_1 is double, so the full-order
+    vector may change sign, and the run logs a warning."""
+    square = generate_square("crisscross", 8, PI)
+    path = tmp_path / "two.mesh"
+    path.write_text(mesh_text(
+        np.vstack([square.nodes, square.nodes + [2 * PI, 0.0]]),
+        np.vstack([square.triangles, square.triangles + square.n_nodes])))
+    return ["run", "--domain", "square", "--mesh", f"file:{path}"]
+
+
 class TestComputeRate:
     def test_uniform_halving(self):
         rates = compute_rate([4e-2, 1e-2], [0.2, 0.1], "uniform")
@@ -442,14 +469,21 @@ class TestCli:
         ["--adaptive", "--theta", "0"],
         ["--mesh", "right", "--n-start", "1"],     # no free dof
         ["--mesh", "file:"],                       # no path
+        ["--theta", "7"],                          # theta without --adaptive
+        ["--theta", "0"],
+        ["--theta", "nan"],
+        ["--theta=-1"],
+        ["--mesh", "file:{mesh}", "--n-start=-5"],  # a file ignores n
     ])
     def test_bad_config_rejected_before_any_solve(self, tmp_path, monkeypatch,
                                                   capsys, bad):
         calls = []
         monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
-        out = tmp_path / "t.csv"
+        out, mesh = tmp_path / "t.csv", tmp_path / "square.mesh"
+        write_mesh(generate_square("right", 4, PI), mesh)
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
-                         "--n-start", "4", "--levels", "1", *bad,
+                         "--n-start", "4", "--levels", "1",
+                         *(arg.format(mesh=mesh) for arg in bad),
                          "--out", str(out)])
         assert code == 1
         assert calls == []
@@ -659,16 +693,9 @@ class TestCli:
 
     def test_console_script_entry(self, tmp_path):
         out = tmp_path / "cli.csv"
-        # the child imports the same package as this suite, however the
-        # suite found it (installed, PYTHONPATH, or pytest's pythonpath)
-        src = os.path.dirname(os.path.dirname(rom.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, EIGENROM_LOG="error", PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "eigenrom.cli", "run", "--domain", "square",
-             "--mesh", "right", "--n-start", "4", "--levels", "1",
-             "--out", str(out)],
-            capture_output=True, text=True, env=env)
+        proc = run_cli_child(["run", "--domain", "square", "--mesh", "right",
+                              "--n-start", "4", "--levels", "1",
+                              "--out", str(out)], "error")
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
@@ -689,36 +716,18 @@ class TestCli:
         # the first timed solve; row 1 (545 dofs) then takes less than
         # row 2 (2 113 dofs)
         out = tmp_path / "t.csv"
-        src = os.path.dirname(os.path.dirname(rom.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "eigenrom.cli", "run", "--domain", "square",
-             "--mesh", "crisscross", "--n-start", "16", "--levels", "2",
-             "--out", str(out)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        proc = run_cli_child(["run", "--domain", "square", "--mesh", "crisscross",
+                              "--n-start", "16", "--levels", "2",
+                              "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         first, second = read_csv(out)
         assert first.dof == 545 and second.dof == 2113
         assert first.fom_s < second.fom_s
 
     def test_fom_warning_reaches_stderr_at_the_default_log_level(self, tmp_path):
-        # two disjoint squares: lambda_1 is double, so the full-order vector
-        # may change sign; the warning is a false alarm and the row is right.
-        # A fresh interpreter, since pytest's log capture takes the records
-        # that basicConfig would send to stderr in-process.
-        square = generate_square("crisscross", 8, PI)
-        path = tmp_path / "two.mesh"
-        path.write_text(mesh_text(
-            np.vstack([square.nodes, square.nodes + [2 * PI, 0.0]]),
-            np.vstack([square.triangles, square.triangles + square.n_nodes])))
-        argv = ["run", "--domain", "square", "--mesh", f"file:{path}"]
-        src = os.path.dirname(os.path.dirname(rom.__file__))
-        env = {k: v for k, v in os.environ.items() if k != "EIGENROM_LOG"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "eigenrom.cli", *argv,
-             "--out", str(tmp_path / "child.csv")],
-            capture_output=True, text=True, env=env)
+        # the warning on two disjoint squares is a false alarm; the row is right
+        argv = two_squares_argv(tmp_path)
+        proc = run_cli_child([*argv, "--out", str(tmp_path / "child.csv")])
         assert proc.returncode == 0, proc.stderr
         assert ("WARNING eigenrom.rom: full-order run on 226 dofs: computed "
                 "eigenvector changes sign" in proc.stderr), proc.stderr
@@ -727,6 +736,18 @@ class TestCli:
                    for name in ("child.csv", "t.csv")
                    for r in read_csv(tmp_path / name)]
         assert len(untimed) == 2 and untimed[0] == untimed[1]
+
+    def test_warning_log_level_is_the_default(self, tmp_path):
+        argv = two_squares_argv(tmp_path)
+        runs = []
+        for level in (None, "warning", "WARNING"):
+            out = tmp_path / f"{level}.csv"
+            proc = run_cli_child([*argv, "--out", str(out)], level)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stderr, [replace(r, fom_s=0.0, rom_s=0.0)
+                                       for r in read_csv(out)]))
+        assert "WARNING eigenrom.rom" in runs[0][0]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_bad_log_level_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EIGENROM_LOG", "chatty")

@@ -201,12 +201,11 @@ def test_cached_geometry_matches_direct_formulas(key):
                                for a, b in ends])
     grads = np.stack([np.column_stack([-(y[:, b] - y[:, a]), x[:, b] - x[:, a]])
                       for a, b in ends], axis=1) / (2.0 * area)[:, None, None]
-    gram = np.einsum("tid,tjd->tij", grads, grads)
 
-    cached = (mesh.areas, mesh.edge_lengths, *mesh.gradients)
-    for got, want in zip(cached, (area, lengths, grads, gram)):
+    cached = (mesh.areas, mesh.edge_lengths, mesh.gradients)
+    for got, want in zip(cached, (area, lengths, grads)):
         assert np.array_equal(got, want)
         assert not got.flags.writeable
     # built once: every call returns the same arrays
-    again = (mesh.areas, mesh.edge_lengths, *mesh.gradients)
+    again = (mesh.areas, mesh.edge_lengths, mesh.gradients)
     assert all(a is b for a, b in zip(cached, again))

@@ -57,10 +57,13 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
     coef = u_loc @ dlam.transpose(1, 0, 2).reshape(-1, 9)
     grad_u = coef.reshape(-1, 3, 3) @ grads
 
-    lap = (grads * grad_u).sum(axis=(1, 2))
+    # the six products summed in .sum(axis=(1, 2))'s order, column by column
+    terms = (grads * grad_u).reshape(-1, 6).T
+    lap = terms[0] + terms[1] + terms[2] + terms[3] + terms[4] + terms[5]
     uq = u_loc @ local_basis(dofmap.degree, QUAD_POINTS)[0].T   # (T, Q)
     rq = lap[:, None] + lambda_h * uq
-    h_k = mesh.edge_lengths.max(axis=1)
+    l0, l1, l2 = mesh.edge_lengths.T
+    h_k = np.maximum(np.maximum(l0, l1), l2)
     eta_sq = h_k ** 2 * mesh.areas * (rq ** 2 @ QUAD_WEIGHTS)
 
     edges, _, edge_tris = mesh.edge_table

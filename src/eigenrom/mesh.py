@@ -18,7 +18,10 @@ Conventions
   ``edge_table``, ``boundary_node`` (a boundary edge belongs to exactly one
   triangle, and a boundary node lies on a boundary edge), and the triangle
   geometry that validation, assembly and error estimation share: ``areas``
-  (signed), local ``edge_lengths`` and barycentric ``gradients``.
+  (signed), local ``edge_lengths`` and barycentric ``gradients``, all read
+  from per-coordinate corner arrays.  A per-triangle min, max, argmax or any
+  is an elementwise op on three columns: the same result, without numpy's
+  slow reduction loop along a short axis.
 """
 
 from __future__ import annotations
@@ -64,7 +67,9 @@ class Mesh:
                                     or self.triangles.max() >= self.n_nodes):
             raise MeshError("triangle references an invalid node index")
         if self.refinement_edge is None:
-            self.refinement_edge = np.argmax(self.edge_lengths, axis=1)
+            l0, l1, l2 = self.edge_lengths.T
+            self.refinement_edge = np.where(l0 >= np.maximum(l1, l2), 0,
+                                            np.where(l1 >= l2, 1, 2))
         self.refinement_edge = np.array(self.refinement_edge, dtype=np.int64, order="C")
         for arr in (self.nodes, self.triangles, self.refinement_edge):
             arr.setflags(write=False)
@@ -78,33 +83,32 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of the three corners of every triangle, shape (T, 3) each."""
+        return self.nodes[:, 0][self.triangles], self.nodes[:, 1][self.triangles]
+
     @cached_property
     def areas(self) -> np.ndarray:
         """Signed areas of all triangles (positive for counterclockwise)."""
-        p = self.nodes[self.triangles]
-        u = p[:, 1] - p[:, 0]
-        v = p[:, 2] - p[:, 0]
-        return _read_only(0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))
+        x, y = self._corners()
+        return _read_only(0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                                 - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])))
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
         """Lengths of the three local edges of every triangle, shape (T, 3)."""
-        p = self.nodes[self.triangles]
-        d = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]        # local edge i opposite vertex i
-        return _read_only(np.hypot(d[..., 0], d[..., 1]))
+        x, y = self._corners()
+        a, b = [1, 2, 0], [2, 0, 1]              # local edge i opposite vertex i
+        return _read_only(np.hypot(x[:, a] - x[:, b], y[:, a] - y[:, b]))
 
     @cached_property
     def gradients(self) -> np.ndarray:
         """Gradients of the barycentric coordinates, shape (T, 3, 2):
         ``gradients[t, i]`` is the gradient of lambda_i on triangle ``t``."""
-        p = self.nodes[self.triangles]
-        grads = np.empty((self.n_triangles, 3, 2))
-        for i in range(3):
-            a, b = (i + 1) % 3, (i + 2) % 3
-            # grad lambda_i = rot90(p_b - p_a) / (2 area)
-            d = p[:, b] - p[:, a]
-            grads[:, i, 0] = -d[:, 1]
-            grads[:, i, 1] = d[:, 0]
+        x, y = self._corners()
+        a, b = [1, 2, 0], [2, 0, 1]
+        # grad lambda_i = rot90(p_b - p_a) / (2 area), a, b = i + 1, i + 2
+        grads = np.stack([-(y[:, b] - y[:, a]), x[:, b] - x[:, a]], axis=2)
         grads /= (2.0 * self.areas)[:, None, None]
         return _read_only(grads)
 
@@ -127,7 +131,7 @@ class Mesh:
         raw = self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
         # one int64 key per edge, lo * n + hi, sorts lexicographically by (lo, hi)
         keys, first, inverse, counts = np.unique(
-            raw.min(axis=1) * n + raw.max(axis=1),
+            np.minimum(raw[:, 0], raw[:, 1]) * n + np.maximum(raw[:, 0], raw[:, 1]),
             return_index=True, return_inverse=True, return_counts=True)
         if counts.max(initial=0) > 2:
             raise MeshError("edge shared by more than two triangles")
@@ -199,8 +203,9 @@ def _grid_mesh(m: int, coord, keep, right_diagonal) -> Mesh:
         tris = np.where(right_diagonal[j, i, None],
                         np.column_stack([bl, br, tr, bl, tr, tl]),
                         np.column_stack([bl, br, tl, br, tr, tl]))
-    used = np.unique(tris)
-    nodes, tris = nodes[used], np.searchsorted(used, tris.reshape(-1, 3))
+    used = np.zeros(len(nodes), dtype=bool)
+    used[tris] = True
+    nodes, tris = nodes[used], (np.cumsum(used) - 1)[tris.reshape(-1, 3)]
     order = np.lexsort((nodes[:, 0], nodes[:, 1]))
     rank = np.empty(len(nodes), dtype=np.int64)
     rank[order] = np.arange(len(nodes))
@@ -308,7 +313,8 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     # closure: a triangle with any split edge must split its refinement edge
     sweeps = 0
     while True:
-        need = split[tri_edges].any(axis=1) & ~split[e_r]
+        s0, s1, s2 = split[tri_edges].T
+        need = (s0 | s1 | s2) & ~split[e_r]
         if not need.any():
             break
         split[e_r[need]] = True

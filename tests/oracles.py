@@ -3,12 +3,14 @@
 These deliberately take different routes than the code under test: the SVD
 oracle runs power iteration with deflation on the Gram matrix, eigenvalue
 references come from scipy's shift-invert Lanczos, newest-vertex bisection
-is replayed one triangle at a time on vertex-pair edges, the reduced and
-full-order loops run on scipy's checked Cholesky wrappers (the full-order
-one on dense matrices), and the POD projection error is the residual of an
-explicit projection.  The error indicators are
-recomputed one triangle and one edge at a time, locating each edge quadrature
-point in its triangles by solving for its barycentric coordinates.
+is replayed one triangle at a time on vertex-pair edges, the edge table and
+the structured generators' node numbering are rebuilt one triangle at a time
+through dicts, the reduced and full-order loops run on scipy's checked
+Cholesky wrappers (the full-order one on dense matrices), and the POD
+projection error is the residual of an explicit projection.  The error
+indicators are recomputed one triangle and one edge at a time, locating each
+edge quadrature point in its triangles by solving for its barycentric
+coordinates.
 """
 
 import math
@@ -120,6 +122,50 @@ def bisect_recursive(mesh, marked):
     for tri, r in zip(tris, ref):
         bisect(tri, r)
     return nodes, np.array(out_tris, dtype=np.int64), np.array(out_ref, dtype=np.int64)
+
+
+def edge_table_by_dict(triangles):
+    """``Mesh.edge_table`` one triangle at a time, over a dict keyed by the
+    sorted endpoint pair of each local edge (local edge i opposite vertex i).
+    Returns ``(edges, tri_edges, edge_tris)``."""
+    owners = {}                                    # (lo, hi) -> [(t, i), ...]
+    for t, tri in enumerate(triangles.tolist()):
+        for i in range(3):
+            pair = tuple(sorted((tri[(i + 1) % 3], tri[(i + 2) % 3])))
+            owners.setdefault(pair, []).append((t, i))
+    pairs = sorted(owners)
+    tri_edges = np.zeros((len(triangles), 3), dtype=np.int64)
+    edge_tris = np.full((len(pairs), 2), -1, dtype=np.int64)
+    for e, pair in enumerate(pairs):
+        for k, (t, i) in enumerate(owners[pair]):
+            tri_edges[t, i] = e
+            edge_tris[e, k] = t
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), tri_edges, edge_tris
+
+
+def grid_mesh_by_dict(m, coord, keep, right_diagonal):
+    """The nodes and triangles of ``mesh._grid_mesh``, one cell at a time:
+    every triangle is built from corner coordinates, and the distinct
+    coordinates, sorted by (y, x), are numbered through a dict."""
+    tris = []
+    for j in range(m):
+        for i in range(m):
+            if not keep[j, i]:
+                continue
+            bl, br = (coord(i), coord(j)), (coord(i + 1), coord(j))
+            tl, tr = (coord(i), coord(j + 1)), (coord(i + 1), coord(j + 1))
+            if right_diagonal is None:
+                c = (coord(i + 0.5), coord(j + 0.5))
+                tris += [(bl, br, c), (br, tr, c), (tr, tl, c), (tl, bl, c)]
+            elif right_diagonal[j, i]:
+                tris += [(bl, br, tr), (bl, tr, tl)]
+            else:
+                tris += [(bl, br, tl), (br, tr, tl)]
+    points = sorted({p for tri in tris for p in tri}, key=lambda p: (p[1], p[0]))
+    number = {p: k for k, p in enumerate(points)}
+    return (np.array(points, dtype=np.float64).reshape(-1, 2),
+            np.array([[number[p] for p in tri] for tri in tris],
+                     dtype=np.int64).reshape(-1, 3))
 
 
 def rom_loop_cho(a_red, m_red, y0, dt, stop_tol, max_steps):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mesh_files import FOLD, hanging_square, mesh_text
-from oracles import bisect_recursive
+from oracles import bisect_recursive, edge_table_by_dict, grid_mesh_by_dict
+from test_mesh_golden import BISECTION_STARTS, generate
 
-from eigenrom.mesh import (Mesh, MeshError, bisect_refine, generate_lshape,
-                           generate_square, mesh_stats, read_mesh,
+from eigenrom.mesh import (Mesh, MeshError, _grid_mesh, bisect_refine,
+                           generate_lshape, generate_square, mesh_stats, read_mesh,
                            uniform_refine, validate_mesh, write_mesh)
 
 PI = math.pi
@@ -463,3 +464,58 @@ class TestBisectionProperties:
         write_mesh(mesh, path)
         back = read_mesh(path)
         assert np.array_equal(back.triangles, mesh.triangles)
+
+
+class TestConnectivityOracle:
+    """The array edge table, boundary flags and node renumbering against
+    loops over dicts, on meshes that drop grid points or are bisected."""
+
+    @staticmethod
+    def check_connectivity(mesh):
+        want = edge_table_by_dict(mesh.triangles)
+        for got, expected in zip(mesh.edge_table, want):
+            assert np.array_equal(got, expected)
+        edges, _, edge_tris = want
+        boundary = np.zeros(mesh.n_nodes, dtype=bool)
+        for (a, b), (_, other) in zip(edges.tolist(), edge_tris.tolist()):
+            if other < 0:
+                boundary[[a, b]] = True
+        assert np.array_equal(mesh.boundary_node, boundary)
+
+    @given(start=st.sampled_from(BISECTION_STARTS), data=st.data(),
+           rounds=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=30, deadline=None)
+    def test_bisected_golden_starts(self, start, data, rounds):
+        mesh = generate(*start)
+        for _ in range(rounds):
+            mesh = bisect_refine(mesh, data.draw(st.lists(
+                st.integers(min_value=0, max_value=mesh.n_triangles - 1),
+                min_size=1, max_size=mesh.n_triangles)))
+        self.check_connectivity(mesh)
+
+    @given(pattern=st.sampled_from(("crisscross", "mixed")),
+           n=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=20, deadline=None)
+    def test_generated_lshape(self, pattern, n):
+        mesh = generate_lshape(pattern, n)
+        j, i = np.indices((2 * n, 2 * n))
+        keep = ~((i >= n) & (j < n))
+        right = None if pattern == "crisscross" else ~((i < n) & (j >= n))
+        nodes, tris = grid_mesh_by_dict(2 * n, lambda k: k / n - 1.0, keep, right)
+        assert np.array_equal(mesh.nodes, nodes)
+        assert np.array_equal(mesh.triangles, tris)
+        self.check_connectivity(mesh)
+
+    @given(m=st.integers(min_value=1, max_value=5), data=st.data(),
+           crisscross=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_cell_masks(self, m, data, crisscross):
+        # any set of kept cells drops the grid points of no kept cell
+        cells = st.lists(st.booleans(), min_size=m * m, max_size=m * m)
+        keep = np.array(data.draw(cells.filter(any))).reshape(m, m)
+        right = None if crisscross else np.array(data.draw(cells)).reshape(m, m)
+        mesh = _grid_mesh(m, lambda k: k / m, keep, right)
+        nodes, tris = grid_mesh_by_dict(m, lambda k: k / m, keep, right)
+        assert np.array_equal(mesh.nodes, nodes)
+        assert np.array_equal(mesh.triangles, tris)
+        self.check_connectivity(mesh)

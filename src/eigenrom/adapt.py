@@ -67,7 +67,7 @@ def estimate(mesh: Mesh, dofmap: DofMap, u_h, lambda_h: float) -> EtaField:
     eta_sq = h_k ** 2 * mesh.areas * (rq ** 2 @ QUAD_WEIGHTS)
 
     edges, _, edge_tris = mesh.edge_table
-    interior = np.flatnonzero(edge_tris[:, 1] >= 0)
+    interior = np.flatnonzero(~mesh.boundary_edge)
     e_nodes, sides = edges[interior], edge_tris[interior]      # (m, 2) each
     tangent = mesh.nodes[e_nodes[:, 1]] - mesh.nodes[e_nodes[:, 0]]
     h_e = np.hypot(tangent[:, 0], tangent[:, 1])

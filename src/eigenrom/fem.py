@@ -12,7 +12,8 @@ which keeps both matrices symmetric positive definite.  ``assemble`` drops
 the Dirichlet rows and columns from the element triplets before the one
 sparse conversion per matrix.  The triangle areas and barycentric gradients
 are the mesh's cached properties (``mesh.areas``, ``mesh.gradients``); the
-gradients' Gram matrices are formed here, their one use.
+gradients' Gram matrices are formed here, their one use.  The P2 numbering
+is read from the mesh: ``six_node_cells``, ``boundary_edge``, ``edge_midpoints``.
 """
 
 from __future__ import annotations
@@ -47,10 +48,8 @@ QUAD_WEIGHTS = np.array([_QW1, _QW1, _QW1, _QW2, _QW2, _QW2])
 class DofMap:
     """Degree-of-freedom numbering for P1 or P2 Lagrange elements.
 
-    Vertices come first in mesh order; for P2 the edge-midpoint dofs follow,
-    numbered by the lexicographic order of their (min, max) vertex pairs.
-    ``cell_dofs`` lists, per triangle, the three vertex dofs followed (for
-    P2) by the midpoint dofs of the edges opposite each vertex.
+    Vertices come first in mesh order; P2's edge dofs follow in the order of
+    ``mesh.edge_table``, and its ``cell_dofs`` are ``mesh.six_node_cells``.
     """
 
     degree: int
@@ -86,14 +85,9 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
         return DofMap(1, mesh.n_nodes, np.flatnonzero(~dirichlet),
                       mesh.triangles, mesh.nodes)
 
-    edges, tri_edges, edge_tris = mesh.edge_table
-    midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-    cell_dofs = np.hstack([mesh.triangles, mesh.n_nodes + tri_edges])
-    boundary_edge = edge_tris[:, 1] < 0
-    dirichlet = np.concatenate([mesh.boundary_node, boundary_edge])
-    coords = np.vstack([mesh.nodes, midpoints])
-    return DofMap(2, mesh.n_nodes + len(edges), np.flatnonzero(~dirichlet),
-                  cell_dofs, coords)
+    dirichlet = np.concatenate([mesh.boundary_node, mesh.boundary_edge])
+    return DofMap(2, len(dirichlet), np.flatnonzero(~dirichlet), mesh.six_node_cells,
+                  np.vstack([mesh.nodes, mesh.edge_midpoints]))
 
 
 def local_basis(degree: int, lam) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,10 @@ Conventions
 * A ``Mesh`` stores only ``nodes``, ``triangles`` and ``refinement_edge``,
   all read-only, and is validated when it is built.  Everything derived
   from them is a property built once, on first use, and cached read-only:
-  ``edge_table``, ``boundary_node`` (a boundary edge belongs to exactly one
-  triangle, and a boundary node lies on a boundary edge), and the triangle
+  ``edge_table``; the edge data ``boundary_edge`` (of one triangle only),
+  ``edge_midpoints`` and ``six_node_cells`` (the vertices, then the node
+  ``n_nodes + e`` of the edge ``e`` opposite each: the P2 and red-refinement
+  numbering); ``boundary_node`` (on a boundary edge); and the triangle
   geometry that validation, assembly and error estimation share: ``areas``
   (signed), local ``edge_lengths`` and barycentric ``gradients``, all read
   from per-coordinate corner arrays.  A per-triangle min, max, argmax or any
@@ -154,11 +156,26 @@ class Mesh:
         return _read_only(edges), _read_only(tri_edges), _read_only(edge_tris)
 
     @cached_property
+    def boundary_edge(self) -> np.ndarray:
+        """True for edges of one triangle only, shape (E,)."""
+        return _read_only(self.edge_table[2][:, 1] < 0)
+
+    @cached_property
+    def edge_midpoints(self) -> np.ndarray:
+        """Midpoint of every edge, shape (E, 2)."""
+        edges = self.edge_table[0]
+        return _read_only(0.5 * (self.nodes[edges[:, 0]] + self.nodes[edges[:, 1]]))
+
+    @cached_property
+    def six_node_cells(self) -> np.ndarray:
+        """Vertices, then nodes ``n_nodes + e`` of the opposite edges, (T, 6)."""
+        return _read_only(np.hstack([self.triangles, self.n_nodes + self.edge_table[1]]))
+
+    @cached_property
     def boundary_node(self) -> np.ndarray:
         """True for nodes on the domain boundary, shape (n_nodes,)."""
-        edges, _, edge_tris = self.edge_table
         flags = np.zeros(self.n_nodes, dtype=bool)
-        flags[edges[edge_tris[:, 1] < 0]] = True
+        flags[self.edge_table[0][self.boundary_edge]] = True
         return _read_only(flags)
 
 
@@ -271,16 +288,9 @@ def generate_lshape(pattern: str, n: int) -> Mesh:
 
 def uniform_refine(mesh: Mesh) -> Mesh:
     """Split every triangle into four congruent children by edge midpoints."""
-    edges, tri_edges, _ = mesh.edge_table
-    midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-    nodes = np.vstack([mesh.nodes, midpoints])
-    t = mesh.triangles
-    mid = mesh.n_nodes + tri_edges                     # (T, 3), m_i opposite v_i
-    children = np.empty((mesh.n_triangles, 4, 3), dtype=np.int64)
-    children[:, 0] = np.column_stack([t[:, 0], mid[:, 2], mid[:, 1]])
-    children[:, 1] = np.column_stack([t[:, 1], mid[:, 0], mid[:, 2]])
-    children[:, 2] = np.column_stack([t[:, 2], mid[:, 1], mid[:, 0]])
-    children[:, 3] = mid
+    nodes = np.vstack([mesh.nodes, mesh.edge_midpoints])
+    # (v0, m2, m1), (v1, m0, m2), (v2, m1, m0), (m0, m1, m2); m_i opposite v_i
+    children = mesh.six_node_cells[:, [0, 5, 4, 1, 3, 5, 2, 4, 3, 3, 4, 5]]
     return Mesh(nodes, children.reshape(-1, 3))
 
 
@@ -293,10 +303,12 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     created midpoint.
     """
     if not isinstance(marked, np.ndarray):
-        marked = np.fromiter(marked, dtype=np.int64)
-    marked = np.unique(marked.astype(np.int64, copy=False))
+        marked = np.array(list(marked))
     if marked.size == 0:
         return mesh
+    if marked.dtype.kind not in "iu":
+        raise ValueError(f"marked triangles need integer indices, not {marked.dtype}")
+    marked = np.unique(marked.astype(np.int64, copy=False))
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:
         raise ValueError("marked triangle index out of range")
 
@@ -326,8 +338,7 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     split_ids = np.flatnonzero(split)
     new_id = np.full(len(edges), -1, dtype=np.int64)
     new_id[split_ids] = mesh.n_nodes + np.arange(len(split_ids))
-    midpoints = 0.5 * (mesh.nodes[edges[split_ids, 0]] + mesh.nodes[edges[split_ids, 1]])
-    nodes = np.vstack([mesh.nodes, midpoints])
+    nodes = np.vstack([mesh.nodes, mesh.edge_midpoints[split_ids]])
 
     # Triangle (v_r, v_a, v_b) with midpoint m on its refinement edge splits
     # into (v_b, v_r, m) and (v_r, v_a, m), whose refinement edges (local 2,
@@ -376,14 +387,13 @@ def validate_mesh(mesh: Mesh) -> None:
 
 def mesh_stats(mesh: Mesh) -> MeshStats:
     """Node/triangle/boundary counts, mesh size, and P1/P2 dof totals."""
-    edges, _, _ = mesh.edge_table
     return MeshStats(
         n_nodes=mesh.n_nodes,
         n_triangles=mesh.n_triangles,
         n_boundary_nodes=int(mesh.boundary_node.sum()),
         h_max=float(mesh.edge_lengths.max()),
         dof_p1=mesh.n_nodes,
-        dof_p2=mesh.n_nodes + len(edges),
+        dof_p2=mesh.n_nodes + len(mesh.edge_table[0]),
     )
 
 
@@ -412,8 +422,7 @@ def _check_no_hanging_node(mesh: Mesh) -> None:
     the triangles on one side of that edge only.  The candidates of an edge
     are the boundary nodes strictly inside its longer coordinate extent,
     found by sorting the boundary nodes along that coordinate."""
-    edges, _, edge_tris = mesh.edge_table
-    edges = edges[edge_tris[:, 1] < 0]
+    edges = mesh.edge_table[0][mesh.boundary_edge]
     a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
     d = b - a
     ids = np.flatnonzero(mesh.boundary_node)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from eigenrom.adapt import estimate
 from eigenrom.fem import (ELEMENTS, QUAD_POINTS, QUAD_WEIGHTS, assemble,
                           build_dofmap, eigen_residual, interpolate,
                           interpolate_free, local_basis,
@@ -56,6 +57,16 @@ class TestDofmap:
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
             build_dofmap(generate_square("right", 2, 1.0), 3)
+
+    def test_p1_reads_no_p2_numbering(self):
+        # P1 dofs, assembly and the estimator leave the mesh's edge
+        # midpoints and six-node cells unbuilt; P2 dofs are those arrays
+        mesh = generate_lshape("crisscross", 2)
+        dm = build_dofmap(mesh, 1)
+        assemble(mesh, dm)
+        estimate(mesh, dm, np.ones(dm.n_free), 1.0)
+        assert not {"edge_midpoints", "six_node_cells"} & vars(mesh).keys()
+        assert build_dofmap(mesh, 2).cell_dofs is mesh.six_node_cells
 
 
 class TestReferenceElement:

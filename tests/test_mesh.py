@@ -10,7 +10,7 @@ from mesh_files import FOLD, hanging_square, mesh_text
 from oracles import bisect_recursive, edge_table_by_dict, grid_mesh_by_dict
 from test_mesh_golden import BISECTION_STARTS, generate
 
-from eigenrom.mesh import (Mesh, MeshError, _grid_mesh, bisect_refine,
+from eigenrom.mesh import (PATTERNS, Mesh, MeshError, _grid_mesh, bisect_refine,
                            generate_lshape, generate_square, mesh_stats, read_mesh,
                            uniform_refine, validate_mesh, write_mesh)
 
@@ -185,10 +185,20 @@ class TestBisectRefine:
             validate_mesh(m)
         assert abs(m.areas.sum() - 3.0) <= 1e-12 * 3.0
 
-    def test_out_of_range_mark_rejected(self):
-        m = generate_square("right", 2, 1.0)
-        with pytest.raises(ValueError):
-            bisect_refine(m, {m.n_triangles})
+    @pytest.mark.parametrize("marked, message", [
+        (None, "out of range"),
+        (np.arange(48) == 5, "bool"),       # a mask, read as indices 0 and 1
+        ([0.7], "float64"),                 # truncated to triangle 0
+        (np.array([2.9]), "float64"),       # truncated to triangle 2
+    ], ids=["past-the-end", "bool-mask", "float-list", "float-array"])
+    def test_out_of_range_mark_rejected(self, marked, message):
+        if marked is None:
+            m = generate_square("right", 2, 1.0)
+            marked = {m.n_triangles}
+        else:
+            m = generate_lshape("crisscross", 2)                # 48 triangles
+        with pytest.raises(ValueError, match=message):
+            bisect_refine(m, marked)
 
     def test_every_form_of_the_marked_set_gives_one_mesh(self):
         # ``adapt.mark`` hands over a sorted int64 array; any iterable of the
@@ -519,3 +529,50 @@ class TestConnectivityOracle:
         assert np.array_equal(mesh.nodes, nodes)
         assert np.array_equal(mesh.triangles, tris)
         self.check_connectivity(mesh)
+
+
+class TestEdgeDataOracle:
+    """The cached edge data (boundary edges, edge midpoints, six-node cells)
+    against loops over the dict edge table, bit for bit."""
+
+    @staticmethod
+    def check_edge_data(mesh):
+        edges, _, edge_tris = edge_table_by_dict(mesh.triangles)
+        nodes = mesh.nodes.tolist()
+        edge_id = {tuple(pair): e for e, pair in enumerate(edges.tolist())}
+        want = {
+            "boundary_edge": np.array(
+                [sum(t >= 0 for t in tris) == 1 for tris in edge_tris.tolist()],
+                dtype=bool),
+            "edge_midpoints": np.array(
+                [[0.5 * (nodes[a][k] + nodes[b][k]) for k in (0, 1)]
+                 for a, b in edges.tolist()], dtype=np.float64).reshape(-1, 2),
+            "six_node_cells": np.array(
+                [tri + [mesh.n_nodes + edge_id[tuple(sorted(tri[:i] + tri[i + 1:]))]
+                        for i in range(3)] for tri in mesh.triangles.tolist()],
+                dtype=np.int64).reshape(-1, 6),
+        }
+        for name, expected in want.items():
+            got = getattr(mesh, name)
+            assert got is getattr(mesh, name) and not got.flags.writeable
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), name
+
+    @given(start=st.sampled_from(BISECTION_STARTS), data=st.data(),
+           rounds=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=30, deadline=None)
+    def test_bisected_golden_starts(self, start, data, rounds):
+        mesh = generate(*start)
+        for _ in range(rounds):
+            mesh = bisect_refine(mesh, data.draw(st.lists(
+                st.integers(min_value=0, max_value=mesh.n_triangles - 1),
+                min_size=1, max_size=mesh.n_triangles)))
+        self.check_edge_data(mesh)
+
+    @given(start=st.sampled_from([(domain, pattern) for domain, patterns
+                                  in PATTERNS.items() for pattern in patterns]),
+           n=st.integers(min_value=1, max_value=6), refined=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_generated(self, start, n, refined):
+        mesh = generate(*start, n)
+        self.check_edge_data(uniform_refine(mesh) if refined else mesh)

@@ -14,12 +14,18 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import MISSING, fields
 
 from .continuation import ContinuationConfig
-from .harness import ExperimentConfig, ExperimentError, emit_csv, run_experiment
+from .harness import (ExperimentConfig, ExperimentError, check_writable,
+                      emit_csv, run_experiment)
 from .linalg import SolverError
+from .mesh import PATTERNS
 
 log = logging.getLogger(__name__)
+
+_DEFAULTS = {f.name: f.default for cls in (ExperimentConfig, ContinuationConfig)
+             for f in fields(cls) if f.default is not MISSING}
 
 
 class UsageError(Exception):
@@ -57,73 +63,64 @@ def build_parser() -> argparse.ArgumentParser:
                                  "time continuation with a POD reduced model")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment schedule")
-    run.add_argument("--domain", required=True, help="square|lshape")
-    run.add_argument("--mesh", required=True,
-                     help="crisscross|right|left|mixed|file:<path>")
-    run.add_argument("--fe", type=int, default=1,
+    run.add_argument("--domain", required=True, help="|".join(PATTERNS))
+    patterns = dict.fromkeys(p for names in PATTERNS.values() for p in names)
+    run.add_argument("--mesh", required=True, help="|".join([*patterns, "file:<path>"]))
+    run.add_argument("--fe", dest="fe_degree", type=int,
                      help="polynomial degree of the finite element space, "
                           "1 or 2")
-    run.add_argument("--n-start", type=int, default=16,
+    run.add_argument("--n-start", type=int,
                      help="subintervals per side on the coarsest mesh")
-    run.add_argument("--levels", type=int, default=1,
+    run.add_argument("--levels", type=int,
                      help="number of mesh levels (n doubles per level)")
-    run.add_argument("--dt", type=float, default=0.1)
-    run.add_argument("--stop-tol", type=float, default=1e-8)
+    run.add_argument("--dt", type=float, help="fictitious time step")
+    run.add_argument("--stop-tol", type=float, help="stopping tolerance")
     run.add_argument("--stride", "--strides", dest="strides", type=strides,
-                     default=(4,),
                      help="snapshot stride in time steps, or a comma "
                           "separated list, e.g. 2,4,8")
-    run.add_argument("--pod-eps", type=pod_eps, default=1e-7,
-                     help="energy tolerance, or 'exact' for uniform levels on "
-                          "the square (default: 1e-7)")
+    run.add_argument("--pod-eps", type=pod_eps, help="energy tolerance, or "
+                     "'exact' for uniform levels on the square")
     run.add_argument("--adaptive", action="store_true",
                      help="adaptive bisection refinement instead of uniform levels")
-    run.add_argument("--theta", type=float, default=0.5,
+    run.add_argument("--theta", type=float,
                      help="bulk marking fraction for adaptive runs")
-    run.add_argument("--seed", type=int, default=0,
+    run.add_argument("--seed", type=int,
                      help="seed of the full-order run's random start")
     run.add_argument("--out", required=True, help="output CSV path")
-    run.add_argument("--dump-singvals", default=None,
+    run.add_argument("--dump-singvals", dest="singvals_path", metavar="PATH",
                      help="write the finest level's singular values here")
-    run.add_argument("--dump-mesh", default=None,
+    run.add_argument("--dump-mesh", dest="mesh_dump_path", metavar="PATH",
                      help="write the finest mesh here (text format)")
+    # an option's dest names the config field it sets, whose default it takes
+    for action in run._actions:
+        if action.dest in _DEFAULTS:
+            action.default = _DEFAULTS[action.dest]
+            action.help += " (default: %(default)s)"
     return parser
-
-
-def _config_from_args(args) -> ExperimentConfig:
-    cont = ContinuationConfig(dt=args.dt, stop_tol=args.stop_tol,
-                              seed=args.seed)
-    return ExperimentConfig(
-        domain=args.domain, mesh=args.mesh,
-        n_start=args.n_start, levels=args.levels, fe_degree=args.fe,
-        adaptive=args.adaptive, theta=args.theta, continuation=cont,
-        strides=args.strides, pod_eps=args.pod_eps,
-        singvals_path=args.dump_singvals, mesh_dump_path=args.dump_mesh)
 
 
 def main(argv=None) -> int:
     try:
         _configure_logging()
-        args = build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
-        # an output that cannot be written is refused before the first solve
-        for option, what, path in (("--out", "result table", args.out),
-                                   ("--dump-mesh", "mesh", args.dump_mesh),
-                                   ("--dump-singvals", "singular values",
-                                    args.dump_singvals)):
-            folder = os.path.dirname(path or "") or "."
-            if path and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
-                raise UsageError(f"{option}: cannot write {what} {path}")
+        options = vars(build_parser().parse_args(argv))
+        del options["command"]
+        out = options.pop("out")
+        # the options that set no ExperimentConfig field set its continuation
+        own = {f.name: options.pop(f.name) for f in fields(ExperimentConfig)
+               if f.name in options}
+        cfg = ExperimentConfig(**own, continuation=ContinuationConfig(**options))
+        # run_experiment checks the dump paths; --out is no config field
+        check_writable("--out", "result table", out)
         rows = run_experiment(cfg)
-        emit_csv(rows, args.out)
+        emit_csv(rows, out)
     except (UsageError, ValueError, OSError) as exc:
         print(f"eigenrom: error: {exc}", file=sys.stderr)
         return 1
     except ExperimentError as exc:
         if exc.rows:
             try:
-                emit_csv(exc.rows, args.out)
-                log.error("schedule aborted; partial table written to %s", args.out)
+                emit_csv(exc.rows, out)
+                log.error("schedule aborted; partial table written to %s", out)
             except OSError:
                 pass
         print(f"eigenrom: error: {exc}", file=sys.stderr)

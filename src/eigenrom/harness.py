@@ -107,6 +107,15 @@ def _validate(cfg: ExperimentConfig):
     else:
         check_eps(float(cfg.pod_eps))
     check_theta(cfg.theta)
+    check_writable("mesh_dump_path", "mesh", cfg.mesh_dump_path)
+    check_writable("singvals_path", "singular values", cfg.singvals_path)
+
+
+def check_writable(name: str, what: str, path: str | None) -> None:
+    """Refuse an output path (if given) that cannot be written as a file."""
+    folder = os.path.dirname(path or "") or "."
+    if path and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
+        raise ValueError(f"{name}: cannot write {what} {path}")
 
 
 def reference_eigenvalue(domain: str) -> float:

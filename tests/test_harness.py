@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import logging
 import math
@@ -299,36 +300,39 @@ class TestRunExperiment:
         assert (tmp_path / "sv_s2.txt").exists()
         assert (tmp_path / "sv_s4.txt").exists()
 
+    @pytest.mark.parametrize("field_", ["mesh_dump_path", "singvals_path"])
+    @pytest.mark.parametrize("where", ["missing folder", "folder"])
+    def test_unwritable_dump_refused_before_any_solve(self, tmp_path,
+                                                      monkeypatch, field_,
+                                                      where):
+        # a dump is written after the last level: a path that cannot take
+        # it is refused before the first, not after every level is solved
+        calls = []
+        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
+        path = tmp_path / "missing" / "f" if where == "missing folder" else tmp_path
+        with pytest.raises(ValueError, match=f"^{field_}: cannot write "):
+            run_experiment(small_config(levels=3, **{field_: str(path)}))
+        assert calls == []
+
 
 class TestCli:
     def test_option_defaults_are_the_config_defaults(self):
-        # each run option with a value sets one config field, and its parser
-        # default is that field's default, so leaving an option out of a
-        # CLI call and out of a library config mean the same
-        fields = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
-                  for cls in (ExperimentConfig, ContinuationConfig)}
-        target = {"dt": (ContinuationConfig, "dt"),
-                  "stop_tol": (ContinuationConfig, "stop_tol"),
-                  "seed": (ContinuationConfig, "seed"),
-                  "n_start": (ExperimentConfig, "n_start"),
-                  "levels": (ExperimentConfig, "levels"),
-                  "fe": (ExperimentConfig, "fe_degree"),
-                  "adaptive": (ExperimentConfig, "adaptive"),
-                  "theta": (ExperimentConfig, "theta"),
-                  "strides": (ExperimentConfig, "strides"),
-                  "pod_eps": (ExperimentConfig, "pod_eps"),
-                  "dump_singvals": (ExperimentConfig, "singvals_path"),
-                  "dump_mesh": (ExperimentConfig, "mesh_dump_path")}
+        # each run option with a value sets the config field its dest names,
+        # and its parser default is that field's default, so leaving an
+        # option out of a CLI call and out of a library config mean the same
+        defaults = {f.name: f.default
+                    for cls in (ExperimentConfig, ContinuationConfig)
+                    for f in dataclasses.fields(cls)}
         args = vars(build_parser().parse_args(
             ["run", "--domain", "square", "--mesh", "crisscross",
              "--out", "t.csv"]))
         # the command and the required options have no default to compare
         for dest in ("command", "domain", "mesh", "out"):
             del args[dest]
-        assert sorted(args) == sorted(target)
+        assert sorted(set(defaults) - set(args)) == [
+            "continuation", "domain", "max_steps", "mesh"]
         for dest, default in args.items():
-            cls, name = target[dest]
-            assert default == fields[cls][name], dest
+            assert default == defaults[dest], dest
 
     def test_run_writes_table(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -548,10 +552,14 @@ class TestCli:
         assert "not SPD" in capsys.readouterr().err
         assert [r.n for r in read_csv(out)] == ([1, 2] if adaptive else [4, 8])
 
-    @pytest.mark.parametrize("option", ["--out", "--dump-mesh",
-                                        "--dump-singvals"])
+    @pytest.mark.parametrize("option, name", [
+        pytest.param(option, name, id=option) for option, name in (
+            ("--out", "--out"), ("--dump-mesh", "mesh_dump_path"),
+            ("--dump-singvals", "singvals_path"))])
     def test_unwritable_output_refused_before_any_solve(
-            self, tmp_path, monkeypatch, capsys, option):
+            self, tmp_path, monkeypatch, capsys, option, name):
+        # --out is checked by the CLI, the dumps by run_experiment, which
+        # names the config field the option sets
         calls = []
         monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
         out = tmp_path / "t.csv"
@@ -560,7 +568,7 @@ class TestCli:
                          option, str(tmp_path / "missing" / "f.txt")])
         assert code == 1
         assert calls == []
-        assert f"{option}: cannot write" in capsys.readouterr().err
+        assert f"{name}: cannot write" in capsys.readouterr().err
         assert not out.exists()
 
     def test_forced_dpotrs_failure_is_a_solver_error(self, tmp_path,
@@ -710,6 +718,29 @@ class TestCli:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_help_shows_the_config_defaults(self):
+        # each option that sets a config field prints that field's default,
+        # in a fresh interpreter as a user calls it; the others print none
+        proc = run_cli_child(["run", "--help"])
+        assert proc.returncode == 0, proc.stderr
+        # an option's entry runs from its first flag to the next option
+        entries = {chunk.split()[0].rstrip(","): " ".join(chunk.split())
+                   for chunk in re.split(r"\n  (?=-)", proc.stdout)[1:]}
+        defaults = {f.name: f.default
+                    for cls in (ExperimentConfig, ContinuationConfig)
+                    for f in dataclasses.fields(cls)
+                    if f.default is not dataclasses.MISSING}
+        [sub] = [action for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+        actions = sub.choices["run"]._actions
+        assert sorted(entries) == sorted(a.option_strings[0] for a in actions)
+        for action in actions:
+            entry = entries[action.option_strings[0]]
+            if action.dest in defaults:
+                assert entry.endswith(f"(default: {defaults[action.dest]})"), entry
+            else:
+                assert "(default:" not in entry, entry
 
     def test_first_row_fom_time_excludes_the_solver_import(self, tmp_path):
         # a fresh interpreter imports scipy.sparse.linalg (~0.1 s) before

@@ -147,7 +147,7 @@ def check_eigen_residual(residual: float, lam: float, what: str) -> None:
         raise NonconvergenceError(
             f"{what} stopped with eigen-residual ||AU - lam MU|| / ||MU|| = "
             f"{residual:.3g} > {EIGEN_RTOL:g} lam (lam = {lam:.6g}); dt may "
-            "be too small for stop_tol", residual=residual)
+            "be too small, or stop_tol too large", residual=residual)
 
 
 def _iterate(U, solve, products, config, t_start: float, stride=None):
@@ -202,7 +202,8 @@ def run_fom(A, M, config: ContinuationConfig, stride: int, u0=None
     A step solve that misses its residual check raises NonconvergenceError,
     and so does a run that stops away from an eigenpair
     (``check_eigen_residual``: with a tiny dt a step barely moves the state,
-    so the stopping rule can fire far from the eigenpair).
+    and a large stop_tol is met by any step, so the stopping rule can fire
+    far from the eigenpair).
     """
     n = A.shape[0]
     check_unknowns(n)

@@ -21,9 +21,9 @@ import numpy as np
 from .adapt import check_theta, next_mesh
 from .continuation import ContinuationConfig, check_strides
 from .fem import check_degree, interpolate_free
-from .mesh import (PATTERNS, Mesh, check_generator, check_subintervals,
-                   generate_lshape, generate_square, read_mesh, uniform_refine,
-                   write_mesh)
+from .mesh import (PATTERNS, Mesh, MeshError, check_generator,
+                   check_subintervals, generate_lshape, generate_square,
+                   read_mesh, uniform_refine, write_mesh)
 from .pod import check_eps, exact_reference_eps, write_singular_values
 from .rom import solve_levels
 
@@ -32,6 +32,16 @@ log = logging.getLogger(__name__)
 SQUARE_SIDE = math.pi
 LAMBDA_SQUARE = 2.0
 LAMBDA_LSHAPE = 9.6397238440219
+# the boundary polygon of each domain, counterclockwise: (0, pi)^2, and
+# (-1, 1)^2 minus the quadrant [0, 1] x [-1, 0]
+BOUNDARIES = {"square": SQUARE_SIDE * np.array([[0.0, 0.0], [1.0, 0.0],
+                                                [1.0, 1.0], [0.0, 1.0]]),
+              "lshape": np.array([[-1.0, -1.0], [0.0, -1.0], [0.0, 0.0],
+                                  [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])}
+# a mesh file covers its domain if its triangle areas sum to the domain's
+# area within DOMAIN_RTOL of it, and each boundary node lies within
+# DOMAIN_RTOL times the longest side of the domain's boundary
+DOMAIN_RTOL = 1e-9
 
 @dataclass
 class ExperimentConfig:
@@ -128,10 +138,40 @@ def _mesh_file(cfg: ExperimentConfig) -> str | None:
     return path if kind == "file" else None
 
 
+def _check_domain(mesh: Mesh, domain: str, path: str) -> None:
+    """Refuse a mesh file that does not cover the named domain: the two
+    conditions pin it, so a shifted, scaled, reflected or rotated domain
+    fails, even where its lambda_1 is the same."""
+    corners = BOUNDARIES[domain]
+    sides = np.roll(corners, -1, axis=0) - corners
+    area = 0.5 * np.sum(corners[:, 0] * sides[:, 1] - corners[:, 1] * sides[:, 0])
+    total = mesh.areas.sum()
+    if not abs(total - area) <= DOMAIN_RTOL * area:
+        raise MeshError(f"{path}: the triangle areas sum to {total:.17g}, "
+                        f"not to the {domain} domain's area {area:.17g}")
+    ids = np.flatnonzero(mesh.boundary_node)
+    # a node's distance from a side: its offset from the side's start, less
+    # the offset's projection onto the side, clipped to the side's ends
+    offset = mesh.nodes[ids, None, :] - corners
+    along = np.clip((offset * sides).sum(axis=2) / (sides * sides).sum(axis=1),
+                    0.0, 1.0)
+    gap = offset - along[..., None] * sides
+    distance = np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
+    off = np.flatnonzero(~(distance <= DOMAIN_RTOL * np.hypot(*sides.T).max()))
+    if off.size:
+        node = ids[off[0]]
+        x, y = mesh.nodes[node].tolist()
+        raise MeshError(f"{path}: boundary node {node} at ({x!r}, {y!r}) is "
+                        f"off the {domain} domain's boundary")
+
+
 def _mesh(cfg: ExperimentConfig, n: int) -> Mesh:
-    """The configured mesh with n subintervals per side (a file ignores n)."""
+    """The configured mesh with n subintervals per side (a file ignores n,
+    and must cover the configured domain)."""
     if (path := _mesh_file(cfg)) is not None:
-        return read_mesh(path)
+        mesh = read_mesh(path)
+        _check_domain(mesh, cfg.domain, path)
+        return mesh
     if cfg.domain == "square":
         return generate_square(cfg.mesh, n, SQUARE_SIDE)
     return generate_lshape(cfg.mesh, n)

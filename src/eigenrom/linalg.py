@@ -6,8 +6,9 @@ matrices.
 Operators are ``scipy.sparse.csr_array`` throughout the package.  The
 full-order step operator A + M/dt is not solved here: the continuation
 factors it once per run with SuperLU (``continuation.step_solver``).
-``spd_solve`` is kept as public API and as the independent reference the
-tests check that factorization against.
+``spd_solve`` is not exported from the package: it is the independent
+reference the tests check that factorization against, and one of the
+functions the benchmark's tracer (``bench/tracer.py``) wraps.
 """
 
 from __future__ import annotations

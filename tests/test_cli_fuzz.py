@@ -15,6 +15,7 @@ conformity; each is refused as a ``MeshError`` before any solve.
 
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -158,7 +159,8 @@ MUTATIONS = {"duplicate": duplicate_triangle, "reverse": reverse_triangle,
 def test_mutated_mesh_file_is_refused(tmp_path_factory, data, mesh, n,
                                       mutation):
     domain, pattern = mesh
-    generated = (generate_square(pattern, n, 1.0) if domain == "square"
+    # the square of the square domain, so that the mutation is the one fault
+    generated = (generate_square(pattern, n, math.pi) if domain == "square"
                  else generate_lshape(pattern, n))
     if mutation == "split":     # an interior edge, split on one side only
         _, _, edge_tris = generated.edge_table

@@ -19,7 +19,8 @@ from eigenrom.harness import (CSV_HEADER, ExperimentConfig, ExperimentError,
                               ResultRow, compute_rate, emit_csv, read_csv,
                               run_experiment)
 from eigenrom.linalg import NonconvergenceError, NotSpdError
-from eigenrom.mesh import generate_square, read_mesh, write_mesh
+from eigenrom.mesh import (generate_lshape, generate_square, read_mesh,
+                           write_mesh)
 from eigenrom.rom import SnapshotStrideError, run_rom
 from mesh_files import FOLD, hanging_square, mesh_text
 
@@ -49,15 +50,13 @@ def run_cli_child(argv, log_level=None):
                           capture_output=True, text=True, env=env)
 
 
-def two_squares_argv(tmp_path):
-    """A run on two disjoint squares: lambda_1 is double, so the full-order
-    vector may change sign, and the run logs a warning."""
-    square = generate_square("crisscross", 8, PI)
-    path = tmp_path / "two.mesh"
-    path.write_text(mesh_text(
-        np.vstack([square.nodes, square.nodes + [2 * PI, 0.0]]),
-        np.vstack([square.triangles, square.triangles + square.n_nodes])))
-    return ["run", "--domain", "square", "--mesh", f"file:{path}"]
+# an in-domain run whose full-order start is numerically M-orthogonal to
+# the computed eigenvector at its ninth level (263 free dofs), so the run
+# logs a warning; the warning is a false alarm, as that level reaches u_1
+WARNING_ARGV = ["run", "--domain", "lshape", "--mesh", "crisscross",
+                "--n-start", "4", "--levels", "9", "--adaptive"]
+WARNING = ("WARNING eigenrom.rom: full-order run on 263 dofs: initial guess "
+           "is numerically M-orthogonal to the computed eigenvector")
 
 
 class TestComputeRate:
@@ -635,6 +634,57 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"eigenrom: error: {path}: ") and message in err
 
+    @pytest.mark.parametrize("domain, case, message", [
+        ("square", "lshape", "the triangle areas sum to 3, not to the square "
+                             "domain's area 9.869604401089358"),
+        ("lshape", "square", "not to the lshape domain's area 3"),
+        ("square", "unit square", "the triangle areas sum to 1, not"),
+        ("square", "shifted square", "is off the square domain's boundary"),
+        ("lshape", "reflected lshape", "is off the lshape domain's boundary"),
+        ("lshape", "rotated lshape", "is off the lshape domain's boundary")])
+    def test_mesh_file_of_another_domain_is_an_input_error(
+            self, tmp_path, monkeypatch, capsys, domain, case, message):
+        # the L-shape file once ran as the square with exit 0, its rates
+        # (0.0595, 0.0194) taken against the square's lambda = 2
+        square, lshape = generate_square("crisscross", 4, PI), generate_lshape(
+            "crisscross", 4)
+        nodes, tris = {
+            "lshape": (lshape.nodes, lshape.triangles),
+            "square": (square.nodes, square.triangles),
+            "unit square": (square.nodes / PI, square.triangles),
+            "shifted square": (square.nodes + [0.5, 0.0], square.triangles),
+            # a reflection reverses the orientation of every triangle
+            "reflected lshape": (lshape.nodes * [-1.0, 1.0],
+                                 lshape.triangles[:, ::-1]),
+            "rotated lshape": (lshape.nodes[:, ::-1] * [-1.0, 1.0],
+                               lshape.triangles)}[case]
+        path = tmp_path / "other.mesh"
+        path.write_text(mesh_text(nodes, tris))
+        calls = []
+        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
+        code = cli_main(["run", "--domain", domain, "--mesh", f"file:{path}",
+                         "--levels", "3", "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"eigenrom: error: {path}: ") and message in err
+
+    def test_lshape_mesh_files_run(self, tmp_path):
+        # a generated L-shape and an adaptively bisected one, written and
+        # read back, cover the L-shape
+        generated, dump = tmp_path / "mixed.mesh", tmp_path / "adaptive.mesh"
+        write_mesh(generate_lshape("mixed", 2), generated)
+        assert cli_main(["run", "--domain", "lshape", "--mesh", "crisscross",
+                         "--n-start", "2", "--levels", "4", "--adaptive",
+                         "--dump-mesh", str(dump),
+                         "--out", str(tmp_path / "a.csv")]) == 0
+        for path in (generated, dump):
+            out = tmp_path / f"{path.stem}.csv"
+            assert cli_main(["run", "--domain", "lshape", "--mesh",
+                             f"file:{path}", "--levels", "2",
+                             "--out", str(out)]) == 0
+            assert [r.n for r in read_csv(out)] == [0, 1]
+
     def test_unwritable_out_path_is_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
@@ -671,6 +721,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "full-order run on 481 dofs stopped with eigen-residual" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", [["--dt", "1e-12"],
+                                        ["--stop-tol", "1e300"]])
+    def test_stop_away_from_an_eigenpair_names_both_causes(self, tmp_path,
+                                                           capsys, option):
+        # a step too short to move the state and a tolerance any first step
+        # meets stop the run at once, far from the eigenpair
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", *option,
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert ("dt may be too small, or stop_tol too large"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_reduced_stop_before_any_progress_is_nonconvergence(
@@ -756,28 +819,24 @@ class TestCli:
         assert first.fom_s < second.fom_s
 
     def test_fom_warning_reaches_stderr_at_the_default_log_level(self, tmp_path):
-        # the warning on two disjoint squares is a false alarm; the row is right
-        argv = two_squares_argv(tmp_path)
-        proc = run_cli_child([*argv, "--out", str(tmp_path / "child.csv")])
+        proc = run_cli_child([*WARNING_ARGV, "--out", str(tmp_path / "child.csv")])
         assert proc.returncode == 0, proc.stderr
-        assert ("WARNING eigenrom.rom: full-order run on 226 dofs: computed "
-                "eigenvector changes sign" in proc.stderr), proc.stderr
-        assert cli_main([*argv, "--out", str(tmp_path / "t.csv")]) == 0
-        untimed = [replace(r, fom_s=0.0, rom_s=0.0)
-                   for name in ("child.csv", "t.csv")
-                   for r in read_csv(tmp_path / name)]
-        assert len(untimed) == 2 and untimed[0] == untimed[1]
+        assert WARNING in proc.stderr, proc.stderr
+        assert cli_main([*WARNING_ARGV, "--out", str(tmp_path / "t.csv")]) == 0
+        child, here = ([replace(r, fom_s=0.0, rom_s=0.0)
+                        for r in read_csv(tmp_path / name)]
+                       for name in ("child.csv", "t.csv"))
+        assert len(child) == 9 and child == here
 
     def test_warning_log_level_is_the_default(self, tmp_path):
-        argv = two_squares_argv(tmp_path)
         runs = []
         for level in (None, "warning", "WARNING"):
             out = tmp_path / f"{level}.csv"
-            proc = run_cli_child([*argv, "--out", str(out)], level)
+            proc = run_cli_child([*WARNING_ARGV, "--out", str(out)], level)
             assert proc.returncode == 0, proc.stderr
             runs.append((proc.stderr, [replace(r, fom_s=0.0, rom_s=0.0)
                                        for r in read_csv(out)]))
-        assert "WARNING eigenrom.rom" in runs[0][0]
+        assert WARNING in runs[0][0]
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_bad_log_level_rejected(self, tmp_path, monkeypatch):

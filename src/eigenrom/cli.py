@@ -94,8 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     # an option's dest names the config field it sets, whose default it takes
     for action in run._actions:
         if action.dest in _DEFAULTS:
-            action.default = _DEFAULTS[action.dest]
-            action.help += " (default: %(default)s)"
+            action.default = default = _DEFAULTS[action.dest]
+            # a tuple shows as the comma list its option takes
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            action.help += f" (default: {default})"
     return parser
 
 

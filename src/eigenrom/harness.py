@@ -157,7 +157,7 @@ def _check_domain(mesh: Mesh, domain: str, path: str) -> None:
                     0.0, 1.0)
     gap = offset - along[..., None] * sides
     distance = np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
-    off = np.flatnonzero(~(distance <= DOMAIN_RTOL * np.hypot(*sides.T).max()))
+    off = np.flatnonzero(distance > DOMAIN_RTOL * np.hypot(*sides.T).max())
     if off.size:
         node = ids[off[0]]
         x, y = mesh.nodes[node].tolist()

@@ -801,7 +801,11 @@ class TestCli:
         for action in actions:
             entry = entries[action.option_strings[0]]
             if action.dest in defaults:
-                assert entry.endswith(f"(default: {defaults[action.dest]})"), entry
+                default = defaults[action.dest]
+                # a tuple is the comma list its option takes
+                if isinstance(default, tuple):
+                    default = ",".join(map(str, default))
+                assert entry.endswith(f"(default: {default})"), entry
             else:
                 assert "(default:" not in entry, entry
 

@@ -125,7 +125,7 @@ def next_mesh(theta: float, level: Level, dofmap: DofMap, M) -> Mesh | None:
 
 def adaptive_solve(initial_mesh: Mesh, fe_degree: int, theta: float,
                    n_refinements: int, continuation_config: ContinuationConfig,
-                   stride: int, pod_eps: float = 1e-7) -> Mesh:
+                   stride: int, pod_eps: float) -> Mesh:
     """Solve-estimate-mark-refine: ``rom.solve_levels`` with ``next_mesh``
     at snapshot stride ``stride``.  Returns the last solved level's mesh;
     raises what the loop raises (NonconvergenceError, NotSpdError)."""

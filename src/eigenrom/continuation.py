@@ -4,11 +4,13 @@ steady state is the first eigenpair of the generalized problem A U = lam M U.
 Each step solves (A + M/dt) U' = (lam + 1/dt) M U with lam the Rayleigh
 quotient of the current state; ``run_fom`` records every ``stride``-th state
 as a column of the snapshot array.  That loop (``_iterate``) also runs the
-reduced model (``rom.run_rom``), which samples nothing.  Here the step
-operator A + M/dt is factored once with SuperLU (through scipy); each step is
-one pair of triangular solves and one product with the stacked operator
-[A; M], whose A U' and M U' check the solve's residual and give the next
-step's Rayleigh quotient and right-hand side.
+reduced model (``rom.run_rom``), which samples nothing; a run that reaches
+``max_steps`` raises NonconvergenceError there, so a returned trace has met
+its stopping rule.  Here the step operator A + M/dt is factored once with
+SuperLU (through scipy); each step is one pair of triangular solves and one
+product with the stacked operator [A; M], whose A U' and M U' check the
+solve's residual and give the next step's Rayleigh quotient and right-hand
+side.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class ContinuationConfig:
             raise ValueError("dt must be positive, with 1/dt finite")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -79,14 +83,14 @@ def check_start(U) -> None:
 
 @dataclass(eq=False)
 class SolveTrace:
-    """History of one continuation run (shared by full and reduced solvers)."""
+    """History of one full or reduced run that met its stopping rule."""
 
     lambda_history: np.ndarray
     final_vector: np.ndarray
     n_steps: int
     wall_time: float
-    converged: bool
     warnings: list = field(default_factory=list)
+    converged = True    # a capped run raises; read by bench/tracer.py
 
     @property
     def eigenvalue(self) -> float:
@@ -150,7 +154,7 @@ def check_eigen_residual(residual: float, lam: float, what: str) -> None:
             "be too small, or stop_tol too large", residual=residual)
 
 
-def _iterate(U, solve, products, config, t_start: float, stride=None):
+def _iterate(U, solve, products, config, t_start: float, what, stride=None):
     """The fictitious-time loop of the full-order and the reduced run, from
     the finite, nonzero state U.  ``solve(b)`` returns ``(x, A x, M x)`` for
     (A + M/dt) x = b and ``products(U)`` returns ``(A U, M U)``.  A state
@@ -158,19 +162,18 @@ def _iterate(U, solve, products, config, t_start: float, stride=None):
 
     Returns the trace (timed from ``t_start``), the list of every
     ``stride``-th state (None if no stride) and A U, M U of the final state.
+    At ``config.max_steps`` it raises NonconvergenceError naming the run
+    ``what``, with ||A U - lam M U|| / ||M U|| of its last state.
     """
     check_start(U)
     AU, MU = products(U)
     lam_history = []
     snapshots = [] if stride else None
-    converged = False
-    steps = 0
     shift = 1.0 / config.dt
-    for k in range(config.max_steps):
+    for steps in range(1, config.max_steps + 1):
         lam = rayleigh_from_products(U, AU, MU)
         lam_history.append(lam)
         U_new, AU, MU = solve((lam + shift) * MU)
-        steps = k + 1
         if stride and steps % stride == 0:
             snapshots.append(U_new)
         norm = norm2(U_new)
@@ -180,11 +183,14 @@ def _iterate(U, solve, products, config, t_start: float, stride=None):
             U = U / norm
             AU, MU = products(U)
         if rel_change <= config.stop_tol:
-            converged = True
             break
+    else:
+        lam = rayleigh_from_products(U, AU, MU)
+        raise NonconvergenceError(f"{what} did not converge in {steps} steps",
+                                  residual_from_products(AU, MU, lam))
     lam_history.append(rayleigh_from_products(U, AU, MU))
     trace = SolveTrace(np.array(lam_history), U, steps,
-                       time.perf_counter() - t_start, converged)
+                       time.perf_counter() - t_start)
     return trace, snapshots, AU, MU
 
 
@@ -198,12 +204,11 @@ def run_fom(A, M, config: ContinuationConfig, stride: int, u0=None
     whose odd-even modes give the transient the length the stride study
     needs; a zero or non-finite start is a ValueError.  Stops when
     ||U_new - U|| / ||U_new|| <= stop_tol (Euclidean coefficient norm).
-    Raises no error on hitting max_steps; the trace has ``converged=False``.
-    A step solve that misses its residual check raises NonconvergenceError,
-    and so does a run that stops away from an eigenpair
-    (``check_eigen_residual``: with a tiny dt a step barely moves the state,
-    and a large stop_tol is met by any step, so the stopping rule can fire
-    far from the eigenpair).
+    NonconvergenceError is raised by a run that reaches max_steps, a step
+    solve that misses its residual check, and a run that stops away from an
+    eigenpair (``check_eigen_residual``: with a tiny dt a step barely moves
+    the state, and a large stop_tol is met by any step, so the stopping rule
+    can fire far from the eigenpair).
     """
     n = A.shape[0]
     check_unknowns(n)
@@ -218,12 +223,12 @@ def run_fom(A, M, config: ContinuationConfig, stride: int, u0=None
     if U0.shape != (n,):
         raise ValueError(f"u0 has shape {U0.shape}, the system has {n} unknowns")
 
+    what = f"full-order run on {n} dofs"
     trace, snapshots, AU, MU = _iterate(
         U0, step_solver(A, M, config.dt), lambda U: (A @ U, M @ U), config,
-        t_start, stride)
-    if trace.converged:
-        check_eigen_residual(residual_from_products(AU, MU, trace.eigenvalue),
-                             trace.eigenvalue, f"full-order run on {n} dofs")
+        t_start, what, stride)
+    check_eigen_residual(residual_from_products(AU, MU, trace.eigenvalue),
+                         trace.eigenvalue, what)
 
     U, warnings = trace.final_vector, trace.warnings
     overlap = abs(U0 @ MU)

@@ -122,10 +122,11 @@ def _validate(cfg: ExperimentConfig):
 
 
 def check_writable(name: str, what: str, path: str | None) -> None:
-    """Refuse an output path (if given) that cannot be written as a file."""
-    folder = os.path.dirname(path or "") or "."
-    if path and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
-        raise ValueError(f"{name}: cannot write {what} {path}")
+    """Refuse an output path (if given) that cannot be written as a file: an
+    empty path, a directory, or one in a folder without write access."""
+    if path is not None and (not path or os.path.isdir(path) or not os.access(
+            os.path.dirname(path) or ".", os.W_OK)):
+        raise ValueError(f"{name}: cannot write {what} {path or '(empty path)'}")
 
 
 def reference_eigenvalue(domain: str) -> float:

@@ -232,7 +232,7 @@ class TestAdaptiveSolve:
         # five levels: the estimate never vanished, so every level refined
         assert [level.index for level in levels] == list(range(5))
         final_mesh = adaptive_solve(generate_lshape("crisscross", 4),
-                                    2, 0.5, 5, cfg, 4)
+                                    2, 0.5, 5, cfg, 4, 1e-7)
         validate_mesh(final_mesh)
         assert np.array_equal(final_mesh.triangles, levels[-1].mesh.triangles)
         assert np.array_equal(final_mesh.nodes, levels[-1].mesh.nodes)
@@ -259,7 +259,7 @@ class TestAdaptiveSolve:
             monkeypatch.setattr(Mesh, name, prop)
         cfg = ContinuationConfig()
         final_mesh = adaptive_solve(generate_lshape("crisscross", 2),
-                                    2, 0.5, 3, cfg, 4)
+                                    2, 0.5, 3, cfg, 4, 1e-7)
         mesh_stats(final_mesh)
         for calls in built.values():
             # one call per mesh of the three levels, each a distinct mesh
@@ -269,7 +269,9 @@ class TestAdaptiveSolve:
 
     def test_unconverged_fom_raises(self):
         cfg = ContinuationConfig(max_steps=3)
-        with pytest.raises(NonconvergenceError) as info:
+        # the step cap, not the eigen-residual check of a stopped run
+        with pytest.raises(NonconvergenceError,
+                           match="did not converge in 3 steps$") as info:
             adaptive_solve(generate_lshape("crisscross", 2), 2, 0.5, 2, cfg,
-                           4)
+                           4, 1e-7)
         assert info.value.residual > 0

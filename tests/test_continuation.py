@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 import eigenrom.continuation as continuation
 from eigenrom.continuation import ContinuationConfig, run_fom, step_solver
@@ -42,6 +44,12 @@ class TestConfig:
         # 1/dt overflows: the step operator A + M/dt cannot be formed
         with pytest.raises(ValueError, match="1/dt finite"):
             ContinuationConfig(dt=5e-324)
+
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_step_cap_below_one_rejected(self, max_steps):
+        # a config error, not a run that "did not converge in 0 steps"
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            ContinuationConfig(max_steps=max_steps)
 
     def test_stride_is_no_config_field(self):
         # the snapshot stride is an argument of run_fom, never a setting
@@ -147,7 +155,6 @@ class TestFomStep:
 class TestRunFom:
     def test_reaches_printed_eigenvalue(self, runs):
         _, _, _, _, _, trace, _ = runs.fom("square", "crisscross", 16, 1)
-        assert trace.converged
         assert trace.eigenvalue == pytest.approx(2.005363995049, abs=1e-7)
 
     def test_matches_lanczos_reference(self, runs):
@@ -200,7 +207,7 @@ class TestRunFom:
         u0 = np.random.default_rng(3).standard_normal(A.shape[0])
         history, steps, S = fom_loop_dense(A, M, u0, cfg.dt, cfg.stop_tol,
                                            4, cfg.max_steps)
-        assert trace.converged and trace.n_steps == steps
+        assert trace.n_steps == steps
         assert np.allclose(trace.lambda_history, history, rtol=1e-12, atol=0)
         assert snaps.shape == S.shape
         assert np.all(np.linalg.norm(snaps - S, axis=0)
@@ -222,17 +229,26 @@ class TestRunFom:
         u0 = np.random.default_rng(5).standard_normal(A.shape[0])
         ref, _ = run_fom(A, M, ContinuationConfig(), 4, u0=u0)
         tiny, _ = run_fom(A, M, ContinuationConfig(), 4, u0=1e-152 * u0)
-        assert tiny.converged and 0.1 < np.linalg.norm(tiny.final_vector) < 10
+        assert 0.1 < np.linalg.norm(tiny.final_vector) < 10
         assert tiny.eigenvalue == pytest.approx(ref.eigenvalue, rel=1e-12)
         assert eigen_residual(A, M, tiny.final_vector, tiny.eigenvalue) <= 1e-6
 
-    def test_max_steps_returns_unconverged(self):
+    def test_max_steps_raises(self):
+        # the error carries the full residual of the third state, which a
+        # replay of the three steps reproduces
         mesh = generate_square("right", 4, PI)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         cfg = ContinuationConfig(max_steps=3)
-        trace, _ = run_fom(A, M, cfg, 4)
-        assert not trace.converged
-        assert trace.n_steps == 3
+        with pytest.raises(NonconvergenceError, match=(
+                f"^full-order run on {A.shape[0]} dofs did not converge in "
+                "3 steps$")) as info:
+            run_fom(A, M, cfg, 4)
+        solve = step_solver(A, M, cfg.dt)
+        U = np.random.default_rng(cfg.seed).standard_normal(A.shape[0])
+        for _ in range(3):
+            U = solve((rayleigh(A, M, U) + 1.0 / cfg.dt) * (M @ U))[0]
+        assert info.value.residual == pytest.approx(
+            eigen_residual(A, M, U, rayleigh(A, M, U)), rel=1e-12)
 
     def test_stride_below_one_rejected(self):
         A = diag_csr([2.0, 4.0])
@@ -296,3 +312,34 @@ class TestSnapshotMatrix:
     def test_columns_nonzero(self, runs):
         _, _, _, _, _, _, snaps = runs.fom("square", "crisscross", 16, 1)
         assert np.all(np.linalg.norm(snaps, axis=0) > 0)
+
+
+@functools.cache
+def _uncapped_run():
+    """The operators of square crisscross n=4 (P1) and their full-order run."""
+    mesh = generate_square("crisscross", 4, PI)
+    A, M = assemble(mesh, build_dofmap(mesh, 1))
+    return A, M, run_fom(A, M, ContinuationConfig(), 2)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_step_cap_raises_below_the_run_and_changes_nothing_above(data):
+    # a cap the run reaches raises with the residual of the state it left;
+    # one it does not reach returns the uncapped run bit for bit
+    A, M, (trace, snaps) = _uncapped_run()
+    steps = trace.n_steps
+    cap = data.draw(st.one_of(st.sampled_from([1, steps - 1, steps]),
+                              st.integers(1, steps + 20)))
+    cfg = ContinuationConfig(max_steps=cap)
+    if cap < steps:
+        with pytest.raises(NonconvergenceError,
+                           match=f"did not converge in {cap} steps$") as info:
+            run_fom(A, M, cfg, 2)
+        assert 0 < info.value.residual < math.inf
+    else:
+        capped, capped_snaps = run_fom(A, M, cfg, 2)
+        assert capped.n_steps == steps
+        assert np.array_equal(capped.lambda_history, trace.lambda_history)
+        assert np.array_equal(capped.final_vector, trace.final_vector)
+        assert np.array_equal(capped_snaps, snaps)

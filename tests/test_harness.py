@@ -300,7 +300,7 @@ class TestRunExperiment:
         assert (tmp_path / "sv_s4.txt").exists()
 
     @pytest.mark.parametrize("field_", ["mesh_dump_path", "singvals_path"])
-    @pytest.mark.parametrize("where", ["missing folder", "folder"])
+    @pytest.mark.parametrize("where", ["missing folder", "folder", "empty"])
     def test_unwritable_dump_refused_before_any_solve(self, tmp_path,
                                                       monkeypatch, field_,
                                                       where):
@@ -308,9 +308,10 @@ class TestRunExperiment:
         # it is refused before the first, not after every level is solved
         calls = []
         monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
-        path = tmp_path / "missing" / "f" if where == "missing folder" else tmp_path
+        path = {"missing folder": str(tmp_path / "missing" / "f"),
+                "folder": str(tmp_path), "empty": ""}[where]
         with pytest.raises(ValueError, match=f"^{field_}: cannot write "):
-            run_experiment(small_config(levels=3, **{field_: str(path)}))
+            run_experiment(small_config(levels=3, **{field_: path}))
         assert calls == []
 
 
@@ -517,18 +518,18 @@ class TestCli:
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_rom_nonconvergence_exit_code(self, tmp_path, monkeypatch, capsys,
                                           adaptive):
-        def unconverged_rom(ops, u0, cfg):
-            trace, lifted = run_rom(ops, u0, cfg)
-            trace.converged = False
-            return trace, lifted
+        # the reduced run reaches its step cap; the full-order run does not
+        def capped_rom(ops, u0, cfg):
+            return run_rom(ops, u0, replace(cfg, max_steps=2))
 
-        monkeypatch.setattr(rom, "run_rom", unconverged_rom)
+        monkeypatch.setattr(rom, "run_rom", capped_rom)
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
                          "--n-start", "4", "--levels", "2",
                          *(["--adaptive"] if adaptive else []),
                          "--out", str(tmp_path / "t.csv")])
         assert code == 2
-        assert "reduced run" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "reduced run (N=" in err and "did not converge in 2 steps" in err
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_non_spd_reduced_system_keeps_finished_levels(
@@ -551,20 +552,22 @@ class TestCli:
         assert "not SPD" in capsys.readouterr().err
         assert [r.n for r in read_csv(out)] == ([1, 2] if adaptive else [4, 8])
 
-    @pytest.mark.parametrize("option, name", [
-        pytest.param(option, name, id=option) for option, name in (
+    @pytest.mark.parametrize("option, name, empty", [
+        pytest.param(option, name, empty, id=option + ("=''" if empty else ""))
+        for option, name in (
             ("--out", "--out"), ("--dump-mesh", "mesh_dump_path"),
-            ("--dump-singvals", "singvals_path"))])
+            ("--dump-singvals", "singvals_path"))
+        for empty in (False, True)])
     def test_unwritable_output_refused_before_any_solve(
-            self, tmp_path, monkeypatch, capsys, option, name):
+            self, tmp_path, monkeypatch, capsys, option, name, empty):
         # --out is checked by the CLI, the dumps by run_experiment, which
-        # names the config field the option sets
+        # names the config field the option sets; the empty path is no file
         calls = []
         monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
         out = tmp_path / "t.csv"
+        path = "" if empty else str(tmp_path / "missing" / "f.txt")
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
-                         "--n-start", "4", "--out", str(out),
-                         option, str(tmp_path / "missing" / "f.txt")])
+                         "--n-start", "4", "--out", str(out), option, path])
         assert code == 1
         assert calls == []
         assert f"{name}: cannot write" in capsys.readouterr().err

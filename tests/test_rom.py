@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import eigenrom.rom as rom
 from eigenrom.continuation import ContinuationConfig, _iterate, run_fom
 from eigenrom.fem import assemble, build_dofmap
-from eigenrom.linalg import NotSpdError
+from eigenrom.linalg import NonconvergenceError, NotSpdError
 from eigenrom.mesh import generate_square
 from eigenrom.pod import build_pod
 from eigenrom.rom import ReducedOperators, reduce, run_rom
@@ -129,7 +130,7 @@ class TestRunRom:
         trace, lifted = run_rom(ops, u0, cfg)
         history, y = rom_loop_cho(ops.a_red, ops.m_red, ops.basis.T @ u0,
                                   cfg.dt, cfg.stop_tol, cfg.max_steps)
-        assert ops.a_red.shape[0] >= 4 and trace.converged
+        assert ops.a_red.shape[0] >= 4
         assert np.array_equal(trace.lambda_history, history)
         assert np.array_equal(trace.final_vector, y)
         assert np.array_equal(lifted, ops.basis @ y)
@@ -151,7 +152,6 @@ class TestRunRom:
         trace, lifted = run_rom(ops, u0, cfg)
         history, y = rom_loop_cho(ops.a_red, ops.m_red, basis.T @ u0,
                                   cfg.dt, cfg.stop_tol, cfg.max_steps)
-        assert trace.converged
         assert trace.eigenvalue == pytest.approx(1.0, rel=1e-8)
         assert np.array_equal(trace.lambda_history, history)
         assert np.array_equal(trace.final_vector, y)
@@ -165,13 +165,23 @@ class TestRunRom:
         with pytest.raises(NotSpdError, match="non-finite"):
             run_rom(ops, rng.standard_normal(5), ContinuationConfig())
 
-    def test_max_steps_returns_unconverged(self, runs):
+    def test_max_steps_raises(self, runs):
+        # the error carries the reduced residual of the second state, which
+        # a replay of the two steps with the Cholesky oracle reproduces
         _, _, A, M, cfg, _, snaps = runs.fom("square", "crisscross", 16, 1)
-        basis = build_pod(snaps, 4)
+        ops = reduce(A, M, build_pod(snaps, 4).V)
+        u0 = fom_start(A, cfg)
         short = ContinuationConfig(max_steps=2)
-        trace, _ = run_rom(reduce(A, M, basis.V),
-                           fom_start(A, cfg), short)
-        assert not trace.converged
+        with pytest.raises(NonconvergenceError, match=(
+                f"^reduced run \\(N={ops.a_red.shape[0]}\\) on {A.shape[0]} "
+                "dofs did not converge in 2 steps$")) as info:
+            run_rom(ops, u0, short)
+        _, y = rom_loop_cho(ops.a_red, ops.m_red, ops.basis.T @ u0,
+                            short.dt, short.stop_tol, 2)
+        ay, my = ops.a_red @ y, ops.m_red @ y
+        assert info.value.residual == pytest.approx(
+            np.linalg.norm(ay - (y @ ay) / (y @ my) * my) / np.linalg.norm(my),
+            rel=1e-10)
 
     def test_reduced_run_keeps_no_snapshots(self, monkeypatch, runs):
         _, _, A, M, cfg, _, snaps = runs.fom("square", "crisscross", 16, 1)
@@ -240,3 +250,29 @@ class TestSolveLevel:
         with pytest.raises(ValueError, match="not a multiple"):
             rom.solve_level(A, M, ContinuationConfig(), (2, 3), 1e-7)
         assert calls == []
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_step_cap_raises_below_the_run_and_changes_nothing_above(runs, data):
+    # a cap the reduced run reaches raises with the residual of the state it
+    # left; one it does not reach returns the uncapped run bit for bit
+    _, _, A, M, cfg, _, snaps = runs.fom("square", "crisscross", 16, 1)
+    ops = reduce(A, M, build_pod(snaps, 4).V)
+    u0 = np.ones(A.shape[0])
+    trace, lifted = run_rom(ops, u0, cfg)
+    steps = trace.n_steps
+    cap = data.draw(st.one_of(st.sampled_from([1, steps - 1, steps]),
+                              st.integers(1, steps + 20)))
+    capped_cfg = ContinuationConfig(max_steps=cap)
+    if cap < steps:
+        with pytest.raises(NonconvergenceError,
+                           match=f"did not converge in {cap} steps$") as info:
+            run_rom(ops, u0, capped_cfg)
+        assert 0 < info.value.residual < math.inf
+    else:
+        capped, capped_lifted = run_rom(ops, u0, capped_cfg)
+        assert capped.n_steps == steps
+        assert np.array_equal(capped.lambda_history, trace.lambda_history)
+        assert np.array_equal(capped.final_vector, trace.final_vector)
+        assert np.array_equal(capped_lifted, lifted)

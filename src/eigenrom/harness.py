@@ -3,8 +3,8 @@ to the one level loop (``rom.solve_levels``), table rows with convergence
 rates, the mesh and singular-value dumps, and CSV export.  A config fixes
 every input of a run, its start vectors included.
 
-Reference eigenvalues for error and rate reporting: 2 on the square
-(0, pi)^2 and 9.6397238440219 on the L-shaped domain.
+Reference eigenpairs (``EIGENPAIRS``): lambda_1 = 2 and sin(x) sin(y) on the
+square (0, pi)^2; 9.6397238440219 and no known eigenfunction on the L-shape.
 """
 
 from __future__ import annotations
@@ -22,25 +22,19 @@ from .adapt import check_theta, next_mesh
 from .continuation import ContinuationConfig, check_strides
 from .fem import check_degree, interpolate_free
 from .mesh import (PATTERNS, Mesh, MeshError, check_generator,
-                   check_subintervals, generate_lshape, generate_square,
-                   read_mesh, uniform_refine, write_mesh)
+                   check_subintervals, generate, read_mesh, uniform_refine,
+                   write_mesh)
 from .pod import check_eps, exact_reference_eps, write_singular_values
 from .rom import solve_levels
 
 log = logging.getLogger(__name__)
 
-SQUARE_SIDE = math.pi
-LAMBDA_SQUARE = 2.0
-LAMBDA_LSHAPE = 9.6397238440219
-# the boundary polygon of each domain, counterclockwise: (0, pi)^2, and
-# (-1, 1)^2 minus the quadrant [0, 1] x [-1, 0]
-BOUNDARIES = {"square": SQUARE_SIDE * np.array([[0.0, 0.0], [1.0, 0.0],
-                                                [1.0, 1.0], [0.0, 1.0]]),
-              "lshape": np.array([[-1.0, -1.0], [0.0, -1.0], [0.0, 0.0],
-                                  [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])}
+# each domain's (lambda_1, first eigenfunction or None where not known)
+EIGENPAIRS = {"square": (2.0, lambda x, y: np.sin(x) * np.sin(y)),
+              "lshape": (9.6397238440219, None)}
 # a mesh file covers its domain if its triangle areas sum to the domain's
-# area within DOMAIN_RTOL of it, and each boundary node lies within
-# DOMAIN_RTOL times the longest side of the domain's boundary
+# area within DOMAIN_RTOL of it, and each boundary node lies on the domain's
+# boundary to within DOMAIN_RTOL times the domain's width
 DOMAIN_RTOL = 1e-9
 
 @dataclass
@@ -110,7 +104,7 @@ def _validate(cfg: ExperimentConfig):
     if cfg.adaptive and len(cfg.strides) > 1:
         raise ValueError("adaptive runs take a single snapshot stride")
     if cfg.pod_eps == "exact":
-        if cfg.domain != "square" or cfg.adaptive:
+        if EIGENPAIRS[cfg.domain][1] is None or cfg.adaptive:
             raise ValueError("the exact-reference tolerance needs uniform "
                              "levels on the square domain, where the first "
                              "eigenfunction is known")
@@ -123,14 +117,11 @@ def _validate(cfg: ExperimentConfig):
 
 def check_writable(name: str, what: str, path: str | None) -> None:
     """Refuse an output path (if given) that cannot be written as a file: an
-    empty path, a directory, or one in a folder without write access."""
-    if path is not None and (not path or os.path.isdir(path) or not os.access(
-            os.path.dirname(path) or ".", os.W_OK)):
+    empty path, a directory, or one whose parent is no writable folder."""
+    parent = os.path.dirname(path or "") or "."
+    if path is not None and (not path or os.path.isdir(path) or not (
+            os.path.isdir(parent) and os.access(parent, os.W_OK))):
         raise ValueError(f"{name}: cannot write {what} {path or '(empty path)'}")
-
-
-def reference_eigenvalue(domain: str) -> float:
-    return LAMBDA_SQUARE if domain == "square" else LAMBDA_LSHAPE
 
 
 def _mesh_file(cfg: ExperimentConfig) -> str | None:
@@ -140,12 +131,12 @@ def _mesh_file(cfg: ExperimentConfig) -> str | None:
 
 
 def _check_domain(mesh: Mesh, domain: str, path: str) -> None:
-    """Refuse a mesh file that does not cover the named domain: the two
-    conditions pin it, so a shifted, scaled, reflected or rotated domain
-    fails, even where its lambda_1 is the same."""
-    corners = BOUNDARIES[domain]
-    sides = np.roll(corners, -1, axis=0) - corners
-    area = 0.5 * np.sum(corners[:, 0] * sides[:, 1] - corners[:, 1] * sides[:, 0])
+    """Refuse a mesh file that does not cover the named domain as its coarsest
+    generated mesh does: the two conditions pin it, so a shifted, scaled,
+    reflected or rotated domain fails, even where its lambda_1 is the same."""
+    ref = generate(domain, PATTERNS[domain][0], 1)
+    corners, ends = ref.nodes[ref.edge_table[0][ref.boundary_edge].T]
+    sides, area = ends - corners, ref.areas.sum()
     total = mesh.areas.sum()
     if not abs(total - area) <= DOMAIN_RTOL * area:
         raise MeshError(f"{path}: the triangle areas sum to {total:.17g}, "
@@ -158,7 +149,7 @@ def _check_domain(mesh: Mesh, domain: str, path: str) -> None:
                     0.0, 1.0)
     gap = offset - along[..., None] * sides
     distance = np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
-    off = np.flatnonzero(distance > DOMAIN_RTOL * np.hypot(*sides.T).max())
+    off = np.flatnonzero(distance > DOMAIN_RTOL * np.ptp(ref.nodes, axis=0).max())
     if off.size:
         node = ids[off[0]]
         x, y = mesh.nodes[node].tolist()
@@ -173,15 +164,12 @@ def _mesh(cfg: ExperimentConfig, n: int) -> Mesh:
         mesh = read_mesh(path)
         _check_domain(mesh, cfg.domain, path)
         return mesh
-    if cfg.domain == "square":
-        return generate_square(cfg.mesh, n, SQUARE_SIDE)
-    return generate_lshape(cfg.mesh, n)
+    return generate(cfg.domain, cfg.mesh, n)
 
 
-def _exact_eps(dofmap, M, u) -> float:
-    """The M-distance of u from the square's interpolated eigenfunction."""
-    return exact_reference_eps(M, interpolate_free(
-        dofmap, lambda x, y: np.sin(x) * np.sin(y)), u)
+def _exact_eps(eigenfunction, dofmap, M, u) -> float:
+    """The M-distance of u from the interpolated known eigenfunction."""
+    return exact_reference_eps(M, interpolate_free(dofmap, eigenfunction), u)
 
 
 def _label(cfg: ExperimentConfig, index: int) -> int:
@@ -226,8 +214,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     schedule; the raised ExperimentError carries the rows already completed.
     """
     _validate(cfg)
-    lam_ref = reference_eigenvalue(cfg.domain)
-    eps = _exact_eps if cfg.pod_eps == "exact" else float(cfg.pod_eps)
+    lam_ref, eigenfunction = EIGENPAIRS[cfg.domain]
+    eps = (partial(_exact_eps, eigenfunction) if cfg.pod_eps == "exact"
+           else float(cfg.pod_eps))
 
     def uniform(level, dofmap, M):
         if _mesh_file(cfg) is not None:

@@ -1,8 +1,8 @@
 """Triangular meshes on the square and the L-shaped domain.
 
-Structured generators (crisscross / right / left / mixed patterns), uniform
-red refinement, conforming newest-vertex bisection, and a plain text file
-format for importing externally generated (e.g. Delaunay) meshes.
+Structured generators (crisscross / right / left / mixed patterns) behind
+``generate(domain, pattern, n)``, the square's side being ``SQUARE_SIDE``;
+uniform red refinement; conforming bisection; a text format for imported meshes.
 
 Conventions
 -----------
@@ -232,6 +232,7 @@ def _grid_mesh(m: int, coord, keep, right_diagonal) -> Mesh:
 # the structured patterns of each domain's generator
 PATTERNS = {"square": ("crisscross", "right", "left"),
             "lshape": ("crisscross", "mixed")}
+SQUARE_SIDE = np.pi
 
 
 def check_generator(domain: str, pattern: str, n: int) -> None:
@@ -284,6 +285,16 @@ def generate_lshape(pattern: str, n: int) -> Mesh:
     right = ~((i < n) & (j >= n))                 # the top-left square flips
     return _grid_mesh(2 * n, lambda k: k / n - 1.0, keep,
                       None if pattern == "crisscross" else right)
+
+
+def generate(domain: str, pattern: str, n: int) -> Mesh:
+    """A domain's structured mesh.  The generators are module globals, not
+    table entries, so that a wrapper set in their place sees every call."""
+    if domain not in PATTERNS:
+        raise ValueError(f"unknown domain {domain!r}")
+    if domain == "square":
+        return generate_square(pattern, n, SQUARE_SIDE)
+    return generate_lshape(pattern, n)
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:

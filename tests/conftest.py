@@ -1,11 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
+import eigenrom.rom as rom
 from eigenrom.continuation import ContinuationConfig, run_fom
 from eigenrom.fem import assemble, build_dofmap
-from eigenrom.mesh import generate_lshape, generate_square
+from eigenrom.mesh import generate
 
 
 class RunCache:
@@ -21,10 +20,7 @@ class RunCache:
     def fom(self, domain, pattern, n, degree, stride=2):
         key = (domain, pattern, n, degree, stride)
         if key not in self._store:
-            if domain == "square":
-                mesh = generate_square(pattern, n, math.pi)
-            else:
-                mesh = generate_lshape(pattern, n)
+            mesh = generate(domain, pattern, n)
             dofmap = build_dofmap(mesh, degree)
             A, M = assemble(mesh, dofmap)
             cfg = ContinuationConfig(seed=0)
@@ -36,6 +32,14 @@ class RunCache:
 @pytest.fixture(scope="session")
 def runs():
     return RunCache()
+
+
+@pytest.fixture()
+def fom_calls(monkeypatch):
+    """The full-order runs started in the test, recorded instead of run."""
+    calls = []
+    monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
+    return calls
 
 
 @pytest.fixture()

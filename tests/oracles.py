@@ -73,13 +73,6 @@ def smallest_pencil_eigenpair(A, M):
     return float(vals[0]), vecs[:, 0]
 
 
-def pencil_eigenvalues(A, M, k):
-    """The k smallest generalized eigenvalues of (A, M)."""
-    vals = spla.eigsh(A, k=k, M=M, sigma=0, which="LM",
-                      return_eigenvectors=False)
-    return np.sort(vals)
-
-
 def bisect_recursive(mesh, marked):
     """Newest-vertex bisection with closure, one triangle at a time.
 

@@ -7,23 +7,20 @@ The experiment protocol is the harness default: dt 0.1, stopping tolerance
 unless a criterion compares strides.
 """
 
-import math
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from eigenrom.continuation import step_solver
 from eigenrom.fem import rayleigh_from_products
-from eigenrom.harness import ExperimentConfig, run_experiment
+from eigenrom.harness import EIGENPAIRS, ExperimentConfig, run_experiment
 from eigenrom.linalg import spd_solve, sym_eig_desc
-from eigenrom.mesh import (bisect_refine, generate_lshape, generate_square,
+from eigenrom.mesh import (bisect_refine, generate, generate_lshape,
                            uniform_refine, validate_mesh)
 from eigenrom.pod import build_pod, singular_values
 from oracles import power_svd, projection_error_sq
 
-PI = math.pi
-LSHAPE_REF = 9.6397238440219
+LSHAPE_REF = EIGENPAIRS["lshape"][0]
 
 TABLE_P1 = {
     # (mesh, n) -> (full-order value, reduced value)
@@ -277,7 +274,7 @@ class TestCriterion10Properties:
                                     replace=False).tolist())
             mesh = bisect_refine(mesh, marked)
             validate_mesh(mesh)
-        square = generate_square("crisscross", 3, PI)
+        square = generate("square", "crisscross", 3)
         validate_mesh(uniform_refine(square))
         validate_mesh(bisect_refine(square, {0, 7}))
         _report(10, "conformity validator passes after every refinement", True)

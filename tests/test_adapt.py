@@ -10,14 +10,14 @@ from eigenrom.adapt import EtaField, adaptive_solve, estimate, mark, next_mesh
 from eigenrom.continuation import ContinuationConfig
 from eigenrom.fem import build_dofmap, interpolate
 from eigenrom.linalg import NonconvergenceError
-from eigenrom.mesh import (Mesh, bisect_refine, generate_lshape,
-                           generate_square, mesh_stats, validate_mesh)
+from eigenrom.harness import EIGENPAIRS
+from eigenrom.mesh import (Mesh, bisect_refine, generate, generate_lshape,
+                           mesh_stats, validate_mesh)
 from eigenrom.rom import solve_levels
 from oracles import estimate_by_point_location
-from test_mesh_golden import BISECTION_STARTS, generate
+from test_mesh_golden import BISECTION_STARTS
 
-PI = math.pi
-LSHAPE_REF = 9.6397238440219
+LSHAPE_REF = EIGENPAIRS["lshape"][0]
 
 # 12-point degree-6 rule used as an independent quadrature oracle
 _ORACLE_BARY = np.array([
@@ -54,14 +54,14 @@ def oracle_element_integral(mesh, f):
 
 class TestEstimate:
     def test_zero_field_gives_zero(self):
-        mesh = generate_square("crisscross", 4, PI)
+        mesh = generate("square", "crisscross", 4)
         dm = build_dofmap(mesh, 1)
         eta = estimate(mesh, dm, np.zeros(dm.n_free), 2.0)
         assert eta.total == 0.0
         assert np.all(eta.per_triangle == 0.0)
 
     def test_length_mismatch_rejected(self):
-        mesh = generate_square("crisscross", 4, PI)
+        mesh = generate("square", "crisscross", 4)
         dm = build_dofmap(mesh, 2)
         for n in (dm.n_free - 1, dm.n_free + 1, dm.n_dof_total):
             with pytest.raises(ValueError, match="free dof count"):
@@ -70,7 +70,7 @@ class TestEstimate:
     def test_globally_linear_p1_has_no_jumps(self):
         # u = x has continuous gradient: the indicator reduces to the
         # zero-order residual h_K^2 lam^2 ||u||^2 per element exactly
-        mesh = generate_square("right", 3, PI)
+        mesh = generate("square", "right", 3)
         dm = build_dofmap(mesh, 1)
         u_full = interpolate(dm, lambda x, y: x)
         lam = 1.7
@@ -83,7 +83,7 @@ class TestEstimate:
     def test_globally_quadratic_p2_residual_only(self):
         # u = x^2 is in the P2 space with continuous gradient; residual is
         # (2 + lam x^2)^2 integrated exactly (cross-checked by a finer rule)
-        mesh = generate_square("left", 2, PI)
+        mesh = generate("square", "left", 2)
         dm = build_dofmap(mesh, 2)
         u_full = interpolate(dm, lambda x, y: x ** 2)
         lam = 0.9
@@ -93,15 +93,15 @@ class TestEstimate:
                                       lambda x, y: (2.0 + lam * x ** 2) ** 2)
         assert np.allclose(eta.per_triangle ** 2, h_k ** 2 * res, rtol=1e-12)
 
-    @pytest.mark.parametrize("domain,pattern", [
-        ("square", "crisscross"), ("square", "right"),
-        ("lshape", "crisscross"), ("lshape", "mixed")])
+    @pytest.mark.parametrize("domain,pattern,n", [
+        ("square", "crisscross", 3), ("square", "right", 3),
+        ("lshape", "crisscross", 2), ("lshape", "mixed", 2)], ids=[
+        "square-crisscross", "square-right", "lshape-crisscross", "lshape-mixed"])
     @pytest.mark.parametrize("degree", [1, 2])
-    def test_matches_point_location_oracle(self, domain, pattern, degree):
+    def test_matches_point_location_oracle(self, domain, pattern, n, degree):
         # three bisection levels per mesh; the field has no symmetry, so the
         # indicators do not tie and the marked sets must agree exactly
-        mesh = (generate_square(pattern, 3, PI) if domain == "square"
-                else generate_lshape(pattern, 2))
+        mesh = generate(domain, pattern, n)
         rng = np.random.default_rng(11)
         for _ in range(3):
             dm = build_dofmap(mesh, degree)

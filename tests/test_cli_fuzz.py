@@ -15,7 +15,6 @@ conformity; each is refused as a ``MeshError`` before any solve.
 
 import contextlib
 import io
-import math
 
 import numpy as np
 import pytest
@@ -26,14 +25,13 @@ import eigenrom.rom as rom
 from eigenrom.continuation import run_fom
 from eigenrom.harness import read_csv, run_experiment
 from eigenrom.linalg import SolverError
-from eigenrom.mesh import MeshError, generate_lshape, generate_square
+from eigenrom.mesh import PATTERNS, MeshError, generate
 from eigenrom.rom import SnapshotStrideError
 from mesh_files import (duplicate_triangle, mesh_text, reverse_triangle,
                         split_one_side)
 
 BAD = ["0", "-0.1", "nan", "inf", "-inf"]
-MESHES = [("square", "crisscross"), ("square", "right"), ("square", "left"),
-          ("lshape", "crisscross"), ("lshape", "mixed")]
+MESHES = [(domain, p) for domain, patterns in PATTERNS.items() for p in patterns]
 BAD_MESHES = [("square", "mixed"), ("lshape", "left"), ("square", "hexagon"),
               ("square", "file:no-such.mesh")]
 
@@ -160,8 +158,7 @@ def test_mutated_mesh_file_is_refused(tmp_path_factory, data, mesh, n,
                                       mutation):
     domain, pattern = mesh
     # the square of the square domain, so that the mutation is the one fault
-    generated = (generate_square(pattern, n, math.pi) if domain == "square"
-                 else generate_lshape(pattern, n))
+    generated = generate(domain, pattern, n)
     if mutation == "split":     # an interior edge, split on one side only
         _, _, edge_tris = generated.edge_table
         interior = np.flatnonzero(edge_tris[:, 1] >= 0)

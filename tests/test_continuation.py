@@ -13,10 +13,8 @@ from eigenrom.continuation import ContinuationConfig, run_fom, step_solver
 from eigenrom.fem import (assemble, build_dofmap, eigen_residual,
                           rayleigh_from_products)
 from eigenrom.linalg import NonconvergenceError, SolverError, spd_solve
-from eigenrom.mesh import generate_lshape, generate_square
+from eigenrom.mesh import generate, generate_lshape, generate_square
 from oracles import fom_loop_dense, smallest_pencil_eigenpair
-
-PI = math.pi
 
 
 def diag_csr(values):
@@ -101,12 +99,10 @@ class TestFomStep:
         for got, want in zip(solve(b), step_solver(A, M, 0.1)(b)):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("domain,degree", [("square", 1), ("lshape", 2)])
-    def test_factored_step_matches_cg_oracle(self, rng, domain, degree):
-        if domain == "square":
-            mesh = generate_square("crisscross", 16, PI)
-        else:
-            mesh = generate_lshape("crisscross", 8)
+    @pytest.mark.parametrize("domain,n,degree", [("square", 16, 1), ("lshape", 8, 2)],
+                             ids=["square-1", "lshape-2"])
+    def test_factored_step_matches_cg_oracle(self, rng, domain, n, degree):
+        mesh = generate(domain, "crisscross", n)
         A, M = assemble(mesh, build_dofmap(mesh, degree))
         dt, lam = 0.1, 3.0
         u = rng.standard_normal(A.shape[0])
@@ -116,7 +112,7 @@ class TestFomStep:
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_failed_residual_check_raises(self, monkeypatch, rng):
-        mesh = generate_square("crisscross", 4, PI)
+        mesh = generate("square", "crisscross", 4)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         solve = step_solver(A, M, 0.1)
         # no factorization reaches this in double precision, refined or not
@@ -176,7 +172,7 @@ class TestRunFom:
         assert np.all(hist >= 2.0)
 
     def test_snapshots_match_replayed_steps(self):
-        mesh = generate_square("crisscross", 8, PI)
+        mesh = generate("square", "crisscross", 8)
         dm = build_dofmap(mesh, 1)
         A, M = assemble(mesh, dm)
         cfg, stride = ContinuationConfig(seed=3), 4
@@ -199,8 +195,7 @@ class TestRunFom:
         # an independent replay: dense Cholesky steps and fresh products, so
         # a change in the factored step's arithmetic (or in the products it
         # hands back) shows here
-        mesh = (generate_square("crisscross", n, PI) if domain == "square"
-                else generate_lshape("crisscross", n))
+        mesh = generate(domain, "crisscross", n)
         A, M = assemble(mesh, build_dofmap(mesh, degree))
         cfg = ContinuationConfig(seed=3)
         trace, snaps = run_fom(A, M, cfg, 4)
@@ -214,7 +209,7 @@ class TestRunFom:
                       <= 1e-12 * np.linalg.norm(S, axis=0))
 
     def test_failed_residual_check_stops_the_run(self, monkeypatch):
-        mesh = generate_square("crisscross", 4, PI)
+        mesh = generate("square", "crisscross", 4)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         monkeypatch.setattr(continuation, "_SOLVE_RTOL", 1e-30)
         with pytest.raises(NonconvergenceError) as info:
@@ -224,7 +219,7 @@ class TestRunFom:
     def test_renormalised_run_matches_unscaled_run(self):
         # a start of norm ~1e-151 is renormalised after the first step, and
         # the products A U, M U are recomputed from the rescaled state
-        mesh = generate_square("crisscross", 8, PI)
+        mesh = generate("square", "crisscross", 8)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         u0 = np.random.default_rng(5).standard_normal(A.shape[0])
         ref, _ = run_fom(A, M, ContinuationConfig(), 4, u0=u0)
@@ -236,7 +231,7 @@ class TestRunFom:
     def test_max_steps_raises(self):
         # the error carries the full residual of the third state, which a
         # replay of the three steps reproduces
-        mesh = generate_square("right", 4, PI)
+        mesh = generate("square", "right", 4)
         A, M = assemble(mesh, build_dofmap(mesh, 1))
         cfg = ContinuationConfig(max_steps=3)
         with pytest.raises(NonconvergenceError, match=(
@@ -317,7 +312,7 @@ class TestSnapshotMatrix:
 @functools.cache
 def _uncapped_run():
     """The operators of square crisscross n=4 (P1) and their full-order run."""
-    mesh = generate_square("crisscross", 4, PI)
+    mesh = generate("square", "crisscross", 4)
     A, M = assemble(mesh, build_dofmap(mesh, 1))
     return A, M, run_fom(A, M, ContinuationConfig(), 2)
 

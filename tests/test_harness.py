@@ -15,16 +15,13 @@ import scipy.linalg
 import eigenrom.rom as rom
 from eigenrom.cli import build_parser, main as cli_main
 from eigenrom.continuation import ContinuationConfig, run_fom
-from eigenrom.harness import (CSV_HEADER, ExperimentConfig, ExperimentError,
-                              ResultRow, compute_rate, emit_csv, read_csv,
-                              run_experiment)
+from eigenrom.harness import (CSV_HEADER, EIGENPAIRS, ExperimentConfig,
+                              ExperimentError, ResultRow, compute_rate,
+                              emit_csv, read_csv, run_experiment)
 from eigenrom.linalg import NonconvergenceError, NotSpdError
-from eigenrom.mesh import (generate_lshape, generate_square, read_mesh,
-                           write_mesh)
+from eigenrom.mesh import generate, generate_lshape, read_mesh, write_mesh
 from eigenrom.rom import SnapshotStrideError, run_rom
 from mesh_files import FOLD, hanging_square, mesh_text
-
-PI = math.pi
 
 
 def small_config(**overrides):
@@ -72,7 +69,7 @@ class TestComputeRate:
     def test_published_table_pair(self):
         # crisscross refinement 16 -> 32 against the exact eigenvalue 2
         errors = [2.005363995049 - 2.0, 2.001339238351 - 2.0]
-        rates = compute_rate(errors, [PI / 16, PI / 32], "uniform")
+        rates = compute_rate(errors, [math.pi / 16, math.pi / 32], "uniform")
         assert rates[1] == pytest.approx(2.0, abs=0.01)
         assert abs(rates[1] - 2.1) <= 0.1
 
@@ -230,7 +227,7 @@ class TestRunExperiment:
 
     def test_file_mesh_schedule(self, tmp_path):
         path = tmp_path / "imported.mesh"
-        write_mesh(generate_square("right", 4, PI), path)
+        write_mesh(generate("square", "right", 4), path)
         cfg = small_config(mesh=f"file:{path}", levels=2)
         rows = run_experiment(cfg)
         assert [r.dof for r in rows] == [25, 81]
@@ -271,7 +268,7 @@ class TestRunExperiment:
         assert len(rows) == 3
         assert [r.n for r in rows] == [1, 2, 3]
         assert rows[1].rate_fom is not None
-        assert all(r.lambda_fom >= 9.6397238440219 for r in rows)
+        assert all(r.lambda_fom >= EIGENPAIRS["lshape"][0] for r in rows)
 
     def test_singular_value_dump(self, tmp_path):
         path = tmp_path / "sv.txt"
@@ -300,19 +297,20 @@ class TestRunExperiment:
         assert (tmp_path / "sv_s4.txt").exists()
 
     @pytest.mark.parametrize("field_", ["mesh_dump_path", "singvals_path"])
-    @pytest.mark.parametrize("where", ["missing folder", "folder", "empty"])
+    @pytest.mark.parametrize("where", ["missing folder", "folder", "empty",
+                                       "inside a file"])
     def test_unwritable_dump_refused_before_any_solve(self, tmp_path,
-                                                      monkeypatch, field_,
+                                                      fom_calls, field_,
                                                       where):
         # a dump is written after the last level: a path that cannot take
         # it is refused before the first, not after every level is solved
-        calls = []
-        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
+        (tmp_path / "afile").write_text("")
         path = {"missing folder": str(tmp_path / "missing" / "f"),
-                "folder": str(tmp_path), "empty": ""}[where]
+                "folder": str(tmp_path), "empty": "",
+                "inside a file": str(tmp_path / "afile" / "f")}[where]
         with pytest.raises(ValueError, match=f"^{field_}: cannot write "):
             run_experiment(small_config(levels=3, **{field_: path}))
-        assert calls == []
+        assert fom_calls == []
 
 
 class TestCli:
@@ -361,7 +359,7 @@ class TestCli:
                          "--out", str(tmp_path / "t.csv"),
                          "--dump-mesh", str(dump)])
         assert code == 0
-        finest = generate_square("crisscross", 16, PI)
+        finest = generate("square", "crisscross", 16)
         written = read_mesh(dump)
         assert np.array_equal(written.triangles, finest.triangles)
         assert np.allclose(written.nodes, finest.nodes, rtol=0, atol=1e-15)
@@ -479,18 +477,16 @@ class TestCli:
         ["--theta=-1"],
         ["--mesh", "file:{mesh}", "--n-start=-5"],  # a file ignores n
     ])
-    def test_bad_config_rejected_before_any_solve(self, tmp_path, monkeypatch,
+    def test_bad_config_rejected_before_any_solve(self, tmp_path, fom_calls,
                                                   capsys, bad):
-        calls = []
-        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
         out, mesh = tmp_path / "t.csv", tmp_path / "square.mesh"
-        write_mesh(generate_square("right", 4, PI), mesh)
+        write_mesh(generate("square", "right", 4), mesh)
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
                          "--n-start", "4", "--levels", "1",
                          *(arg.format(mesh=mesh) for arg in bad),
                          "--out", str(out)])
         assert code == 1
-        assert calls == []
+        assert fom_calls == []
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
@@ -513,7 +509,7 @@ class TestCli:
         rows = read_csv(out)
         assert [r.n for r in rows] == [1, 2]
         assert rows[0].rate_fom is None and rows[1].rate_fom is not None
-        assert all(r.lambda_fom >= 9.6397238440219 for r in rows)
+        assert all(r.lambda_fom >= EIGENPAIRS["lshape"][0] for r in rows)
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_rom_nonconvergence_exit_code(self, tmp_path, monkeypatch, capsys,
@@ -552,24 +548,27 @@ class TestCli:
         assert "not SPD" in capsys.readouterr().err
         assert [r.n for r in read_csv(out)] == ([1, 2] if adaptive else [4, 8])
 
-    @pytest.mark.parametrize("option, name, empty", [
-        pytest.param(option, name, empty, id=option + ("=''" if empty else ""))
+    @pytest.mark.parametrize("option, name, where", [
+        pytest.param(option, name, where, id=option + suffix)
         for option, name in (
             ("--out", "--out"), ("--dump-mesh", "mesh_dump_path"),
             ("--dump-singvals", "singvals_path"))
-        for empty in (False, True)])
+        for where, suffix in (("missing folder", ""), ("empty", "=''"),
+                              ("inside a file", "-inside-a-file"))])
     def test_unwritable_output_refused_before_any_solve(
-            self, tmp_path, monkeypatch, capsys, option, name, empty):
+            self, tmp_path, fom_calls, capsys, option, name, where):
         # --out is checked by the CLI, the dumps by run_experiment, which
-        # names the config field the option sets; the empty path is no file
-        calls = []
-        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
+        # names the config field the option sets; the empty path is no file,
+        # and a path under a regular file once failed only after every solve
         out = tmp_path / "t.csv"
-        path = "" if empty else str(tmp_path / "missing" / "f.txt")
+        (tmp_path / "afile").write_text("")
+        path = {"missing folder": str(tmp_path / "missing" / "f.txt"),
+                "empty": "",
+                "inside a file": str(tmp_path / "afile" / "f.txt")}[where]
         code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
                          "--n-start", "4", "--out", str(out), option, path])
         assert code == 1
-        assert calls == []
+        assert fom_calls == []
         assert f"{name}: cannot write" in capsys.readouterr().err
         assert not out.exists()
 
@@ -593,11 +592,11 @@ class TestCli:
         assert str(missing) in err
 
     @pytest.mark.parametrize("unusable", ["unused node", "no triangles"])
-    def test_unusable_mesh_file_is_an_input_error(self, tmp_path, monkeypatch,
+    def test_unusable_mesh_file_is_an_input_error(self, tmp_path, fom_calls,
                                                   capsys, unusable):
         # a node that belongs to no triangle is a free dof with a zero row,
         # which once reached the solver as a singular step operator (exit 2)
-        mesh = generate_square("crisscross", 4, PI)
+        mesh = generate("square", "crisscross", 4)
         nodes, tris = mesh.nodes, mesh.triangles
         if unusable == "unused node":
             nodes = np.vstack([nodes, [[1.0, 1.0]]])
@@ -605,19 +604,17 @@ class TestCli:
             tris = tris[:0]
         path = tmp_path / "unusable.mesh"
         path.write_text(mesh_text(nodes, tris))
-        calls = []
-        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
         code = cli_main(["run", "--domain", "square", "--mesh", f"file:{path}",
                          "--out", str(tmp_path / "t.csv")])
         assert code == 1
-        assert calls == []
+        assert fom_calls == []
         unused = mesh.n_nodes if unusable == "unused node" else 0
         assert (f"{path}: node {unused} belongs to no triangle"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("case", ["fold", "repeated", "hanging"])
     def test_nonconforming_mesh_file_is_an_input_error(
-            self, tmp_path, monkeypatch, capsys, case):
+            self, tmp_path, fom_calls, capsys, case):
         # a repeated triangle left no boundary node, so the solve failed on
         # 3 free dofs (exit 2); the hanging square was read as two Dirichlet
         # rectangles (exit 0, lambda_fom 5.1065)
@@ -628,12 +625,10 @@ class TestCli:
                    else "triangles 0 and 1 overlap across a shared edge")
         path = tmp_path / f"{case}.mesh"
         path.write_text(mesh_text(nodes, tris))
-        calls = []
-        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
         code = cli_main(["run", "--domain", "square", "--mesh", f"file:{path}",
                          "--out", str(tmp_path / "t.csv")])
         assert code == 1
-        assert calls == []
+        assert fom_calls == []
         err = capsys.readouterr().err
         assert err.startswith(f"eigenrom: error: {path}: ") and message in err
 
@@ -646,15 +641,15 @@ class TestCli:
         ("lshape", "reflected lshape", "is off the lshape domain's boundary"),
         ("lshape", "rotated lshape", "is off the lshape domain's boundary")])
     def test_mesh_file_of_another_domain_is_an_input_error(
-            self, tmp_path, monkeypatch, capsys, domain, case, message):
+            self, tmp_path, fom_calls, capsys, domain, case, message):
         # the L-shape file once ran as the square with exit 0, its rates
         # (0.0595, 0.0194) taken against the square's lambda = 2
-        square, lshape = generate_square("crisscross", 4, PI), generate_lshape(
+        square, lshape = generate("square", "crisscross", 4), generate_lshape(
             "crisscross", 4)
         nodes, tris = {
             "lshape": (lshape.nodes, lshape.triangles),
             "square": (square.nodes, square.triangles),
-            "unit square": (square.nodes / PI, square.triangles),
+            "unit square": (square.nodes / math.pi, square.triangles),
             "shifted square": (square.nodes + [0.5, 0.0], square.triangles),
             # a reflection reverses the orientation of every triangle
             "reflected lshape": (lshape.nodes * [-1.0, 1.0],
@@ -663,12 +658,10 @@ class TestCli:
                                lshape.triangles)}[case]
         path = tmp_path / "other.mesh"
         path.write_text(mesh_text(nodes, tris))
-        calls = []
-        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
         code = cli_main(["run", "--domain", domain, "--mesh", f"file:{path}",
                          "--levels", "3", "--out", str(tmp_path / "t.csv")])
         assert code == 1
-        assert calls == []
+        assert fom_calls == []
         err = capsys.readouterr().err
         assert err.startswith(f"eigenrom: error: {path}: ") and message in err
 

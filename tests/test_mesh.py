@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from mesh_files import FOLD, hanging_square, mesh_text
 from oracles import bisect_recursive, edge_table_by_dict, grid_mesh_by_dict
-from test_mesh_golden import BISECTION_STARTS, generate
+from test_mesh_golden import BISECTION_STARTS
 
 from eigenrom.mesh import (PATTERNS, Mesh, MeshError, _grid_mesh, bisect_refine,
-                           generate_lshape, generate_square, mesh_stats, read_mesh,
-                           uniform_refine, validate_mesh, write_mesh)
+                           generate, generate_lshape, generate_square, mesh_stats,
+                           read_mesh, uniform_refine, validate_mesh, write_mesh)
 
 PI = math.pi
 
@@ -73,6 +73,8 @@ class TestGenerateSquare:
             generate_square("crisscross", 4, -1.0)
         with pytest.raises(ValueError):
             generate_square("diag", 4, 1.0)
+        with pytest.raises(ValueError, match="unknown domain 'disk'"):
+            generate("disk", "crisscross", 4)
 
 
 class TestGenerateLshape:

@@ -14,14 +14,12 @@ every golden mesh must equal the direct formulas bit for bit.
 """
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
 
 from eigenrom.cli import main as cli_main
-from eigenrom.mesh import (bisect_refine, generate_lshape, generate_square,
-                           uniform_refine, write_mesh)
+from eigenrom.mesh import bisect_refine, generate, uniform_refine, write_mesh
 
 FIELDS = ("nodes", "triangles", "boundary_node", "refinement_edge")
 PATTERNS = (("square", "crisscross"), ("square", "right"), ("square", "left"),
@@ -134,12 +132,6 @@ def digest(mesh) -> str:
         h.update(f"{name} {a.dtype.str} {a.shape}".encode())
         h.update(a.tobytes())
     return h.hexdigest()
-
-
-def generate(domain, pattern, n):
-    if domain == "square":
-        return generate_square(pattern, n, math.pi)
-    return generate_lshape(pattern, n)
 
 
 def build(key):

@@ -7,7 +7,7 @@ quotients on the subspace spanned by the basis, so both runs must stay at or
 above lambda_1h on any conforming mesh, including randomly bisected ones.
 """
 
-import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,17 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from eigenrom.continuation import ContinuationConfig, run_fom
 from eigenrom.fem import assemble, build_dofmap
-from eigenrom.mesh import bisect_refine, generate_lshape, generate_square
+from eigenrom.mesh import bisect_refine, generate
 from eigenrom.pod import build_pod
 from eigenrom.rom import reduce, run_rom
 from oracles import smallest_pencil_eigenpair
 
-STARTS = {
-    **{f"square-{p}-{n}": (lambda p=p, n=n: generate_square(p, n, math.pi))
-       for p in ("crisscross", "right") for n in (2, 3, 4)},
-    **{f"lshape-{p}-2": (lambda p=p: generate_lshape(p, 2))
-       for p in ("crisscross", "mixed")},
-}
+STARTS = {f"{d}-{p}-{n}": partial(generate, d, p, n) for d, p, n in (
+    [("square", p, n) for p in ("crisscross", "right") for n in (2, 3, 4)]
+    + [("lshape", "crisscross", 2), ("lshape", "mixed", 2)])}
 
 
 @given(start=st.sampled_from(sorted(STARTS)), degree=st.sampled_from([1, 2]),
@@ -53,8 +50,7 @@ def test_both_runs_stay_above_the_discrete_eigenvalue(start, degree, dt, data,
 @pytest.mark.parametrize("domain,n,degree", [("square", 4, 1),
                                               ("lshape", 2, 2)])
 def test_reduced_run_on_the_identity_basis_is_the_full_run(domain, n, degree):
-    mesh = (generate_square("crisscross", n, math.pi) if domain == "square"
-            else generate_lshape("crisscross", n))
+    mesh = generate(domain, "crisscross", n)
     A, M = assemble(mesh, build_dofmap(mesh, degree))
     u0 = np.random.default_rng(7).standard_normal(A.shape[0])
     cfg = ContinuationConfig()

@@ -10,7 +10,7 @@ import eigenrom.rom as rom
 from eigenrom.continuation import ContinuationConfig, _iterate, run_fom
 from eigenrom.fem import assemble, build_dofmap
 from eigenrom.linalg import NonconvergenceError, NotSpdError
-from eigenrom.mesh import generate_square
+from eigenrom.mesh import generate
 from eigenrom.pod import build_pod
 from eigenrom.rom import ReducedOperators, reduce, run_rom
 from oracles import rom_loop_cho
@@ -221,7 +221,7 @@ class TestRunRom:
 class TestSolveLevel:
     @pytest.fixture()
     def pencil(self):
-        mesh = generate_square("crisscross", 8, math.pi)
+        mesh = generate("square", "crisscross", 8)
         return assemble(mesh, build_dofmap(mesh, 1))
 
     def test_stride_subsampling(self, monkeypatch, pencil):
@@ -242,14 +242,12 @@ class TestSolveLevel:
             own = run_fom(A, M, cont, stride)[1]
             assert S.shape[1] >= 1 and np.array_equal(S, own)
 
-    def test_stride_not_a_multiple_rejected_before_the_run(self, monkeypatch,
+    def test_stride_not_a_multiple_rejected_before_the_run(self, fom_calls,
                                                            pencil):
         A, M = pencil
-        calls = []
-        monkeypatch.setattr(rom, "run_fom", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="not a multiple"):
             rom.solve_level(A, M, ContinuationConfig(), (2, 3), 1e-7)
-        assert calls == []
+        assert fom_calls == []
 
 
 @given(data=st.data())

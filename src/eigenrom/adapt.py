@@ -101,9 +101,9 @@ def mark(etas: EtaField, theta: float) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     order = np.argsort(-eta_sq, kind="stable")
     running = np.cumsum(eta_sq[order])
-    # tiny relative slack so that exact-fraction targets are not missed by
-    # one rounding ulp of theta**2
-    target = theta ** 2 * total * (1.0 - 1e-12)
+    # a slack of one rounding ulp of theta**2 for exact-fraction targets; the
+    # cap, as the pairwise total can pass the cumsum's end by more than that
+    target = min(theta ** 2 * total * (1.0 - 1e-12), running[-1])
     cut = int(np.flatnonzero(running >= target)[0]) + 1
     return np.sort(order[:cut]).astype(np.int64, copy=False)
 

@@ -1,4 +1,5 @@
-"""Command line entry point.
+"""Command line entry point: every ``run`` option sets a config field, and
+``harness.run_experiment`` checks and writes every output file of the run.
 
 Exit codes: 0 success; 2 exactly when a solve failed with a
 ``linalg.SolverError``; 1 for an input refused before the first solve, and
@@ -17,8 +18,7 @@ import sys
 from dataclasses import MISSING, fields
 
 from .continuation import ContinuationConfig
-from .harness import (ExperimentConfig, ExperimentError, check_writable,
-                      emit_csv, run_experiment)
+from .harness import ExperimentConfig, ExperimentError, run_experiment
 from .linalg import SolverError
 from .mesh import PATTERNS
 
@@ -86,14 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bulk marking fraction for adaptive runs")
     run.add_argument("--seed", type=int,
                      help="seed of the full-order run's random start")
-    run.add_argument("--out", required=True, help="output CSV path")
+    run.add_argument("--out", dest="out_path", metavar="PATH", required=True,
+                     help="output CSV path")
     run.add_argument("--dump-singvals", dest="singvals_path", metavar="PATH",
                      help="write the finest level's singular values here")
     run.add_argument("--dump-mesh", dest="mesh_dump_path", metavar="PATH",
                      help="write the finest mesh here (text format)")
     # an option's dest names the config field it sets, whose default it takes
     for action in run._actions:
-        if action.dest in _DEFAULTS:
+        if action.dest in _DEFAULTS and not action.required:
             action.default = default = _DEFAULTS[action.dest]
             # a tuple shows as the comma list its option takes
             if isinstance(default, tuple):
@@ -107,25 +108,12 @@ def main(argv=None) -> int:
         _configure_logging()
         options = vars(build_parser().parse_args(argv))
         del options["command"]
-        out = options.pop("out")
         # the options that set no ExperimentConfig field set its continuation
         own = {f.name: options.pop(f.name) for f in fields(ExperimentConfig)
                if f.name in options}
-        cfg = ExperimentConfig(**own, continuation=ContinuationConfig(**options))
-        # run_experiment checks the dump paths; --out is no config field
-        check_writable("--out", "result table", out)
-        rows = run_experiment(cfg)
-        emit_csv(rows, out)
-    except (UsageError, ValueError, OSError) as exc:
-        print(f"eigenrom: error: {exc}", file=sys.stderr)
-        return 1
-    except ExperimentError as exc:
-        if exc.rows:
-            try:
-                emit_csv(exc.rows, out)
-                log.error("schedule aborted; partial table written to %s", out)
-            except OSError:
-                pass
+        rows = run_experiment(ExperimentConfig(
+            **own, continuation=ContinuationConfig(**options)))
+    except (UsageError, ValueError, OSError, ExperimentError) as exc:
         print(f"eigenrom: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc.__cause__, SolverError) else 1
     for row in rows:

@@ -53,6 +53,7 @@ class ExperimentConfig:
     continuation: ContinuationConfig = field(default_factory=ContinuationConfig)
     strides: tuple = (4,)
     pod_eps: object = 1e-7            # float, or "exact"
+    out_path: str | None = None       # the result table; None writes none
     singvals_path: str | None = None
     mesh_dump_path: str | None = None
 
@@ -111,8 +112,25 @@ def _validate(cfg: ExperimentConfig):
     else:
         check_eps(float(cfg.pod_eps))
     check_theta(cfg.theta)
-    check_writable("mesh_dump_path", "mesh", cfg.mesh_dump_path)
-    check_writable("singvals_path", "singular values", cfg.singvals_path)
+    field_of = {} if path is None else {os.path.realpath(path): "mesh"}
+    for name, what, out in _outputs(cfg):
+        check_writable(name, what, out)
+        other = field_of.setdefault(os.path.realpath(out), name)
+        if other != name:
+            raise ValueError(f"{other} and {name} both name the file {out}")
+
+
+def _outputs(cfg: ExperimentConfig) -> list[tuple[str, str, str]]:
+    """Every file the run writes, in writing order, as (config field, what
+    it holds, path): the table, the mesh dump, then the singular values of
+    each stride, with an ``_s<stride>`` suffix if there are several."""
+    stem, ext = os.path.splitext(path := cfg.singvals_path or "")
+    files = [("out_path", "result table", cfg.out_path),
+             ("mesh_dump_path", "mesh", cfg.mesh_dump_path),
+             *(("singvals_path", "singular values",
+                f"{stem}_s{s}{ext}" if path and len(cfg.strides) > 1
+                else cfg.singvals_path) for s in cfg.strides)]
+    return [file for file in files if file[2] is not None]
 
 
 def check_writable(name: str, what: str, path: str | None) -> None:
@@ -207,12 +225,12 @@ def compute_rate(errors, sizes, mode: str) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Run one schedule through ``rom.solve_levels`` and return its rows.
+    """Run one schedule through ``rom.solve_levels``; write its ``_outputs``
+    (the table, then both dumps from the last solved level); return its rows.
 
-    Deterministic for a fixed config and seed, timing aside.  Both dumps are
-    written from the last solved level.  Component failures abort the
-    schedule; the raised ExperimentError carries the rows already completed.
-    """
+    Deterministic for a fixed config and seed, timing aside.  Component
+    failures abort the schedule: the rows already completed go to the table,
+    and the raised ExperimentError carries them."""
     _validate(cfg)
     lam_ref, eigenfunction = EIGENPAIRS[cfg.domain]
     eps = (partial(_exact_eps, eigenfunction) if cfg.pod_eps == "exact"
@@ -239,20 +257,28 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                           None, run.basis.N, last.trace.wall_time, run.rom_s)
                 for run in last.per_stride])
     except Exception as exc:
+        rows = _rows(cfg, table, sizes, lam_ref)
+        if rows and cfg.out_path:
+            try:
+                emit_csv(rows, cfg.out_path)
+                log.error("schedule aborted; partial table written to %s",
+                          cfg.out_path)
+            except OSError:
+                pass
         raise ExperimentError(
             f"schedule aborted at n={_label(cfg, len(table))}: {exc}",
-            _rows(cfg, table, sizes, lam_ref)) from exc
+            rows) from exc
 
-    if last is not None and cfg.mesh_dump_path:
-        write_mesh(last.mesh, cfg.mesh_dump_path)
-    if last is not None and cfg.singvals_path:
-        for run in last.per_stride:
-            path = cfg.singvals_path
-            if len(cfg.strides) > 1:
-                stem, ext = os.path.splitext(path)
-                path = f"{stem}_s{run.stride}{ext}"
-            write_singular_values(run.basis.singular_values, path)
-    return _rows(cfg, table, sizes, lam_ref)
+    rows = _rows(cfg, table, sizes, lam_ref)
+    runs = iter(last.per_stride if last is not None else ())
+    for name, _, path in _outputs(cfg):
+        if name == "out_path":
+            emit_csv(rows, path)
+        elif last is not None and name == "mesh_dump_path":
+            write_mesh(last.mesh, path)
+        elif last is not None:
+            write_singular_values(next(runs).basis.singular_values, path)
+    return rows
 
 
 def _rows(cfg, table, sizes, lam_ref) -> list[ResultRow]:

@@ -195,6 +195,13 @@ class TestMark:
         etas = EtaField(np.array([1.0, 1.0, 1.0, 1.0]), 0.0)
         assert mark(etas, 0.5).tolist() == [0]
 
+    def test_theta_one_when_pairwise_sum_exceeds_cumsum(self):
+        # numpy's pairwise sum of the squares (1 + 1e-11) once exceeded their
+        # sequential cumsum (1.0) by more than the 1e-12 slack, so no prefix
+        # reached the target and indexing the empty match raised IndexError
+        etas = EtaField(np.concatenate([[1.0], np.full(100_000, 1e-8)]), 0.0)
+        assert mark(etas, 1.0).tolist() == [0]
+
     def test_theta_validation(self):
         with pytest.raises(ValueError):
             mark(EtaField(np.ones(3), 0.0), 0.0)

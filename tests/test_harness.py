@@ -222,8 +222,8 @@ class TestRunExperiment:
         # a file mesh is the one value "file:<path>" of the mesh field
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
             "domain", "mesh", "n_start", "levels", "fe_degree", "adaptive",
-            "theta", "continuation", "strides", "pod_eps", "singvals_path",
-            "mesh_dump_path"]
+            "theta", "continuation", "strides", "pod_eps", "out_path",
+            "singvals_path", "mesh_dump_path"]
 
     def test_file_mesh_schedule(self, tmp_path):
         path = tmp_path / "imported.mesh"
@@ -241,6 +241,36 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert isinstance(info.value.__cause__, NonconvergenceError)
         assert info.value.rows == []
+
+    def test_out_path_writes_the_emitted_table(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rows = run_experiment(small_config(levels=2, out_path="t.csv"))
+        emit_csv(rows, "emitted.csv")
+        assert (tmp_path / "t.csv").read_text() == (
+            tmp_path / "emitted.csv").read_text()
+        # without out_path a library run writes no table
+        run_experiment(small_config())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "emitted.csv", "t.csv"]
+
+    def test_abort_writes_the_partial_table_then_raises(
+            self, tmp_path, monkeypatch, caplog):
+        def failing_at_second_level(ops, u0, cfg):
+            calls.append(ops)
+            if len(calls) == 2:
+                raise NotSpdError("reduced system is not SPD: dpotrf info=1")
+            return run_rom(ops, u0, cfg)
+
+        calls = []
+        monkeypatch.setattr(rom, "run_rom", failing_at_second_level)
+        out = tmp_path / "t.csv"
+        with caplog.at_level(logging.ERROR, logger="eigenrom"), \
+                pytest.raises(ExperimentError) as info:
+            run_experiment(small_config(levels=3, out_path=str(out)))
+        assert isinstance(info.value.__cause__, NotSpdError)
+        assert [r.n for r in info.value.rows] == [8]
+        assert read_csv(out) == info.value.rows
+        assert f"partial table written to {out}" in caplog.text
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_fom_warnings_are_logged(self, monkeypatch, caplog, adaptive):
@@ -296,14 +326,16 @@ class TestRunExperiment:
         assert (tmp_path / "sv_s2.txt").exists()
         assert (tmp_path / "sv_s4.txt").exists()
 
-    @pytest.mark.parametrize("field_", ["mesh_dump_path", "singvals_path"])
+    @pytest.mark.parametrize("field_", ["mesh_dump_path", "singvals_path",
+                                        "out_path"])
     @pytest.mark.parametrize("where", ["missing folder", "folder", "empty",
                                        "inside a file"])
     def test_unwritable_dump_refused_before_any_solve(self, tmp_path,
                                                       fom_calls, field_,
                                                       where):
-        # a dump is written after the last level: a path that cannot take
-        # it is refused before the first, not after every level is solved
+        # the table and dumps are written after the last level: a path that
+        # cannot take one is refused before the first, not after every level
+        # is solved
         (tmp_path / "afile").write_text("")
         path = {"missing folder": str(tmp_path / "missing" / "f"),
                 "folder": str(tmp_path), "empty": "",
@@ -325,10 +357,10 @@ class TestCli:
             ["run", "--domain", "square", "--mesh", "crisscross",
              "--out", "t.csv"]))
         # the command and the required options have no default to compare
-        for dest in ("command", "domain", "mesh", "out"):
+        for dest in ("command", "domain", "mesh", "out_path"):
             del args[dest]
         assert sorted(set(defaults) - set(args)) == [
-            "continuation", "domain", "max_steps", "mesh"]
+            "continuation", "domain", "max_steps", "mesh", "out_path"]
         for dest, default in args.items():
             assert default == defaults[dest], dest
 
@@ -551,15 +583,15 @@ class TestCli:
     @pytest.mark.parametrize("option, name, where", [
         pytest.param(option, name, where, id=option + suffix)
         for option, name in (
-            ("--out", "--out"), ("--dump-mesh", "mesh_dump_path"),
+            ("--out", "out_path"), ("--dump-mesh", "mesh_dump_path"),
             ("--dump-singvals", "singvals_path"))
         for where, suffix in (("missing folder", ""), ("empty", "=''"),
                               ("inside a file", "-inside-a-file"))])
     def test_unwritable_output_refused_before_any_solve(
             self, tmp_path, fom_calls, capsys, option, name, where):
-        # --out is checked by the CLI, the dumps by run_experiment, which
-        # names the config field the option sets; the empty path is no file,
-        # and a path under a regular file once failed only after every solve
+        # run_experiment checks every output and names the config field the
+        # option sets; the empty path is no file, and a path under a regular
+        # file once failed only after every solve
         out = tmp_path / "t.csv"
         (tmp_path / "afile").write_text("")
         path = {"missing folder": str(tmp_path / "missing" / "f.txt"),
@@ -571,6 +603,57 @@ class TestCli:
         assert fom_calls == []
         assert f"{name}: cannot write" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", [
+        "table-mesh", "mesh-singvals", "table-stride-file", "symlinked-folder",
+        "stride-directory", "input-mesh"])
+    def test_output_clash_refused_before_any_solve(
+            self, tmp_path, monkeypatch, fom_calls, capsys, case):
+        # each once exited 0 with one file overwritten by another (the input
+        # mesh by the mesh dump), and the stride directory failed after every
+        # solve, writing no table
+        write_mesh(generate("square", "crisscross", 4), tmp_path / "in.mesh")
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "sv_s4.txt").write_text("kept\n")
+        (d / "sv_s2.txt").mkdir()
+        (tmp_path / "link").symlink_to(d)
+        argv, message = {
+            "table-mesh": (
+                ["--out", "P", "--dump-mesh", "P"],
+                "out_path and mesh_dump_path both name the file P"),
+            "mesh-singvals": (
+                ["--out", "t.csv", "--dump-mesh", "Q", "--dump-singvals", "Q"],
+                "mesh_dump_path and singvals_path both name the file Q"),
+            "table-stride-file": (
+                ["--strides", "4,8", "--out", "d/sv_s4.txt",
+                 "--dump-singvals", "d/sv.txt"],
+                "out_path and singvals_path both name the file d/sv_s4.txt"),
+            "symlinked-folder": (
+                ["--out", "link/t.csv", "--dump-mesh", "d/t.csv"],
+                "out_path and mesh_dump_path both name the file d/t.csv"),
+            "stride-directory": (
+                ["--strides", "2,4", "--out", "t.csv",
+                 "--dump-singvals", "d/sv.txt"],
+                "singvals_path: cannot write singular values d/sv_s2.txt"),
+            "input-mesh": (
+                ["--mesh", "file:in.mesh", "--out", "t.csv",
+                 "--dump-mesh", "link/../in.mesh"],
+                "mesh and mesh_dump_path both name the file link/../in.mesh"),
+        }[case]
+
+        def tree():
+            return {path: path.is_dir() or path.read_text()
+                    for path in tmp_path.rglob("*")}
+
+        before = tree()
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                         "--n-start", "4", *argv])
+        assert code == 1
+        assert fom_calls == []
+        assert message in capsys.readouterr().err
+        assert tree() == before
 
     def test_forced_dpotrs_failure_is_a_solver_error(self, tmp_path,
                                                      monkeypatch, capsys):
@@ -779,8 +862,9 @@ class TestCli:
         assert proc.stdout.strip() == "[]"
 
     def test_help_shows_the_config_defaults(self):
-        # each option that sets a config field prints that field's default,
-        # in a fresh interpreter as a user calls it; the others print none
+        # each optional option that sets a config field prints that field's
+        # default, in a fresh interpreter as a user calls it; the others
+        # (--out is required) print none
         proc = run_cli_child(["run", "--help"])
         assert proc.returncode == 0, proc.stderr
         # an option's entry runs from its first flag to the next option
@@ -796,7 +880,7 @@ class TestCli:
         assert sorted(entries) == sorted(a.option_strings[0] for a in actions)
         for action in actions:
             entry = entries[action.option_strings[0]]
-            if action.dest in defaults:
+            if action.dest in defaults and not action.required:
                 default = defaults[action.dest]
                 # a tuple is the comma list its option takes
                 if isinstance(default, tuple):

@@ -71,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "1 or 2")
     run.add_argument("--n-start", type=int,
                      help="subintervals per side on the coarsest mesh")
-    run.add_argument("--levels", type=int,
-                     help="number of mesh levels (n doubles per level)")
+    run.add_argument("--levels", type=int, help="number of mesh levels, >= 1"
+                     "; an adaptive run stops early once its estimate vanishes")
     run.add_argument("--dt", type=float, help="fictitious time step")
     run.add_argument("--stop-tol", type=float, help="stopping tolerance")
     run.add_argument("--stride", "--strides", dest="strides", type=strides,

@@ -1,7 +1,9 @@
 """Experiment orchestration: config validation, the schedule of meshes fed
 to the one level loop (``rom.solve_levels``), table rows with convergence
 rates, the mesh and singular-value dumps, and CSV export.  A config fixes
-every input of a run, its start vectors included.
+every input of a run, its start vectors included.  A schedule has at least
+one level; a row's ``n`` counts subintervals per side, or levels from 0 on a
+mesh file and from 1 on an adaptive run, whose ``levels`` is a maximum.
 
 Reference eigenpairs (``EIGENPAIRS``): lambda_1 = 2 and sin(x) sin(y) on the
 square (0, pi)^2; 9.6397238440219 and no known eigenfunction on the L-shape.
@@ -99,8 +101,8 @@ def _validate(cfg: ExperimentConfig):
     else:
         check_subintervals(cfg.n_start)
     check_degree(cfg.fe_degree)
-    if cfg.levels < 0:
-        raise ValueError("levels must be >= 0")
+    if cfg.levels < 1:
+        raise ValueError("levels must be >= 1")
     check_strides(cfg.strides)
     if cfg.adaptive and len(cfg.strides) > 1:
         raise ValueError("adaptive runs take a single snapshot stride")
@@ -175,27 +177,9 @@ def _check_domain(mesh: Mesh, domain: str, path: str) -> None:
                         f"off the {domain} domain's boundary")
 
 
-def _mesh(cfg: ExperimentConfig, n: int) -> Mesh:
-    """The configured mesh with n subintervals per side (a file ignores n,
-    and must cover the configured domain)."""
-    if (path := _mesh_file(cfg)) is not None:
-        mesh = read_mesh(path)
-        _check_domain(mesh, cfg.domain, path)
-        return mesh
-    return generate(cfg.domain, cfg.mesh, n)
-
-
 def _exact_eps(eigenfunction, dofmap, M, u) -> float:
     """The M-distance of u from the interpolated known eigenfunction."""
     return exact_reference_eps(M, interpolate_free(dofmap, eigenfunction), u)
-
-
-def _label(cfg: ExperimentConfig, index: int) -> int:
-    """A level's ``n`` column: n, the level index on a file mesh, or the
-    level number from 1 on adaptive runs."""
-    if cfg.adaptive:
-        return index + 1
-    return index if _mesh_file(cfg) is not None else cfg.n_start * 2 ** index
 
 
 def compute_rate(errors, sizes, mode: str) -> list:
@@ -225,8 +209,10 @@ def compute_rate(errors, sizes, mode: str) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Run one schedule through ``rom.solve_levels``; write its ``_outputs``
-    (the table, then both dumps from the last solved level); return its rows.
+    """Run a schedule of ``cfg.levels`` >= 1 levels (an adaptive one stops
+    early once its estimate vanishes) through ``rom.solve_levels``; write its
+    ``_outputs`` (the table, then both dumps from the last solved level);
+    return its rows.
 
     Deterministic for a fixed config and seed, timing aside.  Component
     failures abort the schedule: the rows already completed go to the table,
@@ -235,29 +221,35 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     lam_ref, eigenfunction = EIGENPAIRS[cfg.domain]
     eps = (partial(_exact_eps, eigenfunction) if cfg.pod_eps == "exact"
            else float(cfg.pod_eps))
-
-    def uniform(level, dofmap, M):
-        if _mesh_file(cfg) is not None:
-            return uniform_refine(level.mesh)
-        return _mesh(cfg, 2 * _label(cfg, level.index))
-
-    kind = cfg.mesh if _mesh_file(cfg) is None else "file"
-    sizes, table, last = [], [], None
-    levels = solve_levels(
-        _mesh(cfg, cfg.n_start), cfg.fe_degree, cfg.continuation, cfg.strides,
-        eps, cfg.levels, partial(next_mesh, cfg.theta) if cfg.adaptive else uniform)
+    # the schedule, decided once: its first mesh, the next mesh of a level
+    # (solve_levels' refine), a level's n label, and the rates' sizes
+    if (path := _mesh_file(cfg)) is None:
+        kind, mesh = cfg.mesh, generate(cfg.domain, cfg.mesh, cfg.n_start)
+        label = lambda index: cfg.n_start * 2 ** index
+        refine = lambda level, dofmap, M: generate(
+            cfg.domain, cfg.mesh, 2 * label(level.index))
+    else:
+        kind, mesh = "file", read_mesh(path)
+        _check_domain(mesh, cfg.domain, path)
+        label = lambda index: index
+        refine = lambda level, dofmap, M: uniform_refine(level.mesh)
+    size, mode = lambda level: float(level.mesh.edge_lengths.max()), "uniform"
+    if cfg.adaptive:
+        refine, mode = partial(next_mesh, cfg.theta), "adaptive"
+        label, size = lambda index: index + 1, lambda level: level.n_dof
+    sizes, table = [], []
     try:
-        for last in levels:
-            sizes.append(last.n_dof if cfg.adaptive
-                         else float(last.mesh.edge_lengths.max()))
+        for last in solve_levels(mesh, cfg.fe_degree, cfg.continuation,
+                                 cfg.strides, eps, cfg.levels, refine):
+            sizes.append(size(last))
             table.append([
                 ResultRow(f"{kind}-s{run.stride}" if len(cfg.strides) > 1
-                          else kind, _label(cfg, last.index), last.n_dof,
+                          else kind, label(last.index), last.n_dof,
                           last.trace.eigenvalue, run.trace.eigenvalue, None,
                           None, run.basis.N, last.trace.wall_time, run.rom_s)
                 for run in last.per_stride])
     except Exception as exc:
-        rows = _rows(cfg, table, sizes, lam_ref)
+        rows = _rows(table, sizes, mode, lam_ref)
         if rows and cfg.out_path:
             try:
                 emit_csv(rows, cfg.out_path)
@@ -266,25 +258,24 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             except OSError:
                 pass
         raise ExperimentError(
-            f"schedule aborted at n={_label(cfg, len(table))}: {exc}",
+            f"schedule aborted at n={label(len(table))}: {exc}",
             rows) from exc
 
-    rows = _rows(cfg, table, sizes, lam_ref)
-    runs = iter(last.per_stride if last is not None else ())
+    rows = _rows(table, sizes, mode, lam_ref)
+    runs = iter(last.per_stride)
     for name, _, path in _outputs(cfg):
         if name == "out_path":
             emit_csv(rows, path)
-        elif last is not None and name == "mesh_dump_path":
+        elif name == "mesh_dump_path":
             write_mesh(last.mesh, path)
-        elif last is not None:
+        else:
             write_singular_values(next(runs).basis.singular_values, path)
     return rows
 
 
-def _rows(cfg, table, sizes, lam_ref) -> list[ResultRow]:
-    """The table rows grouped by stride, with rates along each group:
-    h-based on uniform schedules, dof-based on adaptive ones."""
-    mode = "adaptive" if cfg.adaptive else "uniform"
+def _rows(table, sizes, mode: str, lam_ref) -> list[ResultRow]:
+    """The table rows grouped by stride, with ``compute_rate``'s rates in
+    ``mode`` over ``sizes`` along each group."""
     rows: list[ResultRow] = []
     for group in zip(*table):
         rf = compute_rate([r.lambda_fom - lam_ref for r in group], sizes, mode)

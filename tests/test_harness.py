@@ -146,12 +146,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(small_config(strides=()))
 
-    def test_empty_schedule(self, tmp_path):
-        rows = run_experiment(small_config(levels=0))
-        assert rows == []
-        path = tmp_path / "empty.csv"
-        emit_csv(rows, path)
-        assert path.read_text().strip() == ",".join(CSV_HEADER)
+    def test_zero_levels_refused(self, tmp_path):
+        # every schedule solves at least one level, so the table and both
+        # dumps always come from a last level
+        out = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            run_experiment(small_config(levels=0, out_path=str(out),
+                                        mesh_dump_path=str(tmp_path / "m")))
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_level_row(self):
         rows = run_experiment(small_config())
@@ -253,8 +255,14 @@ class TestRunExperiment:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "emitted.csv", "t.csv"]
 
+    # the failing level's n label, then the finished rows' n, by schedule
+    @pytest.mark.parametrize("overrides, failed, done", [
+        ({}, 16, [8]),
+        ({"mesh": "file:square.mesh"}, 1, [0]),
+        ({"domain": "lshape", "n_start": 4, "adaptive": True}, 2, [1]),
+    ], ids=["generated", "file", "adaptive"])
     def test_abort_writes_the_partial_table_then_raises(
-            self, tmp_path, monkeypatch, caplog):
+            self, tmp_path, monkeypatch, caplog, overrides, failed, done):
         def failing_at_second_level(ops, u0, cfg):
             calls.append(ops)
             if len(calls) == 2:
@@ -263,12 +271,16 @@ class TestRunExperiment:
 
         calls = []
         monkeypatch.setattr(rom, "run_rom", failing_at_second_level)
+        monkeypatch.chdir(tmp_path)
+        write_mesh(generate("square", "right", 4), "square.mesh")
         out = tmp_path / "t.csv"
         with caplog.at_level(logging.ERROR, logger="eigenrom"), \
                 pytest.raises(ExperimentError) as info:
-            run_experiment(small_config(levels=3, out_path=str(out)))
+            run_experiment(small_config(levels=3, out_path=str(out),
+                                        **overrides))
         assert isinstance(info.value.__cause__, NotSpdError)
-        assert [r.n for r in info.value.rows] == [8]
+        assert str(info.value).startswith(f"schedule aborted at n={failed}: ")
+        assert [r.n for r in info.value.rows] == done
         assert read_csv(out) == info.value.rows
         assert f"partial table written to {out}" in caplog.text
 
@@ -508,6 +520,7 @@ class TestCli:
         ["--theta", "nan"],
         ["--theta=-1"],
         ["--mesh", "file:{mesh}", "--n-start=-5"],  # a file ignores n
+        ["--levels", "0"],                         # no level to report
     ])
     def test_bad_config_rejected_before_any_solve(self, tmp_path, fom_calls,
                                                   capsys, bad):

@@ -1,23 +1,36 @@
 """Golden digests of whole runs through the command line.
 
 Each case is one ``eigenrom run`` argument list at one seed, run in-process
-with both dumps.  Its digest hashes the first eight CSV columns of every row
-(everything but the wall times ``fom_s`` and ``rom_s``) and then every dump
-file, in name order: the finest mesh and the singular values of each stride.
+with both dumps; a ``{name}`` in an argument is the path of the input mesh
+file ``MESH_FILES[name]``, written to a folder of its own.  Its digest
+hashes the first eight CSV columns of every row (everything but the wall
+times ``fom_s`` and ``rom_s``) and then every dump file, in name order: the
+finest mesh and the singular values of each stride.
 So a rounding change anywhere in a run, from mesh generation to the reduced
 iteration and the rates, shows here and names the run.
 
-The digests were recorded once, at the commit that added this test.  A
+The digests were recorded once, at the commit that added each case.  A
 change that moves rounding on purpose re-records them, and states the old
-and new digests and the largest deviation it measured.
+and new digests and the largest deviation it measured.  Run as a script,
+
+    PYTHONPATH=src python tests/test_run_digests.py
+
+prints the ``GOLDEN`` entries of the current code, to paste over the table.
 """
 
 import csv
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from eigenrom.cli import main as cli_main
+from eigenrom.mesh import generate, write_mesh
+
+# the input meshes of the file-mesh runs: name -> generate's arguments
+MESH_FILES = {"square-right-4": ("square", "right", 4),
+              "lshape-mixed-2": ("lshape", "mixed", 2)}
 
 ARGVS = {
     # the benchmark's three workloads
@@ -39,10 +52,29 @@ ARGVS = {
     "lshape-mixed-p2-adaptive": ("--domain", "lshape", "--mesh", "mixed", "--fe", "2",
                                  "--n-start", "2", "--adaptive", "--theta", "0.3",
                                  "--levels", "20"),
+    "file-square-right-p1": ("--domain", "square",
+                             "--mesh", "file:{square-right-4}", "--fe", "1",
+                             "--levels", "3"),
+    "file-lshape-mixed-p2-adaptive": ("--domain", "lshape",
+                                      "--mesh", "file:{lshape-mixed-2}",
+                                      "--fe", "2", "--adaptive",
+                                      "--levels", "12"),
 }
 SEEDS = (0, 1, 2)
 
 GOLDEN = {
+    "file-lshape-mixed-p2-adaptive-0":
+        "ecf0df59e7ede8ba62d04167e090ca6dbf3236d1094b52f1b943a1c07f4daae4",
+    "file-lshape-mixed-p2-adaptive-1":
+        "e6b502a814be0a387efc5e7ff8ad76e15ff4ada698e1e242c79949e63b3e41e3",
+    "file-lshape-mixed-p2-adaptive-2":
+        "a8ea30de38f7ebb9285109e4ff4caee1e57f15be62e3f773377acd3818827a62",
+    "file-square-right-p1-0":
+        "84c1da767dd7873bc38fd2f629bb430c3d50d89b5391e131337f4d84b0124e77",
+    "file-square-right-p1-1":
+        "03fd9eb706a98b1b2c0ad6b9e571f1296710b58b5101ec35852c1f6607418a76",
+    "file-square-right-p1-2":
+        "18b69b3fe843b123ac3dbce3092b6ce44c8a7e49f34e0c39b618432aef491379",
     "lshape-adaptive-0":
         "96853bd57a05a4812ab1e0fa8012028287fa662a4408f6228f002fd8a9aab7a6",
     "lshape-adaptive-1":
@@ -88,6 +120,14 @@ GOLDEN = {
 }
 
 
+def write_mesh_files(folder) -> dict:
+    """Write every MESH_FILES mesh into folder; return name -> path."""
+    paths = {name: str(Path(folder) / f"{name}.mesh") for name in MESH_FILES}
+    for name, args in MESH_FILES.items():
+        write_mesh(generate(*args), paths[name])
+    return paths
+
+
 def run_digest(argv, seed, folder) -> str:
     out = folder / "table.csv"
     assert cli_main(["run", *argv, "--seed", str(seed), "--out", str(out),
@@ -103,7 +143,32 @@ def run_digest(argv, seed, folder) -> str:
     return h.hexdigest()
 
 
+def case_digest(name, seed, folder, mesh_files) -> str:
+    argv = [arg.format(**mesh_files) for arg in ARGVS[name]]
+    return run_digest(argv, seed, folder)
+
+
+@pytest.fixture(scope="module")
+def mesh_files(tmp_path_factory):
+    return write_mesh_files(tmp_path_factory.mktemp("mesh_files"))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(ARGVS))
-def test_run_matches_golden_digest(tmp_path, name, seed):
-    assert run_digest(ARGVS[name], seed, tmp_path) == GOLDEN[f"{name}-{seed}"]
+def test_run_matches_golden_digest(tmp_path, mesh_files, name, seed):
+    assert (case_digest(name, seed, tmp_path, mesh_files)
+            == GOLDEN[f"{name}-{seed}"])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        inputs = write_mesh_files(root)
+        print("GOLDEN = {")
+        for name in sorted(ARGVS):
+            for seed in SEEDS:
+                folder = root / f"{name}-{seed}"
+                folder.mkdir()
+                digest = case_digest(name, seed, folder, inputs)
+                print(f'    "{name}-{seed}":\n        "{digest}",')
+        print("}")

@@ -1,8 +1,9 @@
 """First Laplace-Dirichlet eigenpair by fictitious-time continuation with
 finite elements, plus a POD reduced-order model built from time snapshots."""
 
-from .continuation import ContinuationConfig, SolveTrace, run_fom, step_solver
-from .fem import DofMap, assemble, build_dofmap, eigen_residual
+from .continuation import (ContinuationConfig, SolveTrace, eigen_residual,
+                           run_fom, step_solver)
+from .fem import DofMap, assemble, build_dofmap
 from .harness import (ExperimentConfig, ExperimentError, ResultRow,
                       compute_rate, emit_csv, run_experiment)
 from .linalg import NonconvergenceError, NotSpdError, SolverError

@@ -1,5 +1,5 @@
-"""P1/P2 Lagrange elements on triangles: the local basis, and the assembly
-of the mass and stiffness matrices.
+"""P1/P2 Lagrange elements on triangles: the local basis, the assembly of the
+mass and stiffness matrices, and nodal interpolation on the free dofs.
 
 ``local_basis`` holds the basis formulas and ``ELEMENTS`` each degree's mass
 and stiffness tables; assembly reads the tables and ``adapt.estimate`` the
@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import norm2
 from .mesh import Mesh
 
 if TYPE_CHECKING:
@@ -164,33 +163,7 @@ def assemble(mesh: Mesh, dofmap: DofMap
                               shape=(n, n)).tocsr() for e in (ke, me))
 
 
-def rayleigh_from_products(U, AU, MU) -> float:
-    """The Rayleigh quotient of U from the products A U and M U."""
-    denom = float(U.dot(MU))
-    if denom <= 0:
-        raise ValueError("U^T M U <= 0: zero vector or mass matrix not SPD")
-    return float(U.dot(AU)) / denom
-
-
-def eigen_residual(A, M, U, lam: float) -> float:
-    """||A U - lam M U|| / ||M U||, a mesh-independent eigenpair diagnostic."""
-    U = np.asarray(U, dtype=np.float64)
-    if not np.any(U):
-        raise ValueError("residual of the zero vector is undefined")
-    return residual_from_products(A @ U, M @ U, lam)
-
-
-def residual_from_products(AU, MU, lam: float) -> float:
-    """||A U - lam M U|| / ||M U|| from the products A U and M U."""
-    return norm2(AU - lam * MU) / norm2(MU)
-
-
-def interpolate(dofmap: DofMap, f) -> np.ndarray:
-    """Nodal interpolation of ``f(x, y)`` on all dofs of the space."""
-    return np.asarray(f(dofmap.dof_coords[:, 0], dofmap.dof_coords[:, 1]),
-                      dtype=np.float64)
-
-
 def interpolate_free(dofmap: DofMap, f) -> np.ndarray:
-    """Nodal interpolation restricted to the free dofs."""
-    return interpolate(dofmap, f)[dofmap.free_dofs]
+    """Nodal interpolation of ``f(x, y)`` on the free dofs of the space."""
+    coords = dofmap.dof_coords[dofmap.free_dofs]
+    return np.asarray(f(coords[:, 0], coords[:, 1]), dtype=np.float64)

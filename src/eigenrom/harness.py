@@ -21,13 +21,13 @@ from functools import partial
 import numpy as np
 
 from .adapt import check_theta, next_mesh
-from .continuation import ContinuationConfig, check_strides
+from .continuation import ContinuationConfig
 from .fem import check_degree, interpolate_free
 from .mesh import (PATTERNS, Mesh, MeshError, check_generator,
                    check_subintervals, generate, read_mesh, uniform_refine,
                    write_mesh)
 from .pod import check_eps, exact_reference_eps, write_singular_values
-from .rom import solve_levels
+from .rom import check_strides, solve_levels
 
 log = logging.getLogger(__name__)
 

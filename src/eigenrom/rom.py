@@ -10,7 +10,8 @@ and the final state is lifted back as V U_N.  The dense products go through
 ``ndarray.dot``, one per operator: a single product with the stacked
 [a_red; m_red] is blocked differently by BLAS and is not bit-identical to the
 two for N >= 9 not a multiple of 4.  ``solve_levels`` is the one level loop of
-uniform and adaptive schedules; ``solve_level`` is its per-mesh pipeline.
+uniform and adaptive schedules; ``solve_level`` is its per-mesh pipeline, which
+samples every stride from one full-order run by the rule ``check_strides``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from functools import partial
 import numpy as np
 
 from .continuation import (ContinuationConfig, SolveTrace, _iterate,
-                           check_eigen_residual, check_start, check_strides,
-                           check_unknowns, run_fom)
-from .fem import assemble, build_dofmap, eigen_residual
+                           check_eigen_residual, check_start, check_unknowns,
+                           eigen_residual, run_fom)
+from .fem import assemble, build_dofmap
 from .linalg import NotSpdError, SolverError
 from .mesh import Mesh
 from .pod import PodBasis, build_pod
@@ -36,6 +37,19 @@ log = logging.getLogger(__name__)
 class SnapshotStrideError(ValueError):
     """A snapshot stride longer than the full-order run: no snapshot to build
     the basis from.  The one input error that shows only once a run ends."""
+
+
+def check_strides(strides) -> None:
+    """Positive, distinct, and multiples of the smallest: ``solve_level``
+    samples every stride from one run at the smallest."""
+    if not strides or min(strides) < 1:
+        raise ValueError("strides must be positive")
+    for stride in strides:
+        if strides.count(stride) > 1:
+            raise ValueError(f"stride {stride} is repeated")
+        if stride % min(strides):
+            raise ValueError(f"stride {stride} is not a multiple of the "
+                             f"smallest stride {min(strides)}")
 
 
 @dataclass(eq=False)

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from eigenrom.continuation import step_solver
-from eigenrom.fem import rayleigh_from_products
+from eigenrom.continuation import rayleigh_from_products, step_solver
 from eigenrom.harness import EIGENPAIRS, ExperimentConfig, run_experiment
 from eigenrom.linalg import spd_solve, sym_eig_desc
 from eigenrom.mesh import (bisect_refine, generate, generate_lshape,

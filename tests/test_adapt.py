@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eigenrom.adapt import EtaField, adaptive_solve, estimate, mark, next_mesh
 from eigenrom.continuation import ContinuationConfig
-from eigenrom.fem import build_dofmap, interpolate
+from eigenrom.fem import build_dofmap
 from eigenrom.linalg import NonconvergenceError
 from eigenrom.harness import EIGENPAIRS
 from eigenrom.mesh import (Mesh, bisect_refine, generate, generate_lshape,
@@ -72,7 +72,7 @@ class TestEstimate:
         # zero-order residual h_K^2 lam^2 ||u||^2 per element exactly
         mesh = generate("square", "right", 3)
         dm = build_dofmap(mesh, 1)
-        u_full = interpolate(dm, lambda x, y: x)
+        u_full = dm.dof_coords[:, 0]
         lam = 1.7
         eta = estimate(mesh, all_free(dm), u_full, lam)
         h_k = mesh.edge_lengths.max(axis=1)
@@ -85,7 +85,7 @@ class TestEstimate:
         # (2 + lam x^2)^2 integrated exactly (cross-checked by a finer rule)
         mesh = generate("square", "left", 2)
         dm = build_dofmap(mesh, 2)
-        u_full = interpolate(dm, lambda x, y: x ** 2)
+        u_full = dm.dof_coords[:, 0] ** 2
         lam = 0.9
         eta = estimate(mesh, all_free(dm), u_full, lam)
         h_k = mesh.edge_lengths.max(axis=1)
@@ -105,8 +105,8 @@ class TestEstimate:
         rng = np.random.default_rng(11)
         for _ in range(3):
             dm = build_dofmap(mesh, degree)
-            u_full = interpolate(dm, lambda x, y: np.sin(x + 0.3) * np.cos(0.7 * y)
-                                 + 0.1 * x * y)
+            x, y = dm.dof_coords.T
+            u_full = np.sin(x + 0.3) * np.cos(0.7 * y) + 0.1 * x * y
             got = estimate(mesh, all_free(dm), u_full, 3.0)
             want = estimate_by_point_location(mesh, dm, u_full, 3.0)
             assert np.allclose(got.per_triangle, want, rtol=1e-12, atol=0)

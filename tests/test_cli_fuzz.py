@@ -44,7 +44,7 @@ def value(good, bad=BAD):
 @st.composite
 def argvs(draw):
     domain, mesh = draw(st.sampled_from(MESHES * 4 + BAD_MESHES))
-    levels = draw(st.sampled_from([0, 1, 2] * 3 + [-1]))
+    levels = draw(st.sampled_from([1, 2, 3] * 3 + [0, -1]))
     strides = draw(st.lists(st.sampled_from([1, 2, 4, 8] * 4 + [3, 6, 0, -4]),
                             min_size=1, max_size=3))
     # ``--opt=value``: a negative value must reach the option, not look

@@ -1,17 +1,19 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import eigenrom.continuation as continuation
-from eigenrom.continuation import ContinuationConfig, run_fom, step_solver
-from eigenrom.fem import (assemble, build_dofmap, eigen_residual,
-                          rayleigh_from_products)
+from eigenrom.continuation import (ContinuationConfig, eigen_residual,
+                                   rayleigh_from_products, run_fom, step_solver)
+from eigenrom.fem import assemble, build_dofmap
 from eigenrom.linalg import NonconvergenceError, SolverError, spd_solve
 from eigenrom.mesh import generate, generate_lshape, generate_square
 from oracles import fom_loop_dense, smallest_pencil_eigenpair
@@ -283,7 +285,33 @@ class TestRunFom:
         u0 = np.array([1e-15, 1.0, 1.0])
         trace, _ = run_fom(A, M, ContinuationConfig(), 4, u0=u0)
         assert trace.eigenvalue == pytest.approx(2.0, abs=1e-6)
-        assert any("orthogonal" in w for w in trace.warnings)
+        # the warning states the measured M-cosine, not a higher mode: the
+        # run reached the lowest one
+        [warning] = trace.warnings
+        cosine = re.fullmatch(
+            r"initial guess is numerically M-orthogonal to the computed "
+            r"eigenvector \(M-cosine (\S+)\); the start barely contained the "
+            r"vector the run reached", warning).group(1)
+        assert 0 < float(cosine) <= 100 * ContinuationConfig().stop_tol
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-9])
+    def test_which_warning_flags_a_higher_mode(self, c):
+        # square crisscross P1 n=8 from u_2 + u_3 + c u_1, where u_2 + u_3
+        # is an eigenvector of the double eigenvalue lam_2: at c = 1e-6 the
+        # run reaches u_1 with only the M-orthogonal warning; at c = 1e-9
+        # it stops at once on lam_2, and only the sign warning says so
+        mesh = generate("square", "crisscross", 8)
+        A, M = assemble(mesh, build_dofmap(mesh, 1))
+        lam, V = scipy.linalg.eigh(A.toarray(), M.toarray())
+        trace, _ = run_fom(A, M, ContinuationConfig(), 4,
+                           u0=V[:, 1] + V[:, 2] + c * V[:, 0])
+        lowest = c > 1e-8
+        assert trace.eigenvalue == pytest.approx(lam[0 if lowest else 1],
+                                                 rel=1e-9)
+        orthogonal = ["M-orthogonal" in w for w in trace.warnings]
+        sign = ["changes sign" in w for w in trace.warnings]
+        assert (orthogonal, sign) == (([True], [False]) if lowest
+                                      else ([False], [True])), trace.warnings
 
     def test_higher_mode_sign_warning(self):
         A = sp.csr_array([[3.0, -1.0], [-1.0, 3.0]])

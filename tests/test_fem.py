@@ -6,10 +6,9 @@ import pytest
 import scipy.sparse as sp
 
 from eigenrom.adapt import estimate
+from eigenrom.continuation import eigen_residual, rayleigh_from_products
 from eigenrom.fem import (ELEMENTS, QUAD_POINTS, QUAD_WEIGHTS, assemble,
-                          build_dofmap, eigen_residual, interpolate,
-                          interpolate_free, local_basis,
-                          rayleigh_from_products)
+                          build_dofmap, interpolate_free, local_basis)
 from eigenrom.linalg import SYMMETRY_RTOL
 from eigenrom.mesh import bisect_refine, generate_lshape, generate_square
 from oracles import smallest_pencil_eigenpair
@@ -167,7 +166,7 @@ class TestAssembly:
         mesh = generate_square("left", 5, PI)
         dm = build_dofmap(mesh, 1)
         A, _ = assemble_all_dofs(mesh, dm)
-        f = interpolate(dm, lambda x, y: x)
+        f = dm.dof_coords[:, 0]
         assert f @ (A @ f) == pytest.approx(PI ** 2, rel=1e-12)
 
     def test_patch_p2_quadratic_energy(self):
@@ -175,7 +174,7 @@ class TestAssembly:
         mesh = generate_square("crisscross", 4, PI)
         dm = build_dofmap(mesh, 2)
         A, _ = assemble_all_dofs(mesh, dm)
-        f = interpolate(dm, lambda x, y: x ** 2)
+        f = dm.dof_coords[:, 0] ** 2
         assert f @ (A @ f) == pytest.approx(4 * PI ** 4 / 3, rel=1e-12)
 
     def test_p2_mass_exact_quartic(self):
@@ -183,7 +182,8 @@ class TestAssembly:
         mesh = generate_square("right", 3, PI)
         dm = build_dofmap(mesh, 2)
         _, M = assemble_all_dofs(mesh, dm)
-        fx = interpolate(dm, lambda x, y: x * y)
+        x, y = dm.dof_coords.T
+        fx = x * y
         assert fx @ (M @ fx) == pytest.approx(PI ** 6 / 9, rel=1e-12)
 
     def test_mass_gershgorin_positive_definite(self):

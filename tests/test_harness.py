@@ -49,7 +49,7 @@ def run_cli_child(argv, log_level=None):
 
 # an in-domain run whose full-order start is numerically M-orthogonal to
 # the computed eigenvector at its ninth level (263 free dofs), so the run
-# logs a warning; the warning is a false alarm, as that level reaches u_1
+# logs a warning; it claims no higher mode, and that level does reach u_1
 WARNING_ARGV = ["run", "--domain", "lshape", "--mesh", "crisscross",
                 "--n-start", "4", "--levels", "9", "--adaptive"]
 WARNING = ("WARNING eigenrom.rom: full-order run on 263 dofs: initial guess "

@@ -98,7 +98,7 @@ class TestRunRom:
         assert np.linalg.norm(rom_dir - fom_dir) <= 1e-6
 
     def test_reduced_rayleigh_equals_lifted_rayleigh(self, runs):
-        from eigenrom.fem import rayleigh_from_products
+        from eigenrom.continuation import rayleigh_from_products
         _, _, A, M, cfg, _, snaps = runs.fom("square", "crisscross", 16, 1)
         basis = build_pod(snaps, 4)
         ops = reduce(A, M, basis.V)

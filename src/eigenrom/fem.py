@@ -1,5 +1,5 @@
-"""P1/P2 Lagrange elements on triangles: the local basis, the assembly of the
-mass and stiffness matrices, and nodal interpolation on the free dofs.
+"""P1/P2 Lagrange elements on triangles: the dof numbering, the local basis,
+and the assembly of the mass and stiffness matrices.
 
 ``local_basis`` holds the basis formulas and ``ELEMENTS`` each degree's mass
 and stiffness tables; assembly reads the tables and ``adapt.estimate`` the
@@ -161,9 +161,3 @@ def assemble(mesh: Mesh, dofmap: DofMap
     cols = np.tile(idx, (1, n_loc)).reshape(-1)[keep]
     return tuple(sp.coo_array((e.reshape(-1)[keep], (rows, cols)),
                               shape=(n, n)).tocsr() for e in (ke, me))
-
-
-def interpolate_free(dofmap: DofMap, f) -> np.ndarray:
-    """Nodal interpolation of ``f(x, y)`` on the free dofs of the space."""
-    coords = dofmap.dof_coords[dofmap.free_dofs]
-    return np.asarray(f(coords[:, 0], coords[:, 1]), dtype=np.float64)

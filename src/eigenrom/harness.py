@@ -7,6 +7,7 @@ mesh file and from 1 on an adaptive run, whose ``levels`` is a maximum.
 
 Reference eigenpairs (``EIGENPAIRS``): lambda_1 = 2 and sin(x) sin(y) on the
 square (0, pi)^2; 9.6397238440219 and no known eigenfunction on the L-shape.
+The exact basis-size rule (``--pod-eps exact``) is all in ``_exact_eps``.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import numpy as np
 
 from .adapt import check_theta, next_mesh
 from .continuation import ContinuationConfig
-from .fem import check_degree, interpolate_free
+from .fem import check_degree
 from .mesh import (PATTERNS, Mesh, MeshError, check_generator,
                    check_subintervals, generate, read_mesh, uniform_refine,
                    write_mesh)
-from .pod import check_eps, exact_reference_eps, write_singular_values
+from .pod import check_eps, write_singular_values
 from .rom import check_strides, solve_levels
 
 log = logging.getLogger(__name__)
@@ -178,8 +179,17 @@ def _check_domain(mesh: Mesh, domain: str, path: str) -> None:
 
 
 def _exact_eps(eigenfunction, dofmap, M, u) -> float:
-    """The M-distance of u from the interpolated known eigenfunction."""
-    return exact_reference_eps(M, interpolate_free(dofmap, eigenfunction), u)
+    """``--pod-eps exact``: the M-distance of u from the eigenfunction's nodal
+    interpolant on the free dofs, both M-normalized and sign-aligned."""
+    coords = dofmap.dof_coords[dofmap.free_dofs]
+    a = np.asarray(eigenfunction(coords[:, 0], coords[:, 1]), dtype=np.float64)
+    b = np.asarray(u, dtype=np.float64)
+    a = a / np.sqrt(a @ (M @ a))
+    b = b / np.sqrt(b @ (M @ b))
+    if a @ (M @ b) < 0:
+        b = -b
+    d = a - b
+    return float(np.sqrt(max(d @ (M @ d), 0.0)))
 
 
 def compute_rate(errors, sizes, mode: str) -> list:

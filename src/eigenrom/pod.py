@@ -8,7 +8,8 @@ an n x k matrix (and numpy.linalg.matrix_rank's default tolerance), are cut,
 so the numerical rank never exceeds min(n, k).  The basis dimension is chosen
 by the energy criterion: the smallest N whose leading modes carry at least
 1 - eps^2 of the total squared singular values.  ``build_pod(S, eps=...)``
-takes the singular values, N and the basis from the same SVD.
+takes the singular values, N and the basis from the same SVD.  The tolerance
+of ``--pod-eps exact`` is computed in ``harness._exact_eps``.
 """
 
 from __future__ import annotations
@@ -96,22 +97,6 @@ def select_dim(svals, eps: float) -> int:
     total = tail[0] + energy[0]
     ok = np.flatnonzero(tail <= eps ** 2 * total)
     return int(ok[0]) + 1
-
-
-def exact_reference_eps(M, u_reference, u_computed) -> float:
-    """Basis-size tolerance from a known reference eigenvector.
-
-    Both vectors are normalized in the M-norm and sign-aligned; the returned
-    eps is the M-norm of their difference.
-    """
-    a = np.asarray(u_reference, dtype=np.float64)
-    b = np.asarray(u_computed, dtype=np.float64)
-    a = a / np.sqrt(a @ (M @ a))
-    b = b / np.sqrt(b @ (M @ b))
-    if a @ (M @ b) < 0:
-        b = -b
-    d = a - b
-    return float(np.sqrt(max(d @ (M @ d), 0.0)))
 
 
 def write_singular_values(svals, path) -> None:

@@ -10,8 +10,8 @@ and the final state is lifted back as V U_N.  The dense products go through
 ``ndarray.dot``, one per operator: a single product with the stacked
 [a_red; m_red] is blocked differently by BLAS and is not bit-identical to the
 two for N >= 9 not a multiple of 4.  ``solve_levels`` is the one level loop of
-uniform and adaptive schedules; ``solve_level`` is its per-mesh pipeline, which
-samples every stride from one full-order run by the rule ``check_strides``.
+uniform and adaptive schedules and each level's whole pipeline; it samples
+every stride from one full-order run by the rule ``check_strides``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -40,7 +39,7 @@ class SnapshotStrideError(ValueError):
 
 
 def check_strides(strides) -> None:
-    """Positive, distinct, and multiples of the smallest: ``solve_level``
+    """Positive, distinct, and multiples of the smallest: ``solve_levels``
     samples every stride from one run at the smallest."""
     if not strides or min(strides) < 1:
         raise ValueError("strides must be positive")
@@ -125,61 +124,10 @@ class ReducedRun:
     rom_s: float
 
 
-def solve_level(A, M, cont: ContinuationConfig, strides, eps
-                ) -> tuple[SolveTrace, list[ReducedRun]]:
-    """Full-order run once, then one basis and reduced run per stride.
-
-    The full-order run (``run_fom`` at stride ``min(strides)``) starts from
-    the random vector of ``cont.seed``; each stride's basis takes every
-    ``stride // min(strides)``-th of those snapshot columns (``check_strides``
-    and ``check_unknowns`` run before the full-order run; SnapshotStrideError
-    if a stride is longer than the run), with N chosen by the energy
-    tolerance ``eps`` (a float, or a function of the converged full-order
-    vector that returns one).  Every reduced run starts from the all-ones
-    vector, which is positive and so never M-orthogonal to the positive first
-    eigenfunction.
-
-    Returns the full-order trace and one ``ReducedRun`` per stride.  Raises
-    the NonconvergenceError of a run that reaches its step cap or stops away
-    from an eigenpair (this checks the lifted reduced vector, a test of the
-    basis, with ``check_eigen_residual`` outside ``rom_s``).
-    """
-    n = A.shape[0]
-    check_unknowns(n)
-    check_strides(strides)
-    base = min(strides)
-    trace, snaps = run_fom(A, M, cont, base)
-    for warning in trace.warnings:
-        log.warning("full-order run on %d dofs: %s", n, warning)
-    if callable(eps):
-        eps = eps(trace.final_vector)
-
-    per_stride = []
-    for stride in strides:
-        t0 = time.perf_counter()
-        sub = snaps[:, stride // base - 1::stride // base]
-        if sub.shape[1] == 0:
-            raise SnapshotStrideError(
-                f"the full-order run on {n} dofs stopped after "
-                f"{trace.n_steps} steps, before its first snapshot at "
-                f"stride {stride}")
-        basis = build_pod(sub, eps=eps)
-        t_offline = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        rom_trace, lifted = run_rom(reduce(A, M, basis.V), np.ones(n), cont)
-        run = ReducedRun(stride, basis, rom_trace, time.perf_counter() - t0)
-        what = f"reduced run (stride {stride}, N={basis.N}) on {n} dofs"
-        check_eigen_residual(eigen_residual(A, M, lifted, rom_trace.eigenvalue),
-                             rom_trace.eigenvalue, what)
-        log.debug("%d dofs, stride %d: eps=%.3e N=%d offline=%.3fs online=%.3fs",
-                  n, stride, eps, basis.N, t_offline, run.rom_s)
-        per_stride.append(run)
-    return trace, per_stride
-
-
 @dataclass(eq=False)
 class Level:
-    """One solved level of a schedule and what ``solve_level`` returned."""
+    """One solved level of a schedule: its full-order trace and one
+    ``ReducedRun`` per stride."""
 
     index: int
     mesh: Mesh
@@ -190,14 +138,27 @@ class Level:
 
 def solve_levels(mesh: Mesh, degree: int, cont: ContinuationConfig, strides,
                  eps, levels: int, refine):
-    """Number, assemble and ``solve_level`` up to ``levels`` meshes from
-    ``mesh``, yielding one ``Level`` each.
+    """Solve up to ``levels`` meshes from ``mesh``, yielding one ``Level`` each.
+
+    A level numbers and assembles its mesh and runs the full-order iteration
+    once (``run_fom`` at ``min(strides)``, from the random vector of
+    ``cont.seed``).  Each stride's basis takes every ``stride //
+    min(strides)``-th of its snapshot columns (SnapshotStrideError if none),
+    with N chosen by the energy tolerance ``eps``: a float, or ``eps(dofmap,
+    M, u)`` of the converged full-order vector u.  Every reduced run starts
+    from the all-ones vector, which is positive and so never M-orthogonal to
+    the positive first eigenfunction.  ``check_strides`` runs before the
+    first mesh is numbered, ``check_unknowns`` before each full-order run.
 
     The next mesh, made only when its level is due, is ``refine(level,
-    dofmap, M)`` of the last one; None ends the schedule.  ``eps`` is a float
-    or ``eps(dofmap, M, u)`` of the converged full-order vector u.  A level's
-    operators are released before the next one is assembled.
+    dofmap, M)`` of the last one; None ends the schedule.  A level's
+    operators and snapshots are released before the next one is assembled.
+    A run that reaches its step cap or stops away from an eigenpair raises
+    NonconvergenceError (``check_eigen_residual`` checks the lifted reduced
+    vector, a test of the basis, outside ``rom_s``).
     """
+    check_strides(strides)
+    base = min(strides)
     for index in range(levels):
         if index:
             mesh = refine(level, dofmap, M)
@@ -206,8 +167,33 @@ def solve_levels(mesh: Mesh, degree: int, cont: ContinuationConfig, strides,
                 return
         dofmap = build_dofmap(mesh, degree)
         A, M = assemble(mesh, dofmap)
-        level_eps = partial(eps, dofmap, M) if callable(eps) else eps
-        trace, per_stride = solve_level(A, M, cont, strides, level_eps)
-        del A, level_eps
+        n = A.shape[0]
+        check_unknowns(n)
+        trace, snaps = run_fom(A, M, cont, base)
+        for warning in trace.warnings:
+            log.warning("full-order run on %d dofs: %s", n, warning)
+        tol = eps(dofmap, M, trace.final_vector) if callable(eps) else eps
+        per_stride = []
+        for stride in strides:
+            t0 = time.perf_counter()
+            sub = snaps[:, stride // base - 1::stride // base]
+            if sub.shape[1] == 0:
+                raise SnapshotStrideError(
+                    f"the full-order run on {n} dofs stopped after "
+                    f"{trace.n_steps} steps, before its first snapshot at "
+                    f"stride {stride}")
+            basis = build_pod(sub, eps=tol)
+            t_offline = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            rom_trace, lifted = run_rom(reduce(A, M, basis.V), np.ones(n), cont)
+            run = ReducedRun(stride, basis, rom_trace, time.perf_counter() - t0)
+            what = f"reduced run (stride {stride}, N={basis.N}) on {n} dofs"
+            lam = rom_trace.eigenvalue
+            check_eigen_residual(eigen_residual(A, M, lifted, lam), lam, what)
+            log.debug("%d dofs, stride %d: eps=%.3e N=%d offline=%.3fs online=%.3fs",
+                      n, stride, tol, basis.N, t_offline, run.rom_s)
+            per_stride.append(run)
+        # sub is a view of snaps and keeps it alive
+        del A, snaps, sub, lifted
         level = Level(index, mesh, dofmap.n_dof_total, trace, per_stride)
         yield level

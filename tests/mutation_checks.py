@@ -155,6 +155,23 @@ MUTANTS = [
            "tail = energy.sum() - np.cumsum(energy)",
            ("tests/test_pod.py::TestSelectDim::test_tiny_tail_not_lost_to_cancellation",),
            "select_dim's tail sum against cancellation"),
+    Mutant("level-skips-unknowns-check", "rom.py",
+           "        n = A.shape[0]\n"
+           "        check_unknowns(n)\n",
+           "        n = A.shape[0]\n",
+           ("tests/test_harness.py::TestCli::test_bad_config_rejected_before_any_solve",),
+           "one level function: check_unknowns before the full-order run"),
+    Mutant("exact-eps-not-sign-aligned", "harness.py",
+           "    if a @ (M @ b) < 0:\n"
+           "        b = -b\n",
+           "",
+           ("tests/test_harness.py::TestExactEps::test_zero_for_identical_directions",),
+           "the exact basis-size rule in one home, harness._exact_eps"),
+    Mutant("level-keeps-its-snapshots", "rom.py",
+           "del A, snaps, sub, lifted",
+           "del A, lifted",
+           ("tests/test_rom.py::TestSolveLevel::test_operators_released_before_the_next_assembly",),
+           "one level function: a level's operators released before the next"),
 ]
 
 # mutants that change no behaviour any input can reach

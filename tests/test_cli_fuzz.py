@@ -6,8 +6,9 @@ exits 0 writes one row per level and stride.  The exit code says where a
 failure came from: 2 exactly when a solve failed with a ``SolverError``, and
 1 only for an input refused before the first full-order solve, or for the
 one input error that shows only once a run ends (``SnapshotStrideError``).
-Most examples of the first property are refused before any solve; the second
-draws valid arguments only, with stop tolerances loose enough, or steps short
+Each example of the first property draws at most one option from its bad
+values, so about four in ten reach a full-order solve; the second draws
+valid arguments only, with stop tolerances loose enough, or steps short
 enough, that many runs stop away from an eigenpair and exit 2.  The third
 runs generated meshes written to a file with one mutation that breaks
 conformity; each is refused as a ``MeshError`` before any solve.
@@ -34,41 +35,57 @@ BAD = ["0", "-0.1", "nan", "inf", "-inf"]
 MESHES = [(domain, p) for domain, patterns in PATTERNS.items() for p in patterns]
 BAD_MESHES = [("square", "mixed"), ("lshape", "left"), ("square", "hexagon"),
               ("square", "file:no-such.mesh")]
-
-
-def value(good, bad=BAD):
-    """A good value about four times in five, else a bad one."""
-    return st.sampled_from(good * (20 // len(good)) + bad)
+# the options an example may draw from their bad values
+FAULTS = ["mesh", "fe", "n-start", "levels", "strides", "dt", "stop-tol",
+          "pod-eps", "seed", "option", "theta", "dump"]
 
 
 @st.composite
 def argvs(draw):
-    domain, mesh = draw(st.sampled_from(MESHES * 4 + BAD_MESHES))
-    levels = draw(st.sampled_from([1, 2, 3] * 3 + [0, -1]))
-    strides = draw(st.lists(st.sampled_from([1, 2, 4, 8] * 4 + [3, 6, 0, -4]),
-                            min_size=1, max_size=3))
+    """An argument list with at most one option drawn from its bad values
+    (none in about half the examples), the rows a uniform run writes, and
+    the dump option pointed at a missing folder, if any."""
+    fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS))
+
+    def pick(name, good, bad):
+        return draw(st.sampled_from(bad if fault == name else good))
+
+    domain, mesh = pick("mesh", MESHES, BAD_MESHES)
+    levels = pick("levels", [1, 2, 3], [0, -1])
+    adaptive = fault == "theta" or draw(st.booleans())
+    # a bad stride list may repeat a stride, hold one that is not a multiple
+    # of the smallest or is not positive, or give an adaptive run several
+    if fault == "strides":
+        strides = draw(st.lists(st.sampled_from([1, 2, 4, 8, 3, 6, 0, -4]),
+                                min_size=1, max_size=3))
+    else:
+        strides = draw(st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1,
+                                max_size=1 if adaptive else 3, unique=True))
+    # the exact tolerance needs uniform levels on the square; an --n-start
+    # of 1 leaves no free dof on some meshes
+    exact = ["exact"] if domain == "square" and not adaptive else []
+    pod_eps = pick("pod-eps", ["1e-7", "1e-4", *exact], BAD + ["exact"])
     # ``--opt=value``: a negative value must reach the option, not look
     # like another option to argparse.  A --dt of 5e-324 has no finite 1/dt;
     # as a --stop-tol it would run every example to the step cap.
     argv = ["run", f"--domain={domain}", f"--mesh={mesh}",
-            f"--fe={draw(st.sampled_from([1, 2] * 5 + [3]))}",
-            f"--n-start={draw(st.sampled_from([*range(1, 9), 0]))}",
+            f"--fe={pick('fe', [1, 2], [3])}",
+            f"--n-start={pick('n-start', [*range(2, 9)], [0, 1])}",
             f"--levels={levels}",
-            f"--dt={draw(value(['0.1', '0.5', '1'], BAD + ['5e-324']))}",
-            f"--stop-tol={draw(value(['1e-8', '1e-6']))}",
-            f"--pod-eps={draw(value(['1e-7', '1e-4', 'exact']))}",
-            f"--seed={draw(st.integers(min_value=-1, max_value=3))}"]
-    # an option the CLI does not have, now and then
-    argv += draw(st.sampled_from([[]] * 9 + [["--init=ones"]]))
+            f"--dt={pick('dt', ['0.1', '0.5', '1'], BAD + ['5e-324'])}",
+            f"--stop-tol={pick('stop-tol', ['1e-8', '1e-6'], BAD)}",
+            f"--pod-eps={pod_eps}",
+            f"--seed={pick('seed', [0, 1, 2, 3], [-1])}"]
+    if fault == "option":           # an option the CLI does not have
+        argv.append("--init=ones")
     if len(strides) == 1:
         argv.append(f"--stride={strides[0]}")
     else:
         argv.append(f"--strides={','.join(map(str, strides))}")
-    adaptive = draw(st.booleans())
     if adaptive:
-        argv += ["--adaptive", f"--theta={draw(value(['0.3', '0.5', '1']))}"]
-    # an output in a directory that does not exist, now and then
-    dump = draw(st.sampled_from([None] * 8 + ["--dump-mesh", "--dump-singvals"]))
+        argv += ["--adaptive",
+                 f"--theta={pick('theta', ['0.3', '0.5', '1'], BAD)}"]
+    dump = pick("dump", [None], ["--dump-mesh", "--dump-singvals"])
     return argv, adaptive, levels * len(strides), dump
 
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from eigenrom.adapt import estimate
 from eigenrom.continuation import eigen_residual, rayleigh_from_products
 from eigenrom.fem import (ELEMENTS, QUAD_POINTS, QUAD_WEIGHTS, assemble,
-                          build_dofmap, interpolate_free, local_basis)
+                          build_dofmap, local_basis)
 from eigenrom.linalg import SYMMETRY_RTOL
 from eigenrom.mesh import bisect_refine, generate_lshape, generate_square
 from oracles import smallest_pencil_eigenpair
@@ -288,13 +288,6 @@ class TestFields:
         full = dm.full_vector(np.ones(dm.n_free))
         assert np.array_equal(full[dm.free_dofs], np.ones(dm.n_free))
         assert np.all(full[mesh.boundary_node] == 0)
-
-    def test_interpolate_free_vanishing_boundary(self):
-        mesh = generate_square("crisscross", 4, PI)
-        dm = build_dofmap(mesh, 2)
-        u = interpolate_free(dm, lambda x, y: np.sin(x) * np.sin(y))
-        assert u.shape == (dm.n_free,)
-        assert np.abs(u).max() <= 1.0
 
     def test_length_mismatch_rejected(self):
         mesh = generate_square("right", 2, 1.0)

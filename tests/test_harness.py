@@ -15,9 +15,10 @@ import scipy.linalg
 import eigenrom.rom as rom
 from eigenrom.cli import build_parser, main as cli_main
 from eigenrom.continuation import ContinuationConfig, run_fom
+from eigenrom.fem import assemble, build_dofmap
 from eigenrom.harness import (CSV_HEADER, EIGENPAIRS, ExperimentConfig,
-                              ExperimentError, ResultRow, compute_rate,
-                              emit_csv, read_csv, run_experiment)
+                              ExperimentError, ResultRow, _exact_eps,
+                              compute_rate, emit_csv, read_csv, run_experiment)
 from eigenrom.linalg import NonconvergenceError, NotSpdError
 from eigenrom.mesh import generate, generate_lshape, read_mesh, write_mesh
 from eigenrom.rom import SnapshotStrideError, run_rom
@@ -82,6 +83,57 @@ class TestComputeRate:
             compute_rate([1.0], [1.0, 2.0], "uniform")
         with pytest.raises(ValueError):
             compute_rate([1.0], [1.0], "geometric")
+
+
+class TestExactEps:
+    """``_exact_eps``, the basis-size tolerance of ``--pod-eps exact``."""
+
+    SINE = staticmethod(EIGENPAIRS["square"][1])
+
+    def interpolant(self, dm):
+        coords = dm.dof_coords[dm.free_dofs]
+        return self.SINE(coords[:, 0], coords[:, 1])
+
+    def test_zero_for_identical_directions(self, runs, rng):
+        _, dm, _, M, _, _, _ = runs.fom("square", "crisscross", 16, 1)
+        u = self.interpolant(dm)
+        assert _exact_eps(self.SINE, dm, M, 2.5 * u) <= 1e-12
+        assert _exact_eps(self.SINE, dm, M, -u) <= 1e-12   # sign aligned first
+        v = rng.standard_normal(dm.n_free)
+        assert _exact_eps(self.SINE, dm, M, -2.5 * v) == pytest.approx(
+            _exact_eps(self.SINE, dm, M, v), rel=1e-12)
+
+    def test_orthogonal_directions(self, runs, rng):
+        _, dm, _, M, _, _, _ = runs.fom("square", "crisscross", 16, 1)
+        u = self.interpolant(dm)
+        v = rng.standard_normal(dm.n_free)
+        v -= (u @ (M @ v)) / (u @ (M @ u)) * u
+        assert _exact_eps(self.SINE, dm, M, v) == pytest.approx(np.sqrt(2.0),
+                                                                rel=1e-12)
+
+    def test_discretization_error_scale(self, runs):
+        # against the interpolated exact eigenfunction the tolerance is the
+        # relative L2 eigenvector error, which is O(h^2) for P1
+        _, dm, _, M, _, trace, _ = runs.fom("square", "crisscross", 16, 1)
+        assert 1e-5 < _exact_eps(self.SINE, dm, M, trace.final_vector) < 1e-2
+
+    def test_interpolant_on_the_free_dofs(self):
+        # the eigenfunction is evaluated once, at the free dofs only: all
+        # inside the square, where it is positive
+        mesh = generate("square", "crisscross", 4)
+        dm = build_dofmap(mesh, 2)
+        M = assemble(mesh, dm)[1]
+        seen = []
+
+        def recording(x, y):
+            seen.append(self.SINE(x, y))
+            return seen[-1]
+
+        _exact_eps(recording, dm, M, np.ones(dm.n_free))
+        [u] = seen
+        assert u.shape == (dm.n_free,)
+        assert 0 < u.min() and u.max() <= 1.0
+        assert _exact_eps(self.SINE, dm, M, u) == 0.0
 
 
 class TestCsv:
@@ -189,7 +241,7 @@ class TestRunExperiment:
             assert ra.rate_fom == rb.rate_fom
 
     def test_uniform_and_adaptive_levels_agree(self):
-        # both paths run one square level through the same solve_level
+        # both paths run one square level through the same solve_levels
         cont = ContinuationConfig(seed=3)
         uniform = run_experiment(small_config(continuation=cont))
         adaptive = run_experiment(small_config(continuation=cont,

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from eigenrom.pod import (build_pod, exact_reference_eps, select_dim,
-                          singular_values, write_singular_values)
+from eigenrom.pod import (build_pod, select_dim, singular_values,
+                          write_singular_values)
 from oracles import power_svd, projection_error_sq
 
 
@@ -50,7 +49,7 @@ class TestBuildPod:
 
     def test_accepts_snapshot_matrix(self, runs):
         # the snapshot array of a full-order run, and a strided column view
-        # of it as ``rom.solve_level`` passes, give the basis of a copy
+        # of it as ``rom.solve_levels`` passes, give the basis of a copy
         _, _, _, _, _, _, snaps = runs.fom("square", "crisscross", 16, 1)
         for S in (snaps, snaps[:, 1::2]):
             basis = build_pod(S, 3)
@@ -209,28 +208,6 @@ class TestProjectionError:
         with pytest.raises(ValueError):
             projection_error_sq(rng.standard_normal((10, 3)),
                                 rng.standard_normal((9, 2)))
-
-
-class TestExactReferenceEps:
-    def test_zero_for_identical_directions(self, rng):
-        M = sp.csr_array(np.eye(6))
-        u = rng.standard_normal(6)
-        assert exact_reference_eps(M, u, 2.5 * u) <= 1e-12
-        assert exact_reference_eps(M, u, -u) <= 1e-12   # sign aligned first
-
-    def test_orthogonal_directions(self):
-        M = sp.csr_array(np.eye(2))
-        eps = exact_reference_eps(M, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert eps == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
-    def test_discretization_error_scale(self, runs):
-        # against the interpolated exact eigenfunction the tolerance is the
-        # relative L2 eigenvector error, which is O(h^2) for P1
-        from eigenrom.fem import interpolate_free
-        _, dm, _, M, _, trace, _ = runs.fom("square", "crisscross", 16, 1)
-        u_exact = interpolate_free(dm, lambda x, y: np.sin(x) * np.sin(y))
-        eps = exact_reference_eps(M, u_exact, trace.final_vector)
-        assert 1e-5 < eps < 1e-2
 
 
 class TestSingularValueDump:

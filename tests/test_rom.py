@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -219,15 +220,12 @@ class TestRunRom:
 
 
 class TestSolveLevel:
-    @pytest.fixture()
-    def pencil(self):
-        mesh = generate("square", "crisscross", 8)
-        return assemble(mesh, build_dofmap(mesh, 1))
+    MESH = generate("square", "crisscross", 8)
 
-    def test_stride_subsampling(self, monkeypatch, pencil):
+    def test_stride_subsampling(self, monkeypatch):
         # each stride's basis is built from the columns of the one full-order
         # snapshot array that a run at that stride records on its own
-        A, M = pencil
+        A, M = assemble(self.MESH, build_dofmap(self.MESH, 1))
         cont = ContinuationConfig(seed=3)
         seen = []
 
@@ -236,18 +234,42 @@ class TestSolveLevel:
             return build_pod(S, **kwargs)
 
         monkeypatch.setattr(rom, "build_pod", recording_build_pod)
-        rom.solve_level(A, M, cont, (2, 4, 8), 1e-7)
+        list(rom.solve_levels(self.MESH, 1, cont, (2, 4, 8), 1e-7, 1, None))
         assert len(seen) == 3
         for stride, S in zip((2, 4, 8), seen):
             own = run_fom(A, M, cont, stride)[1]
             assert S.shape[1] >= 1 and np.array_equal(S, own)
 
-    def test_stride_not_a_multiple_rejected_before_the_run(self, fom_calls,
-                                                           pencil):
-        A, M = pencil
+    def test_stride_not_a_multiple_rejected_before_the_run(self, fom_calls):
         with pytest.raises(ValueError, match="not a multiple"):
-            rom.solve_level(A, M, ContinuationConfig(), (2, 3), 1e-7)
+            list(rom.solve_levels(self.MESH, 1, ContinuationConfig(), (2, 3),
+                                  1e-7, 1, None))
         assert fom_calls == []
+
+    def test_operators_released_before_the_next_assembly(self, monkeypatch):
+        # a schedule holds one level's operators and snapshots at a time:
+        # when a mesh is assembled, every earlier level's A, M and snapshot
+        # array is gone
+        refs, dead = [], []
+
+        def recording_run_fom(A, M, cont, stride):
+            trace, snaps = run_fom(A, M, cont, stride)
+            refs.append([weakref.ref(x) for x in (A, M, snaps)])
+            return trace, snaps
+
+        def recording_assemble(mesh, dofmap):
+            dead.append([ref() is None for level in refs for ref in level])
+            return assemble(mesh, dofmap)
+
+        monkeypatch.setattr(rom, "run_fom", recording_run_fom)
+        monkeypatch.setattr(rom, "assemble", recording_assemble)
+        refine = lambda level, dofmap, M: generate(
+            "square", "crisscross", 8 * 2 ** level.index)
+        levels = list(rom.solve_levels(generate("square", "crisscross", 4), 1,
+                                       ContinuationConfig(), (2, 4), 1e-7, 3,
+                                       refine))
+        assert [level.n_dof for level in levels] == [41, 145, 545]
+        assert dead == [[], [True] * 3, [True] * 6]
 
 
 @given(data=st.data())

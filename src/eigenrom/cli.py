@@ -4,9 +4,11 @@
 Exit codes: 0 success; 2 exactly when a solve failed with a
 ``linalg.SolverError``; 1 for an input refused before the first solve, and
 for ``rom.SnapshotStrideError`` (a snapshot stride longer than the run, known
-only once it ends).  The EIGENROM_LOG environment variable
-(error|warning|info|debug, in any case) sets the level of diagnostics on
-stderr; unset, it is warning: warnings and errors are shown.
+only once it ends).  ``run_experiment`` re-raises a failure as it is, so
+its type picks the code; any other exception is a bug and leaves ``main``
+with its traceback, after the partial table.  The EIGENROM_LOG environment
+variable (error|warning|info|debug, in any case) sets the level of
+diagnostics on stderr; unset, it is warning: warnings and errors are shown.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from dataclasses import MISSING, fields
 
 from .continuation import ContinuationConfig
-from .harness import ExperimentConfig, ExperimentError, run_experiment
+from .harness import ExperimentConfig, run_experiment
 from .linalg import SolverError
 from .mesh import PATTERNS
 
@@ -113,9 +115,9 @@ def main(argv=None) -> int:
                if f.name in options}
         rows = run_experiment(ExperimentConfig(
             **own, continuation=ContinuationConfig(**options)))
-    except (UsageError, ValueError, OSError, ExperimentError) as exc:
+    except (UsageError, ValueError, OSError, SolverError) as exc:
         print(f"eigenrom: error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.__cause__, SolverError) else 1
+        return 2 if isinstance(exc, SolverError) else 1
     for row in rows:
         log.info("%s n=%s dof=%d lambda_fom=%.12f lambda_rom=%.12f N=%d",
                  row.mesh, row.n, row.dof, row.lambda_fom, row.lambda_rom,

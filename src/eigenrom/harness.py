@@ -81,15 +81,6 @@ _PARSE = {"str": str, "int": int, "float": float,
           "float | None": lambda s: None if s == "" else float(s)}
 
 
-class ExperimentError(RuntimeError):
-    """A schedule aborted mid-way; carries the rows completed so far, and
-    the failure as its ``__cause__``."""
-
-    def __init__(self, message: str, rows: list):
-        super().__init__(message)
-        self.rows = rows
-
-
 def _validate(cfg: ExperimentConfig):
     """Refuse a bad config before the first solve, by each stage's checks."""
     if cfg.domain not in PATTERNS:
@@ -224,9 +215,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     ``_outputs`` (the table, then both dumps from the last solved level);
     return its rows.
 
-    Deterministic for a fixed config and seed, timing aside.  Component
-    failures abort the schedule: the rows already completed go to the table,
-    and the raised ExperimentError carries them."""
+    Deterministic for a fixed config and seed, timing aside.  A failure
+    aborts the schedule: the log names the failing level, the rows already
+    completed go to the table, and the failure itself is re-raised."""
     _validate(cfg)
     lam_ref, eigenfunction = EIGENPAIRS[cfg.domain]
     eps = (partial(_exact_eps, eigenfunction) if cfg.pod_eps == "exact"
@@ -258,18 +249,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                           last.trace.eigenvalue, run.trace.eigenvalue, None,
                           None, run.basis.N, last.trace.wall_time, run.rom_s)
                 for run in last.per_stride])
-    except Exception as exc:
+    except Exception:
+        log.error("schedule aborted at n=%s", label(len(table)))
         rows = _rows(table, sizes, mode, lam_ref)
         if rows and cfg.out_path:
             try:
                 emit_csv(rows, cfg.out_path)
-                log.error("schedule aborted; partial table written to %s",
-                          cfg.out_path)
+                log.error("partial table written to %s", cfg.out_path)
             except OSError:
                 pass
-        raise ExperimentError(
-            f"schedule aborted at n={label(len(table))}: {exc}",
-            rows) from exc
+        raise
 
     rows = _rows(table, sizes, mode, lam_ref)
     runs = iter(last.per_stride)

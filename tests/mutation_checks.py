@@ -172,6 +172,29 @@ MUTANTS = [
            "del A, lifted",
            ("tests/test_rom.py::TestSolveLevel::test_operators_released_before_the_next_assembly",),
            "one level function: a level's operators released before the next"),
+    Mutant("solver-failure-exits-1", "cli.py",
+           "return 2 if isinstance(exc, SolverError) else 1",
+           "return 1",
+           ("tests/test_harness.py::TestCli::test_adaptive_nonconvergence_exit_code",
+            "tests/test_harness.py::TestCli::test_exit_code_by_failure_type"),
+           "a failure leaves run_experiment as itself; main reads its type"),
+    Mutant("abort-writes-no-partial-table", "harness.py",
+           "emit_csv(rows, cfg.out_path)",
+           "pass",
+           ("tests/test_harness.py::TestRunExperiment::test_abort_writes_the_partial_table_then_raises",),
+           "a failure leaves run_experiment as itself; main reads its type"),
+    Mutant("abort-swallows-the-failure", "harness.py",
+           "                pass\n"
+           "        raise\n",
+           "                pass\n"
+           "        return rows\n",
+           ("tests/test_harness.py::TestRunExperiment::test_abort_writes_the_partial_table_then_raises",),
+           "a failure leaves run_experiment as itself; main reads its type"),
+    Mutant("main-catches-every-exception", "cli.py",
+           "except (UsageError, ValueError, OSError, SolverError) as exc:",
+           "except Exception as exc:",
+           ("tests/test_harness.py::TestCli::test_internal_error_is_not_a_refused_input",),
+           "a failure leaves run_experiment as itself; main reads its type"),
 ]
 
 # mutants that change no behaviour any input can reach

@@ -2,10 +2,12 @@
 
 Whatever the arguments, the CLI must end with exit code 0, 1 or 2 and an
 ``eigenrom: error:`` line rather than a traceback, and a uniform run that
-exits 0 writes one row per level and stride.  The exit code says where a
-failure came from: 2 exactly when a solve failed with a ``SolverError``, and
-1 only for an input refused before the first full-order solve, or for the
-one input error that shows only once a run ends (``SnapshotStrideError``).
+exits 0 writes one row per level and stride.  An exception outside that
+contract leaves ``cli.main`` as it is, so it fails the example with its
+traceback.  The exit code says where a failure came from: 2 exactly when a
+solve failed with a ``SolverError``, and 1 only for an input refused before
+the first full-order solve, or for the one input error that shows only once
+a run ends (``SnapshotStrideError``).
 Each example of the first property draws at most one option from its bad
 values, so about four in ten reach a full-order solve; the second draws
 valid arguments only, with stop tolerances loose enough, or steps short
@@ -91,8 +93,8 @@ def argvs(draw):
 
 def run_checked(folder, argv):
     """``eigenrom`` on argv with its CSV in folder; asserts the exit-code
-    contract and returns the exit code, the CSV path and the cause of a
-    failed schedule (None if there is none)."""
+    contract and returns the exit code, the CSV path and the failure raised
+    by the schedule (None if there is none)."""
     out = folder / "t.csv"
     solves, raised = [], []
 
@@ -114,12 +116,12 @@ def run_checked(folder, argv):
         code = cli.main([*argv, "--out", str(out)])
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
-    cause = raised[0].__cause__ if raised else None
-    assert (code == 2) == isinstance(cause, SolverError), stderr.getvalue()
+    failure = raised[0] if raised else None
+    assert (code == 2) == isinstance(failure, SolverError), stderr.getvalue()
     if code == 1:
-        assert not solves or isinstance(cause, SnapshotStrideError), \
+        assert not solves or isinstance(failure, SnapshotStrideError), \
             stderr.getvalue()
-    return code, out, cause
+    return code, out, failure
 
 
 @given(case=argvs())
@@ -158,9 +160,9 @@ def solvable_argvs(draw):
 @given(argv=solvable_argvs())
 @settings(max_examples=100, deadline=None)
 def test_exit_code_of_valid_runs(tmp_path_factory, argv):
-    code, _, cause = run_checked(tmp_path_factory.mktemp("fuzz"), argv)
+    code, _, failure = run_checked(tmp_path_factory.mktemp("fuzz"), argv)
     # no valid input is refused: exit 1 is a stride longer than the run
-    assert code != 1 or isinstance(cause, SnapshotStrideError)
+    assert code != 1 or isinstance(failure, SnapshotStrideError)
 
 
 MUTATIONS = {"duplicate": duplicate_triangle, "reverse": reverse_triangle,
@@ -186,6 +188,6 @@ def test_mutated_mesh_file_is_refused(tmp_path_factory, data, mesh, n,
     folder = tmp_path_factory.mktemp("mutated")
     path = folder / f"{mutation}.mesh"
     path.write_text(mesh_text(*MUTATIONS[mutation](generated, item)))
-    code, _, cause = run_checked(folder, ["run", f"--domain={domain}",
-                                          f"--mesh=file:{path}"])
-    assert code == 1 and isinstance(cause, MeshError)
+    code, _, failure = run_checked(folder, ["run", f"--domain={domain}",
+                                            f"--mesh=file:{path}"])
+    assert code == 1 and isinstance(failure, MeshError)

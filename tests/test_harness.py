@@ -17,10 +17,11 @@ from eigenrom.cli import build_parser, main as cli_main
 from eigenrom.continuation import ContinuationConfig, run_fom
 from eigenrom.fem import assemble, build_dofmap
 from eigenrom.harness import (CSV_HEADER, EIGENPAIRS, ExperimentConfig,
-                              ExperimentError, ResultRow, _exact_eps,
-                              compute_rate, emit_csv, read_csv, run_experiment)
-from eigenrom.linalg import NonconvergenceError, NotSpdError
-from eigenrom.mesh import generate, generate_lshape, read_mesh, write_mesh
+                              ResultRow, _exact_eps, compute_rate, emit_csv,
+                              read_csv, run_experiment)
+from eigenrom.linalg import NonconvergenceError, NotSpdError, SolverError
+from eigenrom.mesh import (MeshError, generate, generate_lshape, read_mesh,
+                           write_mesh)
 from eigenrom.rom import SnapshotStrideError, run_rom
 from mesh_files import FOLD, hanging_square, mesh_text
 
@@ -288,13 +289,14 @@ class TestRunExperiment:
         assert [(r.mesh, r.n) for r in rows] == [("file", 0), ("file", 1)]
         assert rows[1].rate_fom == pytest.approx(2.0, abs=0.2)
 
-    def test_nonconvergence_aborts_with_partial_rows(self):
+    def test_nonconvergence_aborts_with_partial_rows(self, tmp_path):
         cont = ContinuationConfig(max_steps=5)
-        cfg = small_config(levels=2, continuation=cont)
-        with pytest.raises(ExperimentError) as info:
+        out = tmp_path / "t.csv"
+        cfg = small_config(levels=2, continuation=cont, out_path=str(out))
+        with pytest.raises(NonconvergenceError):
             run_experiment(cfg)
-        assert isinstance(info.value.__cause__, NonconvergenceError)
-        assert info.value.rows == []
+        # no level finished, so there is no partial table to write
+        assert not out.exists()
 
     def test_out_path_writes_the_emitted_table(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -327,14 +329,12 @@ class TestRunExperiment:
         write_mesh(generate("square", "right", 4), "square.mesh")
         out = tmp_path / "t.csv"
         with caplog.at_level(logging.ERROR, logger="eigenrom"), \
-                pytest.raises(ExperimentError) as info:
+                pytest.raises(NotSpdError):
             run_experiment(small_config(levels=3, out_path=str(out),
                                         **overrides))
-        assert isinstance(info.value.__cause__, NotSpdError)
-        assert str(info.value).startswith(f"schedule aborted at n={failed}: ")
-        assert [r.n for r in info.value.rows] == done
-        assert read_csv(out) == info.value.rows
+        assert f"schedule aborted at n={failed}" in caplog.text
         assert f"partial table written to {out}" in caplog.text
+        assert [r.n for r in read_csv(out)] == done
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_fom_warnings_are_logged(self, monkeypatch, caplog, adaptive):
@@ -902,9 +902,62 @@ class TestCli:
         err = capsys.readouterr().err
         assert re.search(r"stopped after \d+ steps, before its first snapshot "
                          r"at stride 100000", err), err
-        with pytest.raises(ExperimentError) as info:
+        with pytest.raises(SnapshotStrideError):
             run_experiment(small_config(n_start=1, strides=(100000,)))
-        assert isinstance(info.value.__cause__, SnapshotStrideError)
+
+    # each failure type that may leave run_experiment, and main's exit code
+    # for it (None: main lets it through, with its traceback)
+    @pytest.mark.parametrize("failure, code", [
+        (MeshError("bad mesh"), 1),
+        (SnapshotStrideError("no snapshot"), 1),
+        (ValueError("bad value"), 1),
+        (OSError("cannot write"), 1),
+        (NotSpdError("not SPD"), 2),
+        (NonconvergenceError("no convergence", residual=1.0), 2),
+        (SolverError("solve failed"), 2),
+        (KeyError("bug"), None),
+    ], ids=lambda value: type(value).__name__ if isinstance(
+        value, Exception) else str(value))
+    def test_exit_code_by_failure_type(self, monkeypatch, capsys, failure,
+                                       code):
+        def failing_run(cfg):
+            raise failure
+
+        monkeypatch.setattr("eigenrom.cli.run_experiment", failing_run)
+        argv = ["run", "--domain", "square", "--mesh", "crisscross",
+                "--out", "t.csv"]
+        if code is None:
+            with pytest.raises(type(failure)):
+                cli_main(argv)
+        else:
+            assert cli_main(argv) == code
+            assert (f"eigenrom: error: {failure}\n"
+                    == capsys.readouterr().err)
+
+    def test_internal_error_is_not_a_refused_input(self, tmp_path,
+                                                   monkeypatch, caplog):
+        # a bug at the second level: the first level's row is written, the
+        # log names the level, and the bug leaves with its own type
+        def build_pod_failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyError("bug")
+            return build_pod(*args, **kwargs)
+
+        build_pod = rom.build_pod
+        monkeypatch.setattr(rom, "build_pod", build_pod_failing_second)
+        out = tmp_path / "t.csv"
+        calls = []
+        with caplog.at_level(logging.ERROR, logger="eigenrom"), \
+                pytest.raises(KeyError):
+            run_experiment(small_config(n_start=4, levels=3,
+                                        out_path=str(out)))
+        assert [r.n for r in read_csv(out)] == [4]
+        assert "schedule aborted at n=8" in caplog.text
+        calls.clear()
+        with pytest.raises(KeyError):
+            cli_main(["run", "--domain", "square", "--mesh", "crisscross",
+                      "--n-start", "4", "--levels", "3", "--out", str(out)])
 
     def test_console_script_entry(self, tmp_path):
         out = tmp_path / "cli.csv"

@@ -108,18 +108,15 @@ def mark(etas: EtaField, theta: float) -> np.ndarray:
     return np.sort(order[:cut]).astype(np.int64, copy=False)
 
 
-def next_mesh(theta: float, level: Level, dofmap: DofMap, M) -> Mesh | None:
+def next_mesh(theta: float, level: Level, dofmap: DofMap, M) -> Mesh:
     """The adaptive refinement of ``rom.solve_levels``: estimate with the
-    level's M-normalized full-order eigenpair, mark with ``theta``, bisect.
-    Returns None once the estimate vanishes."""
+    level's M-normalized full-order eigenpair, mark with ``theta``, bisect."""
     u = level.trace.final_vector
     etas = estimate(level.mesh, dofmap, u / np.sqrt(u @ (M @ u)),
                     level.trace.eigenvalue)
     log.info("level %d: dof=%d lambda=%.12f eta=%.3e pod=%d", level.index,
              level.n_dof, level.trace.eigenvalue, etas.total,
              level.per_stride[0].basis.N)
-    if etas.total <= 1e-14:
-        return None
     return bisect_refine(level.mesh, mark(etas, theta))
 
 

@@ -30,13 +30,9 @@ _DEFAULTS = {f.name: f.default for cls in (ExperimentConfig, ContinuationConfig)
              for f in fields(cls) if f.default is not MISSING}
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _configure_logging():
@@ -44,10 +40,13 @@ def _configure_logging():
     levels = {"error": logging.ERROR, "warning": logging.WARNING,
               "info": logging.INFO, "debug": logging.DEBUG}
     if level not in levels:
-        raise UsageError(f"EIGENROM_LOG must be error|warning|info|debug, "
+        raise ValueError(f"EIGENROM_LOG must be error|warning|info|debug, "
                          f"got {level!r}")
-    logging.basicConfig(stream=sys.stderr, level=levels[level],
+    # basicConfig adds the handler once; the level is set on every call, on
+    # the root logger, as the row lines are logged as __main__ under -m
+    logging.basicConfig(stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(levels[level])
 
 
 # argparse reports a ValueError of a type function as a usage error
@@ -73,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "1 or 2")
     run.add_argument("--n-start", type=int,
                      help="subintervals per side on the coarsest mesh")
-    run.add_argument("--levels", type=int, help="number of mesh levels, >= 1"
-                     "; an adaptive run stops early once its estimate vanishes")
+    run.add_argument("--levels", type=int, help="number of mesh levels, >= 1")
     run.add_argument("--dt", type=float, help="fictitious time step")
     run.add_argument("--stop-tol", type=float, help="stopping tolerance")
     run.add_argument("--stride", "--strides", dest="strides", type=strides,
@@ -115,7 +113,7 @@ def main(argv=None) -> int:
                if f.name in options}
         rows = run_experiment(ExperimentConfig(
             **own, continuation=ContinuationConfig(**options)))
-    except (UsageError, ValueError, OSError, SolverError) as exc:
+    except (ValueError, OSError, SolverError) as exc:
         print(f"eigenrom: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, SolverError) else 1
     for row in rows:

@@ -3,7 +3,7 @@ to the one level loop (``rom.solve_levels``), table rows with convergence
 rates, the mesh and singular-value dumps, and CSV export.  A config fixes
 every input of a run, its start vectors included.  A schedule has at least
 one level; a row's ``n`` counts subintervals per side, or levels from 0 on a
-mesh file and from 1 on an adaptive run, whose ``levels`` is a maximum.
+mesh file and from 1 on an adaptive run.
 
 Reference eigenpairs (``EIGENPAIRS``): lambda_1 = 2 and sin(x) sin(y) on the
 square (0, pi)^2; 9.6397238440219 and no known eigenfunction on the L-shape.
@@ -210,10 +210,9 @@ def compute_rate(errors, sizes, mode: str) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Run a schedule of ``cfg.levels`` >= 1 levels (an adaptive one stops
-    early once its estimate vanishes) through ``rom.solve_levels``; write its
-    ``_outputs`` (the table, then both dumps from the last solved level);
-    return its rows.
+    """Run a schedule of ``cfg.levels`` >= 1 levels through
+    ``rom.solve_levels``; write its ``_outputs`` (the table, then both dumps
+    from the last level); return its rows.
 
     Deterministic for a fixed config and seed, timing aside.  A failure
     aborts the schedule: the log names the failing level, the rows already

@@ -333,18 +333,14 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     split = np.zeros(len(edges), dtype=bool)
     split[e_r[marked]] = True
 
-    # closure: a triangle with any split edge must split its refinement edge
-    sweeps = 0
+    # closure: a triangle with any split edge must split its refinement edge;
+    # each pass sets at least one unset edge flag, so it ends within E passes
     while True:
         s0, s1, s2 = split[tri_edges].T
         need = (s0 | s1 | s2) & ~split[e_r]
         if not need.any():
             break
         split[e_r[need]] = True
-        sweeps += 1
-        if sweeps > 64 * n_tri:
-            raise RuntimeError("bisection closure failed to terminate; "
-                               "refinement metadata is inconsistent")
 
     split_ids = np.flatnonzero(split)
     new_id = np.full(len(edges), -1, dtype=np.int64)

@@ -138,7 +138,7 @@ class Level:
 
 def solve_levels(mesh: Mesh, degree: int, cont: ContinuationConfig, strides,
                  eps, levels: int, refine):
-    """Solve up to ``levels`` meshes from ``mesh``, yielding one ``Level`` each.
+    """Solve ``levels`` meshes from ``mesh``, yielding one ``Level`` each.
 
     A level numbers and assembles its mesh and runs the full-order iteration
     once (``run_fom`` at ``min(strides)``, from the random vector of
@@ -151,11 +151,11 @@ def solve_levels(mesh: Mesh, degree: int, cont: ContinuationConfig, strides,
     first mesh is numbered, ``check_unknowns`` before each full-order run.
 
     The next mesh, made only when its level is due, is ``refine(level,
-    dofmap, M)`` of the last one; None ends the schedule.  A level's
-    operators and snapshots are released before the next one is assembled.
-    A run that reaches its step cap or stops away from an eigenpair raises
-    NonconvergenceError (``check_eigen_residual`` checks the lifted reduced
-    vector, a test of the basis, outside ``rom_s``).
+    dofmap, M)`` of the last one.  A level's operators and snapshots are
+    released before the next one is assembled.  A run that reaches its step
+    cap or stops away from an eigenpair raises NonconvergenceError
+    (``check_eigen_residual`` checks the lifted reduced vector, a test of the
+    basis, outside ``rom_s``).
     """
     check_strides(strides)
     base = min(strides)
@@ -163,8 +163,6 @@ def solve_levels(mesh: Mesh, degree: int, cont: ContinuationConfig, strides,
         if index:
             mesh = refine(level, dofmap, M)
             del dofmap, M
-            if mesh is None:
-                return
         dofmap = build_dofmap(mesh, degree)
         A, M = assemble(mesh, dofmap)
         n = A.shape[0]

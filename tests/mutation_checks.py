@@ -191,10 +191,33 @@ MUTANTS = [
            ("tests/test_harness.py::TestRunExperiment::test_abort_writes_the_partial_table_then_raises",),
            "a failure leaves run_experiment as itself; main reads its type"),
     Mutant("main-catches-every-exception", "cli.py",
-           "except (UsageError, ValueError, OSError, SolverError) as exc:",
+           "except (ValueError, OSError, SolverError) as exc:",
            "except Exception as exc:",
            ("tests/test_harness.py::TestCli::test_internal_error_is_not_a_refused_input",),
            "a failure leaves run_experiment as itself; main reads its type"),
+    Mutant("closure-ignores-the-third-edge", "mesh.py",
+           "need = (s0 | s1 | s2) & ~split[e_r]",
+           "need = (s0 | s1) & ~split[e_r]",
+           ("tests/test_mesh.py::TestBisectRefine::test_closure_reads_every_local_edge",
+            "tests/test_mesh.py::TestBisectionProperties::test_random_markings_keep_invariants"),
+           "the bisection closure loses its sweep cap"),
+    Mutant("log-level-set-once", "cli.py",
+           "    logging.getLogger().setLevel(levels[level])\n",
+           "",
+           ("tests/test_harness.py::TestCli::test_every_call_applies_its_own_log_level",),
+           "every cli.main call applies its own EIGENROM_LOG"),
+    Mutant("unwritable-partial-table-replaces-the-failure", "harness.py",
+           "            except OSError:\n"
+           "                pass\n",
+           "            except OSError:\n"
+           "                raise\n",
+           ("tests/test_harness.py::TestRunExperiment::test_unwritable_partial_table_leaves_the_failure_as_it_is",),
+           "tests for the reachable input checks no test ran"),
+    Mutant("trailing-mesh-data-accepted", "mesh.py",
+           'raise MeshError("trailing data after boundary section")',
+           "pass",
+           ("tests/test_mesh.py::TestMeshIO::test_token_after_boundary_section_rejected",),
+           "tests for the reachable input checks no test ran"),
 ]
 
 # mutants that change no behaviour any input can reach

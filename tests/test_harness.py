@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import eigenrom.harness as harness
 import eigenrom.rom as rom
 from eigenrom.cli import build_parser, main as cli_main
 from eigenrom.continuation import ContinuationConfig, run_fom
@@ -180,6 +181,12 @@ class TestCsv:
         with pytest.raises(OSError, match="no/such/dir"):
             emit_csv([], "/no/such/dir/table.csv")
 
+    def test_foreign_header_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            read_csv(path)
+
 
 class TestRunExperiment:
     def test_config_validation(self):
@@ -335,6 +342,27 @@ class TestRunExperiment:
         assert f"schedule aborted at n={failed}" in caplog.text
         assert f"partial table written to {out}" in caplog.text
         assert [r.n for r in read_csv(out)] == done
+
+    def test_unwritable_partial_table_leaves_the_failure_as_it_is(
+            self, tmp_path, monkeypatch, caplog):
+        def failing_at_second_level(ops, u0, cfg):
+            calls.append(ops)
+            if len(calls) == 2:
+                raise NotSpdError("reduced system is not SPD: dpotrf info=1")
+            return run_rom(ops, u0, cfg)
+
+        def unwritable(rows, path):
+            raise OSError(f"cannot write {path}")
+
+        calls = []
+        monkeypatch.setattr(rom, "run_rom", failing_at_second_level)
+        monkeypatch.setattr(harness, "emit_csv", unwritable)
+        with caplog.at_level(logging.ERROR, logger="eigenrom"), \
+                pytest.raises(NotSpdError):
+            run_experiment(small_config(n_start=4, levels=2,
+                                        out_path=str(tmp_path / "t.csv")))
+        assert "schedule aborted at n=8" in caplog.text
+        assert "partial table written" not in caplog.text
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_fom_warnings_are_logged(self, monkeypatch, caplog, adaptive):
@@ -1040,6 +1068,25 @@ class TestCli:
                                        for r in read_csv(out)]))
         assert WARNING in runs[0][0]
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_every_call_applies_its_own_log_level(self, tmp_path,
+                                                   monkeypatch):
+        # basicConfig sets nothing once the root logger has a handler
+        # (pytest's counts), so each call must set its own level
+        root = logging.getLogger()
+        before = root.level
+        try:
+            for name, level in [("error", logging.ERROR),
+                                ("debug", logging.DEBUG),
+                                ("warning", logging.WARNING)]:
+                monkeypatch.setenv("EIGENROM_LOG", name)
+                assert cli_main(["run", "--domain", "square", "--mesh",
+                                 "crisscross", "--n-start", "4", "--levels",
+                                 "1", "--out", str(tmp_path / "t.csv")]) == 0
+                effective = logging.getLogger("eigenrom.rom").getEffectiveLevel()
+                assert effective == level, name
+        finally:
+            root.setLevel(before)
 
     def test_bad_log_level_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EIGENROM_LOG", "chatty")

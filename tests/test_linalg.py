@@ -96,6 +96,14 @@ class TestSpdSolve:
         with pytest.raises(ValueError):
             spd_solve(csr_identity(3), np.ones(4))
 
+    def test_empty_system_rejected(self):
+        with pytest.raises(ValueError, match="empty system"):
+            spd_solve(sp.csr_array((0, 0)), np.zeros(0))
+
+    def test_warm_start_at_the_solution_is_returned(self, rng):
+        b = rng.standard_normal(5)
+        assert np.array_equal(spd_solve(csr_identity(5), b, x0=b), b)
+
     def test_deterministic(self, rng):
         K = random_spd(rng, 50)
         b = rng.standard_normal(50)
@@ -146,6 +154,13 @@ class TestSymEigDesc:
         C = 0.5 * (C + C.T)
         w, _ = sym_eig_desc(C)
         assert np.all(np.diff(w) <= 0)
+
+    def test_non_square_and_oversized_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            sym_eig_desc(np.ones(3))
+        # a zero-stride view: refused by its shape, none of its 800 MB is made
+        with pytest.raises(ValueError, match="too large"):
+            sym_eig_desc(np.broadcast_to(0.0, (10001, 10001)))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):

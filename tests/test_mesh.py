@@ -187,6 +187,17 @@ class TestBisectRefine:
             validate_mesh(m)
         assert abs(m.areas.sum() - 3.0) <= 1e-12 * 3.0
 
+    def test_closure_reads_every_local_edge(self):
+        # triangle 6 of the once-bisected mesh keeps refinement edge 1, and
+        # marking triangle 2 splits its local edge 2 (3, 4); a closure that
+        # missed that edge left node 10 hanging on it
+        mesh = bisect_refine(generate_square("right", 2, 1.0), [0])
+        refined = bisect_refine(mesh, [2])
+        for got, want in zip((refined.nodes, refined.triangles,
+                              refined.refinement_edge),
+                             bisect_recursive(mesh, [2])):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("marked, message", [
         (None, "out of range"),
         (np.arange(48) == 5, "bool"),       # a mask, read as indices 0 and 1
@@ -284,6 +295,30 @@ class TestMeshIO:
         path.write_text("nodes 2\n0.0 0.0\n")
         with pytest.raises(MeshError):
             read_mesh(path)
+
+    @pytest.mark.parametrize("text", ["", "nodes\n"], ids=["empty", "lone-word"])
+    def test_file_without_a_count_rejected(self, tmp_path, text):
+        path = tmp_path / "short.mesh"
+        path.write_text(text)
+        with pytest.raises(MeshError) as info:
+            read_mesh(path)
+        assert str(info.value) == f"{path}: truncated mesh file"
+
+    def test_misspelt_section_word_rejected(self, tmp_path):
+        path = tmp_path / "misspelt.mesh"
+        path.write_text("nodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                        "triangle 1\n0 1 2\n")
+        with pytest.raises(MeshError) as info:
+            read_mesh(path)
+        assert str(info.value) == f"{path}: expected 'triangles', found 'triangle'"
+
+    def test_token_after_boundary_section_rejected(self, tmp_path):
+        path = tmp_path / "trailing.mesh"
+        write_mesh(generate_square("right", 2, 1.0), path)
+        path.write_text(path.read_text() + "0\n")
+        with pytest.raises(MeshError) as info:
+            read_mesh(path)
+        assert str(info.value) == f"{path}: trailing data after boundary section"
 
     def test_negative_count_names_the_file_once(self, tmp_path):
         path = tmp_path / "negative.mesh"

@@ -77,6 +77,12 @@ class TestBuildPod:
         assert np.array_equal(basis.V, build_pod(S, n_pod).V)
         assert np.array_equal(basis.singular_values, singular_values(S))
 
+    def test_shape_and_dimension_checks(self, rng):
+        with pytest.raises(ValueError, match="2-D"):
+            build_pod(rng.standard_normal(5), 1)
+        with pytest.raises(ValueError, match=">= 1"):
+            build_pod(rng.standard_normal((10, 3)), 0)
+
     def test_exactly_one_of_n_and_eps(self, rng):
         S = rng.standard_normal((10, 3))
         with pytest.raises(ValueError, match="exactly one"):

@@ -209,6 +209,11 @@ class TestRunRom:
         with pytest.raises(ValueError, match="finite"):
             run_rom(ops, np.array([1.0, np.nan, 1.0]), ContinuationConfig())
 
+    def test_start_of_basis_length_rejected(self):
+        ops = ReducedOperators(np.diag([2.0, 3.0]), np.eye(2), np.eye(3)[:, :2])
+        with pytest.raises(ValueError, match="full-space"):
+            run_rom(ops, np.ones(2), ContinuationConfig())
+
     def test_infinite_start_rejected_without_a_warning(self):
         # refused before the projection, which would turn the inf into NaN
         # with a "RuntimeWarning: invalid value encountered in matmul"
